@@ -468,6 +468,18 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Pins the test-sized campaign's encoded bytes: counter synthesis,
+    /// probes and run timing must keep drawing the same RNG sequences and
+    /// observing the same machine state.
+    #[test]
+    fn test_sized_campaign_encoding_is_pinned() {
+        let text = crate::campaign_io::encode(&small_campaign());
+        assert_eq!(
+            format!("{:016x}", rush_simkit::snapshot::fingerprint_str(&text)),
+            "8676cc05723fc893"
+        );
+    }
+
     #[test]
     fn runtime_stats_cover_campaign_apps_only() {
         let data = small_campaign();

@@ -274,6 +274,35 @@ pub fn outcome_key(result: &ScheduleResult) -> Vec<(u64, u64, u64, Vec<u32>)> {
     key
 }
 
+/// The outcome scalars [`diff_results`] compares, in report order.
+/// Event-queue statistics are deliberately absent: they measure how much
+/// work the engine did, not what it decided.
+pub fn outcome_scalars(result: &ScheduleResult) -> [(&'static str, u64); 7] {
+    [
+        ("completed", result.completed.len() as u64),
+        ("failed", result.failed.len() as u64),
+        ("total_skips", result.total_skips),
+        ("fallback_decisions", result.fallback_decisions),
+        ("requeues", result.requeues),
+        ("node_failures", result.node_failures),
+        ("last_end_us", result.last_end.as_micros()),
+    ]
+}
+
+/// One 64-bit digest of everything [`diff_results`] compares: the
+/// canonical trace encoding, the [`outcome_key`] and the
+/// [`outcome_scalars`]. Two runs with equal digests are (up to hash
+/// collisions) identical under [`diff_results`], so a committed digest
+/// pins a scenario's behaviour without committing its trace.
+pub fn outcome_digest(result: &ScheduleResult) -> u64 {
+    snapshot::fingerprint_str(&format!(
+        "{}|{:?}|{:?}",
+        result.trace.to_val().render(),
+        outcome_key(result),
+        outcome_scalars(result)
+    ))
+}
+
 /// Compares two runs of the same scenario.
 ///
 /// The schedule traces are compared twice: element-wise, to name the first
@@ -336,32 +365,10 @@ pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcom
         });
     }
 
-    let scalars: [(&str, u64, u64); 7] = [
-        (
-            "completed",
-            left.completed.len() as u64,
-            right.completed.len() as u64,
-        ),
-        (
-            "failed",
-            left.failed.len() as u64,
-            right.failed.len() as u64,
-        ),
-        ("total_skips", left.total_skips, right.total_skips),
-        (
-            "fallback_decisions",
-            left.fallback_decisions,
-            right.fallback_decisions,
-        ),
-        ("requeues", left.requeues, right.requeues),
-        ("node_failures", left.node_failures, right.node_failures),
-        (
-            "last_end_us",
-            left.last_end.as_micros(),
-            right.last_end.as_micros(),
-        ),
-    ];
-    for (name, l, r) in scalars {
+    for ((name, l), (_, r)) in outcome_scalars(left)
+        .into_iter()
+        .zip(outcome_scalars(right))
+    {
         if l != r {
             diffs.push(Divergence {
                 what: name.to_string(),
