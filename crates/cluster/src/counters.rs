@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// What one node can observe about the machine at a sampling instant.
 ///
 /// Produced by [`crate::machine::Machine::observe`]; consumed by
-/// [`synthesize_table`].
+/// [`synthesize_table_into`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeObservation {
     /// Traffic injected by this node onto its access link, GB/s.
@@ -315,24 +315,8 @@ pub fn synthesize_counter<R: RngCore>(
     base * (spec.noise * z).exp()
 }
 
-/// Synthesizes all counters of `table` for one node observation, in schema
-/// order.
-pub fn synthesize_table<R: RngCore>(
-    table: CounterTable,
-    obs: &NodeObservation,
-    rng: &mut R,
-) -> Vec<f64> {
-    table
-        .counters()
-        .iter()
-        .map(|spec| synthesize_counter(spec, obs, rng))
-        .collect()
-}
-
-/// Appends all counters of `table` to `out` instead of allocating a fresh
-/// vector — same schema order, same RNG draw sequence as
-/// [`synthesize_table`], for callers that reuse one buffer across a whole
-/// sampling sweep.
+/// Appends all counters of `table` for one node observation to `out`, in
+/// schema order, so callers can reuse one buffer across a sampling round.
 pub fn synthesize_table_into<R: RngCore>(
     table: CounterTable,
     obs: &NodeObservation,
@@ -352,6 +336,16 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(7)
+    }
+
+    fn synthesize_table(
+        table: CounterTable,
+        obs: &NodeObservation,
+        rng: &mut SmallRng,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        synthesize_table_into(table, obs, rng, &mut out);
+        out
     }
 
     #[test]

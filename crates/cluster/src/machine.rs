@@ -8,7 +8,7 @@
 //! sources; the experiment noise job and the background regime process are
 //! managed internally.
 
-use crate::counters::{synthesize_table, synthesize_table_into, CounterTable, NodeObservation};
+use crate::counters::{synthesize_table_into, CounterTable, NodeObservation};
 use crate::lustre::{IoDemand, LustreConfig, LustreState};
 use crate::network::{
     traversed_links, BackgroundScope, NetworkState, TrafficPattern, TrafficSource,
@@ -231,9 +231,10 @@ struct CongestionCacheEntry {
 /// One full-machine observation sweep in SoA layout, revalidated against
 /// [`NetworkState::version`]: per-node access loads, per-edge-switch uplink
 /// utilizations, per-pod upper-fabric utilizations. Between network changes
-/// every `observe` call is then three array reads instead of three link-map
-/// walks — and the network changes at most once per noise update plus once
-/// per job start/finish, while a sampling round observes every node.
+/// every [`Machine::observe_swept`] call is then three array reads instead
+/// of three link-map walks. That pays off for a sampling round that
+/// observes every node; a caller observing a few nodes while the network
+/// keeps changing should use [`Machine::observe`] instead.
 #[derive(Debug, Clone, Default)]
 struct ObsSweep {
     valid_at: Option<u64>,
@@ -273,10 +274,8 @@ pub struct Machine {
     /// allocations are exclusive, so that is at most one).
     node_loads: Vec<Vec<SourceId>>,
     congestion_cache: HashMap<SourceId, CongestionCacheEntry>,
-    /// Batched observation sweep; consulted by `observe` only when
-    /// [`Machine::set_observation_caching`] enabled it.
+    /// Full-machine observation sweep behind [`Machine::observe_swept`].
     obs_sweep: ObsSweep,
-    obs_caching: bool,
     health: Vec<NodeHealth>,
     health_stats: HealthStats,
     /// Per-node straggler speed factor in milli-units (1000 = nominal).
@@ -315,7 +314,6 @@ impl Machine {
             node_loads: vec![Vec::new(); tree_nodes as usize],
             congestion_cache: HashMap::new(),
             obs_sweep: ObsSweep::default(),
-            obs_caching: false,
             health: vec![NodeHealth::Up; tree_nodes as usize],
             health_stats: HealthStats::default(),
             node_speed_milli: vec![1000; tree_nodes as usize],
@@ -405,18 +403,6 @@ impl Machine {
         self.fs
             .set_background_gbps(self.regime.fs_fraction(t) * self.fs.config().aggregate_gbps);
         self.now = t;
-    }
-
-    /// Enables or disables batched observation: the per-version network
-    /// sweep (`ObsSweep`) and the per-node owner map replace per-call
-    /// link-map walks and full-load scans in [`Machine::observe`]. Values
-    /// are identical either way — the sweep calls the very same network
-    /// queries, once per version instead of once per observation — so this
-    /// is a pure throughput toggle (the engine wires it to
-    /// `EngineTuning::batched_telemetry`).
-    pub fn set_observation_caching(&mut self, enabled: bool) {
-        self.obs_caching = enabled;
-        self.obs_sweep.valid_at = None;
     }
 
     /// Removes `id` from the owner map (no-op if not registered).
@@ -532,38 +518,44 @@ impl Machine {
     }
 
     /// Assembles what `node` can observe right now; input to counter
-    /// synthesis.
+    /// synthesis. Walks the node's links directly, which suits callers that
+    /// observe a few nodes at a time.
     pub fn observe(&mut self, node: NodeId) -> NodeObservation {
-        let (xmit, edge_util, pod_util) = if self.obs_caching {
-            self.swept_network_view(node)
-        } else {
-            (
-                self.net.node_access_load(&self.tree, node),
-                self.net.edge_uplink_util(&self.tree, node),
-                self.net.upper_fabric_util(&self.tree, node),
-            )
-        };
-        // Attribute I/O demand to the node through whichever job runs on it.
-        // Cached mode walks the owner map instead of every registered load;
-        // the scheduler allocates nodes exclusively, so the sum has at most
-        // one term and the iteration order cannot affect the result.
+        let network = (
+            self.net.node_access_load(&self.tree, node),
+            self.net.edge_uplink_util(&self.tree, node),
+            self.net.upper_fabric_util(&self.tree, node),
+        );
+        self.observation(node, network)
+    }
+
+    /// Bit-identical to [`Machine::observe`], but reads the network view
+    /// from one full-machine sweep (every node's access load, every edge
+    /// switch's and pod's utilization), rebuilt whenever
+    /// [`NetworkState::version`] moved. Meant for sampling rounds over
+    /// every node, where one sweep serves the whole round.
+    pub fn observe_swept(&mut self, node: NodeId) -> NodeObservation {
+        let network = self.swept_network_view(node);
+        self.observation(node, network)
+    }
+
+    /// Completes an observation from its `(access load, edge uplink util,
+    /// upper fabric util)` network view.
+    fn observation(
+        &self,
+        node: NodeId,
+        (xmit, edge_util, pod_util): (f64, f64, f64),
+    ) -> NodeObservation {
+        // Attribute I/O demand to the node through whichever job runs on
+        // it. Allocations are exclusive, so the owner map holds at most one
+        // load per node and the sum has at most one term.
         let (mut read, mut write, mut meta) = (0.0, 0.0, 0.0);
         let s = &self.config.load_scales;
-        if self.obs_caching {
-            for id in &self.node_loads[node.0 as usize] {
-                let load = &self.loads[id];
-                read += load.intensity.io * s.read_gbps;
-                write += load.intensity.io * s.write_gbps;
-                meta += load.intensity.io * s.meta_kops;
-            }
-        } else {
-            for load in self.loads.values() {
-                if load.nodes.contains(&node) {
-                    read += load.intensity.io * s.read_gbps;
-                    write += load.intensity.io * s.write_gbps;
-                    meta += load.intensity.io * s.meta_kops;
-                }
-            }
+        for id in &self.node_loads[node.0 as usize] {
+            let load = &self.loads[id];
+            read += load.intensity.io * s.read_gbps;
+            write += load.intensity.io * s.write_gbps;
+            meta += load.intensity.io * s.meta_kops;
         }
         let delivered = self.fs.delivered_fraction();
         NodeObservation {
@@ -580,9 +572,10 @@ impl Machine {
 
     /// `(access load, edge uplink util, upper fabric util)` for `node` from
     /// the [`ObsSweep`], refreshing the sweep if the network changed since
-    /// it was built. The sweep evaluates the same three queries the
-    /// uncached path would — once per (version, node/switch/pod) instead of
-    /// per observation — so the returned values are bit-identical.
+    /// it was built. The sweep evaluates the same three queries
+    /// [`Machine::observe`] does — once per (version, node/switch/pod)
+    /// instead of per observation — so the returned values are
+    /// bit-identical.
     fn swept_network_view(&mut self, node: NodeId) -> (f64, f64, f64) {
         let version = self.net.version();
         if self.obs_sweep.valid_at != Some(version) {
@@ -623,26 +616,26 @@ impl Machine {
         )
     }
 
-    /// Synthesizes the three counter tables for `node`, flattened in
-    /// Table-I order (`sysclassib` 22, `opa_info` 34, `lustre_client` 34).
-    pub fn sample_counters(&mut self, node: NodeId) -> Vec<f64> {
-        let obs = self.observe(node);
-        let mut out = Vec::with_capacity(90);
-        for table in CounterTable::ALL {
-            out.extend(synthesize_table(table, &obs, &mut self.rng_counters));
-        }
-        out
-    }
-
-    /// Allocation-free variant of [`Machine::sample_counters`]: clears and
-    /// fills `out` in the same schema order, drawing the same RNG sequence,
-    /// so a caller-owned buffer can be reused across a whole sampling round.
+    /// Synthesizes the three counter tables for `node` into `out` (cleared
+    /// first), flattened in Table-I order (`sysclassib` 22, `opa_info` 34,
+    /// `lustre_client` 34), so one buffer can be reused across calls.
     pub fn sample_counters_into(&mut self, node: NodeId, out: &mut Vec<f64>) {
         let obs = self.observe(node);
+        self.synthesize_counters(&obs, out);
+    }
+
+    /// [`Machine::sample_counters_into`] over [`Machine::observe_swept`]:
+    /// the path for a sampling round over every node.
+    pub fn sample_counters_swept_into(&mut self, node: NodeId, out: &mut Vec<f64>) {
+        let obs = self.observe_swept(node);
+        self.synthesize_counters(&obs, out);
+    }
+
+    fn synthesize_counters(&mut self, obs: &NodeObservation, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(90);
         for table in CounterTable::ALL {
-            synthesize_table_into(table, &obs, &mut self.rng_counters, out);
+            synthesize_table_into(table, obs, &mut self.rng_counters, out);
         }
     }
 
@@ -1115,6 +1108,19 @@ mod tests {
         );
         for minute in 0..30u64 {
             m.advance_to(SimTime::from_mins(minute));
+            // Storms, stragglers and crashes come and go mid-run; only the
+            // storms touch the network, and the version must catch them.
+            match minute % 10 {
+                3 => m.start_storm(0, 200 + 50 * minute as u32),
+                6 => m.degrade_node(NodeId(2), 300),
+                7 => m.fail_node(NodeId(9)),
+                9 => {
+                    m.end_storm(0);
+                    m.restore_node_speed(NodeId(2));
+                    m.recover_node(NodeId(9));
+                }
+                _ => {}
+            }
             assert_eq!(m.congestion_cached(SourceId(1), &a), m.congestion(&a));
             assert_eq!(m.congestion_cached(SourceId(2), &b), m.congestion(&b));
             // Repeated query between changes returns the same value.
@@ -1232,8 +1238,9 @@ mod tests {
     #[test]
     fn sample_counters_has_ninety_values() {
         let mut m = Machine::new(MachineConfig::tiny(6));
-        let v = m.sample_counters(NodeId(0));
-        assert_eq!(v.len(), 90);
+        let mut v = vec![f64::NAN; 3];
+        m.sample_counters_into(NodeId(0), &mut v);
+        assert_eq!(v.len(), 90, "buffer is cleared before filling");
         assert!(v.iter().all(|x| x.is_finite()));
     }
 
@@ -1283,7 +1290,8 @@ mod tests {
         m.degrade_node(NodeId(5), 400);
         m.start_storm(0, 650);
         m.advance_to(SimTime::from_mins(17));
-        let _ = m.sample_counters(NodeId(0));
+        let mut buf = Vec::new();
+        m.sample_counters_into(NodeId(0), &mut buf);
         let _ = m.draw_os_noise();
 
         let snap = m.snapshot_state();
@@ -1306,7 +1314,10 @@ mod tests {
             r.advance_to(SimTime::from_mins(minute));
             assert_eq!(r.background_util(), m.background_util());
             assert_eq!(r.noise_level_gbps(), m.noise_level_gbps());
-            assert_eq!(r.sample_counters(NodeId(1)), m.sample_counters(NodeId(1)));
+            let mut restored = Vec::new();
+            r.sample_counters_into(NodeId(1), &mut restored);
+            m.sample_counters_into(NodeId(1), &mut buf);
+            assert_eq!(restored, buf);
             assert_eq!(r.draw_os_noise(), m.draw_os_noise());
         }
     }

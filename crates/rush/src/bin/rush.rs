@@ -131,13 +131,11 @@ COMMANDS:
     chaos      run a seeded chaos campaign: randomized performance-fault
                scenarios (crashes, stragglers, congestion storms, flaps)
                across the FCFS / FCFS+EASY / RUSH schemes, every run under
-               the invariant auditor and the legacy-vs-optimized
-               differential check, folded into a resilience report
+               the invariant auditor, folded into a resilience report
                --scenarios N (8)  --seed N (42)  --nodes N (64)
                --jobs N (500)     --out FILE (results/chaos_report.json)
                identical invocations write byte-identical reports; exits
-               nonzero when the auditor records a violation or the
-               tunings diverge
+               nonzero when the auditor records a violation
     train-policy  train a learned queue-ordering policy with the seeded
                cross-entropy method over the gym-style scheduling
                environment; identical invocations write byte-identical
@@ -542,8 +540,7 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
 
 /// Seeded chaos campaign (see [`rush_sched::chaos`]): samples randomized
 /// performance-fault scenarios, runs each across the three scheduling
-/// schemes under the invariant auditor and the differential tuning check,
-/// and writes the canonical-JSON resilience report atomically. A pure
+/// schemes under the invariant auditor, and writes the canonical-JSON resilience report atomically. A pure
 /// function of the options: identical invocations produce byte-identical
 /// report files.
 fn cmd_chaos(options: &Options) -> Result<(), String> {
@@ -570,7 +567,7 @@ fn cmd_chaos(options: &Options) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "results/chaos_report.json".to_string());
     eprintln!(
-        "chaos: {} scenarios x 3 schemes x 2 tunings, {} nodes, {} jobs (seed {})...",
+        "chaos: {} scenarios x 3 schemes, {} nodes, {} jobs (seed {})...",
         config.scenarios, config.nodes, config.jobs, config.seed
     );
     let report = run_chaos(&config);
@@ -586,7 +583,6 @@ fn cmd_chaos(options: &Options) -> Result<(), String> {
         "worst_seed",
         "util_drop",
         "violations",
-        "agree",
     ]);
     for s in &report.summaries {
         table.row([
@@ -597,7 +593,6 @@ fn cmd_chaos(options: &Options) -> Result<(), String> {
             format!("{:#x}", s.worst_fault_seed),
             fmt(s.worst_utilization_drop, 4),
             s.audit_violations.to_string(),
-            if s.tunings_agree { "yes" } else { "NO" }.to_string(),
         ]);
     }
     println!("{}", table.render());
@@ -608,9 +603,6 @@ fn cmd_chaos(options: &Options) -> Result<(), String> {
         return Err(format!(
             "auditor recorded {violations} invariant violations"
         ));
-    }
-    if !report.all_tunings_agree() {
-        return Err("legacy and optimized tunings diverged under faults".into());
     }
     Ok(())
 }

@@ -226,6 +226,12 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
     let mut completed: Vec<ControlRun> = Vec::new();
     let tick = SimDuration::from_secs(60);
     let probe_config = ProbeConfig::default();
+    // One counter buffer for every sample of the campaign. Samples go
+    // through `Machine::observe`, not the full-machine sweep: a round reads
+    // a few dozen nodes of a full system, and background utilization
+    // changes the network on almost every advance, so a sweep would be
+    // rebuilt for nearly every round.
+    let mut counters: Vec<f64> = Vec::with_capacity(90);
 
     while let Some(entry) = events.pop() {
         let now = entry.time;
@@ -250,15 +256,14 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
                 machine.advance_to(now);
                 if let Some(run) = runs[i].as_mut() {
                     // Job-exclusive scope.
-                    let nodes = run.nodes.clone();
-                    for node in nodes {
-                        let values = machine.sample_counters(node);
-                        run.job_accum.absorb(&values);
+                    for &node in &run.nodes {
+                        machine.sample_counters_into(node, &mut counters);
+                        run.job_accum.absorb(&counters);
                     }
                     // Machine-wide monitor scope.
                     for &node in &monitor_nodes {
-                        let values = machine.sample_counters(node);
-                        run.all_accum.absorb(&values);
+                        machine.sample_counters_into(node, &mut counters);
+                        run.all_accum.absorb(&counters);
                     }
                 }
             }

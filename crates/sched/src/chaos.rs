@@ -7,7 +7,7 @@
 //! samples fault scenarios from a seeded grammar (node crashes, straggler
 //! degradations, congestion storms, node flaps — any subset, with
 //! randomized intensities), runs each scenario through the three schemes
-//! of the paper's comparison (FCFS, FCFS+EASY, RUSH), and folds three
+//! of the paper's comparison (FCFS, FCFS+EASY, RUSH), and folds two
 //! verdicts per run into one machine-readable report:
 //!
 //! * **metric degradation** — bounded slowdown, utilization, mean wait
@@ -16,11 +16,7 @@
 //!   timeline is the only moving part);
 //! * **invariant violations** — every run executes under the
 //!   [`crate::audit`] auditor in `Log` + every-event mode, so a fault
-//!   that corrupts engine state is counted, not hidden;
-//! * **differential agreement** — every faulty scenario runs under both
-//!   legacy and optimized [`EngineTuning`] and the traces are compared
-//!   byte-for-byte by [`diff_results`], extending the PR 8 equivalence
-//!   contract to the fault space.
+//!   that corrupts engine state is counted, not hidden.
 //!
 //! The whole campaign is a pure function of [`ChaosConfig`]: the report
 //! renders to canonical JSON ([`ChaosReport::to_json`]) and identical
@@ -30,10 +26,7 @@
 //! hunt can replay exactly the timeline that hurt.
 
 use crate::audit::{AuditConfig, AuditPolicy};
-use crate::difftest::{diff_results, DiffOutcome};
-use crate::engine::{
-    BackfillPolicy, EngineTuning, ScheduleResult, SchedulerConfig, SchedulerEngine,
-};
+use crate::engine::{BackfillPolicy, ScheduleResult, SchedulerConfig, SchedulerEngine};
 use crate::predictor::{CongestionOracle, NeverVaries, VariabilityPredictor};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -105,9 +98,8 @@ impl Scheme {
         }
     }
 
-    fn config(self, faults: FaultConfig, tuning: EngineTuning) -> SchedulerConfig {
+    fn config(self, faults: FaultConfig) -> SchedulerConfig {
         let mut config = SchedulerConfig {
-            tuning,
             faults,
             // Log (not FailFast) so one violation cannot abort the
             // campaign: the report counts them and CI asserts zero.
@@ -287,17 +279,13 @@ impl SchemeRun {
 pub struct SchemeOutcome {
     /// The scheme.
     pub scheme: Scheme,
-    /// Metrics of the optimized-tuning run.
+    /// Metrics of the run.
     pub run: SchemeRun,
     /// `mean_bounded_slowdown` over the scheme's fault-free baseline
     /// (1.0 = no degradation; baselines of 0 map to 1.0).
     pub slowdown_ratio: f64,
     /// `utilization` minus the baseline's (≤ 0 when faults hurt).
     pub utilization_delta: f64,
-    /// Legacy and optimized tuning produced byte-identical traces.
-    pub tunings_agree: bool,
-    /// First divergence, rendered, when they did not.
-    pub divergence: Option<String>,
 }
 
 /// One scenario's verdict across all schemes.
@@ -328,8 +316,6 @@ pub struct SchemeSummary {
     pub worst_utilization_drop: f64,
     /// Auditor violations summed over every run of this scheme.
     pub audit_violations: u64,
-    /// Every scenario's legacy/optimized diff came back identical.
-    pub tunings_agree: bool,
 }
 
 /// The campaign's full result; renders to canonical JSON.
@@ -350,11 +336,6 @@ impl ChaosReport {
         self.summaries.iter().map(|s| s.audit_violations).sum()
     }
 
-    /// True when every scenario × scheme agreed across tunings.
-    pub fn all_tunings_agree(&self) -> bool {
-        self.summaries.iter().all(|s| s.tunings_agree)
-    }
-
     /// Renders the report as canonical JSON: fixed key order, no
     /// whitespace, shortest-roundtrip floats — identical configs yield
     /// byte-identical text.
@@ -370,18 +351,12 @@ impl ChaosReport {
             .map(|o| {
                 let mut schemes = JsonObject::new();
                 for so in &o.schemes {
-                    let mut body = JsonObject::new()
+                    let body = JsonObject::new()
                         .raw("run", &so.run.to_json())
                         .f64("slowdown_ratio", so.slowdown_ratio)
                         .f64("utilization_delta", so.utilization_delta)
-                        .raw(
-                            "tunings_agree",
-                            if so.tunings_agree { "true" } else { "false" },
-                        );
-                    if let Some(d) = &so.divergence {
-                        body = body.str("divergence", d);
-                    }
-                    schemes = schemes.raw(so.scheme.name(), &body.finish());
+                        .finish();
+                    schemes = schemes.raw(so.scheme.name(), &body);
                 }
                 JsonObject::new()
                     .u64("scenario", u64::from(o.scenario.index))
@@ -406,14 +381,6 @@ impl ChaosReport {
         }
         let summary = JsonObject::new()
             .u64("total_audit_violations", self.total_violations())
-            .raw(
-                "all_tunings_agree",
-                if self.all_tunings_agree() {
-                    "true"
-                } else {
-                    "false"
-                },
-            )
             .raw("worst_case", &worst.finish())
             .finish();
         JsonObject::new()
@@ -469,22 +436,20 @@ fn run_one(
     streams: &RngStreams,
     scheme: Scheme,
     faults: FaultConfig,
-    tuning: EngineTuning,
     workload: &[JobRequest],
 ) -> ScheduleResult {
     let machine = Machine::new(machine_config(config, streams));
     let mut engine = SchedulerEngine::new(
         machine,
-        scheme.config(faults, tuning),
+        scheme.config(faults),
         scheme.predictor(),
         streams.stream_seed("chaos/engine"),
     );
     engine.run(workload)
 }
 
-/// Runs the full campaign: 1 fault-free baseline per scheme, then per
-/// scenario and scheme one optimized-tuning run (metrics) plus one
-/// legacy-tuning run (differential agreement).
+/// Runs the full campaign: one fault-free baseline per scheme, then one
+/// run per scenario and scheme.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let streams = RngStreams::new(config.seed);
     let workload = campaign_workload(config);
@@ -492,14 +457,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let baselines: Vec<SchemeRun> = Scheme::ALL
         .iter()
         .map(|&scheme| {
-            let result = run_one(
-                config,
-                &streams,
-                scheme,
-                FaultConfig::none(),
-                EngineTuning::default(),
-                &workload,
-            );
+            let result = run_one(config, &streams, scheme, FaultConfig::none(), &workload);
             SchemeRun::from_result(&result, config.nodes)
         })
         .collect();
@@ -511,27 +469,8 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
             .iter()
             .zip(&baselines)
             .map(|(&scheme, baseline)| {
-                let optimized = run_one(
-                    config,
-                    &streams,
-                    scheme,
-                    scenario.faults,
-                    EngineTuning::default(),
-                    &workload,
-                );
-                let legacy = run_one(
-                    config,
-                    &streams,
-                    scheme,
-                    scenario.faults,
-                    EngineTuning::legacy(),
-                    &workload,
-                );
-                let (tunings_agree, divergence) = match diff_results(&legacy, &optimized) {
-                    DiffOutcome::Identical => (true, None),
-                    DiffOutcome::Diverged(diffs) => (false, Some(diffs[0].to_string())),
-                };
-                let run = SchemeRun::from_result(&optimized, config.nodes);
+                let result = run_one(config, &streams, scheme, scenario.faults, &workload);
+                let run = SchemeRun::from_result(&result, config.nodes);
                 let slowdown_ratio = if baseline.mean_bounded_slowdown > 0.0 {
                     run.mean_bounded_slowdown / baseline.mean_bounded_slowdown
                 } else {
@@ -542,8 +481,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
                     run,
                     slowdown_ratio,
                     utilization_delta: run.utilization - baseline.utilization,
-                    tunings_agree,
-                    divergence,
                 }
             })
             .collect();
@@ -584,7 +521,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
                     .fold(0.0, f64::max),
                 audit_violations: baselines[i].audit_violations
                     + outcomes.iter().map(|o| o.run.audit_violations).sum::<u64>(),
-                tunings_agree: outcomes.iter().all(|o| o.tunings_agree),
             }
         })
         .collect();
@@ -648,7 +584,6 @@ mod tests {
         assert_eq!(report.scenarios.len(), 2);
         assert_eq!(report.summaries.len(), 3);
         assert_eq!(report.total_violations(), 0, "auditor found violations");
-        assert!(report.all_tunings_agree(), "legacy/optimized diverged");
         for outcome in &report.scenarios {
             for so in &outcome.schemes {
                 assert_eq!(

@@ -1,24 +1,24 @@
 //! Differential equivalence harness.
 //!
-//! Every engine optimization behind [`EngineTuning`] and the pod-sharded
-//! execution of [`crate::shard`] carry the same contract: they change how
-//! much work the simulator does, never what it decides. This module makes
-//! that contract mechanically checkable — build one seeded scenario, run
-//! it through two engine configurations (legacy vs. optimized tuning,
-//! serial vs. parallel shards, with or without faults or the online
-//! predictor service), and compare the results *byte for byte*: the
-//! encoded schedule trace, every completed and failed job's placement and
-//! timing, and the outcome scalars. On mismatch the harness names the
-//! first diverging trace event — the actionable datum when bisecting a
-//! determinism regression — instead of a bare `assert_eq` dump of two
-//! multi-megabyte structures.
+//! Pod-sharded execution ([`crate::shard`]) and streaming engine seeding
+//! ([`crate::source`]) carry the same contract: they change how the
+//! simulator is driven, never what it decides. This module makes that
+//! contract mechanically checkable — build one seeded scenario, run it two
+//! ways (serial vs. parallel shards, materialized vs. streamed requests),
+//! and compare the results *byte for byte*: the encoded schedule trace,
+//! every completed and failed job's placement and timing, and the outcome
+//! scalars. On mismatch the harness names the first diverging trace event
+//! — the actionable datum when bisecting a determinism regression —
+//! instead of a bare `assert_eq` dump of two multi-megabyte structures.
 //!
-//! The harness is library code (not `#[cfg(test)]`) so the proptest
-//! satellite, the bench binary and CI lanes all drive the same comparison.
+//! The same comparison, folded into one [`outcome_digest`] per scenario,
+//! pins the engine's behaviour over time: `tests/golden_digests.rs` runs a
+//! fixed grid of [`DiffScenario`]s against committed digests.
 //!
-//! [`EngineTuning`]: crate::engine::EngineTuning
+//! The harness is library code (not `#[cfg(test)]`) so the proptests, the
+//! golden test and the chaos campaign all drive the same comparison.
 
-use crate::engine::{EngineTuning, ScheduleResult, SchedulerConfig, SchedulerEngine};
+use crate::engine::{ScheduleResult, SchedulerConfig, SchedulerEngine};
 use crate::job::Job;
 use crate::metrics::RuntimeReference;
 use crate::policy::{LearnedPolicy, PolicySpec};
@@ -56,8 +56,8 @@ pub struct DiffScenario {
     /// shadow evaluation, hot-swap) instead of a static predictor.
     pub online_predictor: bool,
     /// Order R1/R2 by the demo [`LearnedPolicy`] instead of FCFS, so
-    /// parametric policies ride the same legacy-vs-optimized equivalence
-    /// contract as the static orders.
+    /// parametric policies are covered by the same comparisons as the
+    /// static orders.
     pub learned_policy: bool,
 }
 
@@ -80,13 +80,10 @@ impl DiffScenario {
         }
     }
 
-    /// Scheduler parameters under `tuning`, with the scenario's fault and
-    /// service dimensions applied.
-    pub fn sched_config(&self, tuning: EngineTuning) -> SchedulerConfig {
-        let mut config = SchedulerConfig {
-            tuning,
-            ..SchedulerConfig::default()
-        };
+    /// Scheduler parameters with the scenario's fault and service
+    /// dimensions applied.
+    pub fn sched_config(&self) -> SchedulerConfig {
+        let mut config = SchedulerConfig::default();
         if self.learned_policy {
             config.r1 = PolicySpec::Learned(LearnedPolicy::demo());
             config.r2 = PolicySpec::Learned(LearnedPolicy::demo());
@@ -137,12 +134,12 @@ impl DiffScenario {
         generate_jobs(&spec, &mut SmallRng::seed_from_u64(self.seed ^ 0x10B5))
     }
 
-    /// Builds the scenario's engine under `tuning`.
-    pub fn build_engine(&self, tuning: EngineTuning) -> SchedulerEngine {
+    /// Builds the scenario's engine.
+    pub fn build_engine(&self) -> SchedulerEngine {
         let machine = Machine::new(self.machine_config());
         let mut engine = SchedulerEngine::new(
             machine,
-            self.sched_config(tuning),
+            self.sched_config(),
             Box::new(NeverVaries),
             self.seed,
         );
@@ -159,9 +156,9 @@ impl DiffScenario {
         engine
     }
 
-    /// Runs the scenario to completion under `tuning`.
-    pub fn run(&self, tuning: EngineTuning) -> ScheduleResult {
-        self.build_engine(tuning).run(&self.workload())
+    /// Runs the scenario to completion.
+    pub fn run(&self) -> ScheduleResult {
+        self.build_engine().run(&self.workload())
     }
 }
 
@@ -247,8 +244,9 @@ impl DiffOutcome {
     }
 }
 
-/// The sortable placement-and-timing fingerprint of one run's outcome —
-/// identical to the key `bench_sched` compares.
+/// The sortable placement-and-timing fingerprint of one run's outcome:
+/// `(job, start, end, nodes)` per completed job and
+/// `(job, u64::MAX, last kill, [attempts])` per failed one, sorted.
 pub fn outcome_key(result: &ScheduleResult) -> Vec<(u64, u64, u64, Vec<u32>)> {
     let mut key: Vec<(u64, u64, u64, Vec<u32>)> = result
         .completed
@@ -385,24 +383,15 @@ pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcom
     }
 }
 
-/// Runs `scenario` under legacy and optimized tuning and diffs the results.
-pub fn diff_tunings(scenario: &DiffScenario) -> DiffOutcome {
-    let legacy = scenario.run(EngineTuning::legacy());
-    let optimized = scenario.run(EngineTuning::default());
-    diff_results(&legacy, &optimized)
-}
-
 /// Runs `scenario` through materialized `prepare` and through streaming
 /// `prepare_streaming` over the same requests, and diffs the results. The
 /// engine-seeding contract: the two paths deliver the identical event
 /// sequence — same seq numbers, same trace bytes, same outcomes.
 pub fn diff_seeding(scenario: &DiffScenario) -> DiffOutcome {
     let requests = scenario.workload();
-    let materialized = scenario
-        .build_engine(EngineTuning::default())
-        .run(&requests);
+    let materialized = scenario.build_engine().run(&requests);
     let streaming = scenario
-        .build_engine(EngineTuning::default())
+        .build_engine()
         .run_streaming(Box::new(crate::source::SliceSource::new(&requests)));
     diff_results(&materialized, &streaming)
 }
@@ -426,51 +415,9 @@ mod tests {
     #[test]
     fn identical_runs_diff_clean() {
         let s = scenario(3);
-        let a = s.run(EngineTuning::default());
-        let b = s.run(EngineTuning::default());
+        let a = s.run();
+        let b = s.run();
         assert!(diff_results(&a, &b).is_identical());
-    }
-
-    #[test]
-    fn legacy_and_optimized_agree_on_a_plain_scenario() {
-        assert_eq!(diff_tunings(&scenario(11)), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn legacy_and_optimized_agree_under_faults() {
-        let s = DiffScenario {
-            faults: true,
-            ..scenario(12)
-        };
-        assert_eq!(diff_tunings(&s), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn legacy_and_optimized_agree_under_performance_faults() {
-        let s = DiffScenario {
-            faults: true,
-            perf_faults: true,
-            ..scenario(14)
-        };
-        assert_eq!(diff_tunings(&s), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn legacy_and_optimized_agree_under_the_learned_policy() {
-        let s = DiffScenario {
-            learned_policy: true,
-            ..scenario(15)
-        };
-        assert_eq!(diff_tunings(&s), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn legacy_and_optimized_agree_with_the_online_service() {
-        let s = DiffScenario {
-            online_predictor: true,
-            ..scenario(13)
-        };
-        assert_eq!(diff_tunings(&s), DiffOutcome::Identical);
     }
 
     #[test]
@@ -489,8 +436,8 @@ mod tests {
 
     #[test]
     fn divergent_seeds_name_the_first_differing_event() {
-        let a = scenario(1).run(EngineTuning::default());
-        let b = scenario(2).run(EngineTuning::default());
+        let a = scenario(1).run();
+        let b = scenario(2).run();
         match diff_results(&a, &b) {
             DiffOutcome::Diverged(diffs) => {
                 assert!(

@@ -57,66 +57,6 @@ pub enum BackfillPolicy {
     Conservative,
 }
 
-/// Hot-path engine optimizations. All on by default; [`EngineTuning::legacy`]
-/// turns every toggle off so benchmarks can A/B the optimized engine against
-/// the original algorithms on identical workloads. Each toggle preserves
-/// schedule outcomes on equal seeds (asserted by `bench_sched`); they change
-/// how much work the engine does, not what it decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Cancel superseded finish events (with periodic heap compaction)
-    /// instead of leaving generation-stale entries to be skipped at pop, and
-    /// skip rescheduling entirely when a refresh lands on the identical
-    /// finish microsecond.
-    pub event_compaction: bool,
-    /// Cache each job's congestion keyed on the network-state version
-    /// instead of re-walking its topology links on every refresh.
-    pub congestion_cache: bool,
-    /// Keep the queue R1-sorted via sorted inserts instead of re-sorting it
-    /// from scratch on every scheduling pass.
-    pub incremental_queue: bool,
-    /// Prune telemetry retention only at tick boundaries instead of after
-    /// every event. Tick times are a pure function of the event stream, so
-    /// pruning there is deterministic and snapshot-safe; outcomes cannot
-    /// change because retention exceeds the predictor window — no query
-    /// ever reaches the prunable region.
-    pub deferred_retention: bool,
-    /// Batched telemetry: sweep the network once per `NetworkState`
-    /// version (per-node access loads, per-switch and per-pod utilizations
-    /// in flat arrays) instead of re-deriving them node by node, attribute
-    /// IO load through a per-node owner map instead of scanning every
-    /// registered load, synthesize counters into a reused buffer instead
-    /// of fresh allocations per node per round, and store samples in
-    /// row-major per-node blocks (one streaming append per sweep) instead
-    /// of one heap series per `(node, counter)` pair.
-    pub batched_telemetry: bool,
-}
-
-impl EngineTuning {
-    /// Every optimization disabled: the engine as originally written.
-    pub fn legacy() -> Self {
-        EngineTuning {
-            event_compaction: false,
-            congestion_cache: false,
-            incremental_queue: false,
-            deferred_retention: false,
-            batched_telemetry: false,
-        }
-    }
-}
-
-impl Default for EngineTuning {
-    fn default() -> Self {
-        EngineTuning {
-            event_compaction: true,
-            congestion_cache: true,
-            incremental_queue: true,
-            deferred_retention: true,
-            batched_telemetry: true,
-        }
-    }
-}
-
 /// Circuit breaker over predictor consultations. A predictor that fails
 /// persistently (model service down, feature pipeline wedged) would
 /// otherwise be re-consulted — and re-fail — on every `Start()` decision;
@@ -211,8 +151,6 @@ pub struct SchedulerConfig {
     /// Minimum coverage fraction of the predictor window below which the
     /// engine skips prediction and falls back to plain EASY.
     pub min_telemetry_coverage: f64,
-    /// Hot-path optimization toggles (default: all enabled).
-    pub tuning: EngineTuning,
     /// Runtime invariant auditing (default: off).
     pub audit: AuditConfig,
     /// Predictor-consultation circuit breaker (default: disabled).
@@ -241,7 +179,6 @@ impl Default for SchedulerConfig {
             faults: FaultConfig::none(),
             predictor_window: SimDuration::from_mins(5),
             min_telemetry_coverage: 0.5,
-            tuning: EngineTuning::default(),
             audit: AuditConfig::default(),
             breaker: BreakerConfig::default(),
             service: ServiceConfig::default(),
@@ -370,8 +307,7 @@ struct RunningJob {
     /// Cancellation handle for the currently pending finish event.
     finish_key: EventKey,
     /// When that pending finish event fires. A refresh that recomputes the
-    /// identical microsecond skips rescheduling (under
-    /// [`EngineTuning::event_compaction`]).
+    /// identical microsecond skips rescheduling.
     finish_at: SimTime,
 }
 
@@ -723,8 +659,8 @@ pub struct SchedulerEngine {
     service: Option<PredictorService>,
     max_queue_len: usize,
     pending_submits: usize,
-    /// Whether `queue` may be out of R1 order (incremental mode re-sorts
-    /// only when this is set; legacy mode re-sorts every pass regardless).
+    /// Whether `queue` may be out of R1 order (`schedule_pass` re-sorts
+    /// only when this is set).
     queue_dirty: bool,
     /// Globally unique finish-event generation counter. Never reused, so a
     /// stale finish event from before a kill can never match a restarted
@@ -742,7 +678,7 @@ impl SchedulerEngine {
     /// `seed` controls placement, run-time noise and predictor randomness
     /// independently of the machine's own seed.
     pub fn new(
-        mut machine: Machine,
+        machine: Machine,
         config: SchedulerConfig,
         predictor: Box<dyn VariabilityPredictor>,
         seed: u64,
@@ -753,17 +689,11 @@ impl SchedulerEngine {
         let nodes: Vec<NodeId> = (0..node_count).map(NodeId).collect();
         let mut registry = MetricsRegistry::new();
         let counters = SchedCounters::register(&mut registry);
-        machine.set_observation_caching(config.tuning.batched_telemetry);
         SchedulerEngine {
             pool: NodePool::with_topology(node_count, nodes_per_edge, config.placement),
-            store: if config.tuning.batched_telemetry {
-                MetricStore::new_row_major(node_count, 90)
-            } else {
-                MetricStore::new(node_count, 90)
-            },
+            store: MetricStore::new(node_count, 90),
             sampler: Sampler::new(nodes, config.sampling_interval)
-                .with_corruption_prob(config.faults.corruption_prob)
-                .with_batched(config.tuning.batched_telemetry),
+                .with_corruption_prob(config.faults.corruption_prob),
             machine,
             config,
             predictor,
@@ -1141,7 +1071,7 @@ impl SchedulerEngine {
             }
             Ev::Tick => {
                 self.advance_world(now);
-                if self.config.tuning.deferred_retention && self.retention_prune_due(now) {
+                if self.retention_prune_due(now) {
                     // Tick times are a pure function of the event stream, so
                     // pruning here (instead of per event) is deterministic
                     // across runs and across snapshot/resume boundaries.
@@ -1410,9 +1340,7 @@ impl SchedulerEngine {
     /// it failed. Either way the job is accounted for — never lost.
     fn kill_job(&mut self, id: JobId, now: SimTime) {
         let r = self.running.remove(&id).expect("killing unknown job");
-        if self.config.tuning.event_compaction {
-            self.events.cancel(r.finish_key);
-        }
+        self.events.cancel(r.finish_key);
         self.machine.remove_load(SourceId(id.0));
         // Release returns healthy nodes to the pool; the crashed node stays
         // quarantined (Down with its pending-release flag cleared).
@@ -1475,29 +1403,19 @@ impl SchedulerEngine {
         self.trace.record(at, event, self.queue.len(), busy);
     }
 
-    /// Advances machine time and telemetry sampling to `now`, then settles
-    /// running-job progress at the *new* machine state. Retention pruning
-    /// runs here per event in legacy mode; with
-    /// [`EngineTuning::deferred_retention`] it moves to tick boundaries
-    /// (the store scan over every series dominated the per-event path at
-    /// 512 nodes). Queries never see the difference: retention exceeds the
-    /// predictor window, so the at-most-one extra sample per series that
-    /// lingers between ticks sits outside every window the engine reads.
+    /// Advances machine time and telemetry sampling to `now`. Retention
+    /// pruning is left to tick boundaries (see
+    /// [`retention_prune_due`](Self::retention_prune_due)).
     fn advance_world(&mut self, now: SimTime) {
         self.sampler
             .advance_to(now, &mut self.machine, &mut self.store);
         self.machine.advance_to(now);
-        if !self.config.tuning.deferred_retention {
-            self.store
-                .retain_from(now.saturating_sub(self.config.retention));
-        }
     }
 
     /// Whether the tick firing at `now` should prune telemetry retention.
     ///
-    /// Pruning every tick still scans every `(node, counter)` series —
-    /// tens of thousands at full scale — so deferred mode prunes only on
-    /// ticks that cross a `retention / 2` boundary. The rule is a pure
+    /// Pruning scans every node's block, so it runs only on ticks that
+    /// cross a `retention / 2` boundary rather than after every event. The rule is a pure
     /// function of the tick's timestamp and config constants: no mutable
     /// state, so an uninterrupted run and a snapshot/resume run prune at
     /// exactly the same ticks. Correctness is unchanged — the store merely
@@ -1512,21 +1430,11 @@ impl SchedulerEngine {
         now.as_micros() / period != prev / period
     }
 
-    /// One job's current congestion, through the per-job link cache when
-    /// [`EngineTuning::congestion_cache`] is on.
-    fn job_congestion(&mut self, id: JobId, nodes: &[NodeId]) -> f64 {
-        if self.config.tuning.congestion_cache {
-            self.machine.congestion_cached(SourceId(id.0), nodes)
-        } else {
-            self.machine.congestion(nodes)
-        }
-    }
-
-    /// Inserts `job` into the wait queue. Incremental mode places it at its
-    /// R1 position directly (exactly where the next stable sort would);
-    /// legacy mode appends and lets `schedule_pass` re-sort.
+    /// Inserts `job` into the wait queue at its R1 position (exactly where
+    /// a stable sort would put it). While the queue is dirty the job is
+    /// appended instead and the next `schedule_pass` re-sorts.
     fn enqueue_job(&mut self, job: Job) {
-        if self.config.tuning.incremental_queue && !self.queue_dirty {
+        if !self.queue_dirty {
             let at = self.config.r1.insertion_point(&self.queue, &job);
             self.queue.insert(at, job);
         } else {
@@ -1563,7 +1471,7 @@ impl SchedulerEngine {
             };
             // Recompute speed under current contention, at the job's
             // current phase. Straggler nodes gate the whole allocation.
-            let congestion = self.job_congestion(id, &nodes);
+            let congestion = self.machine.congestion_cached(SourceId(id.0), &nodes);
             let fs = self.machine.fs_saturation();
             let node_factor = self.machine.allocation_speed_factor(&nodes);
             let (finish_at, old_key, unchanged) = {
@@ -1576,7 +1484,7 @@ impl SchedulerEngine {
                 // If the recomputed finish lands on the identical
                 // microsecond, the pending event is already correct — skip
                 // the cancel + reschedule churn entirely.
-                let unchanged = self.config.tuning.event_compaction && finish_at == r.finish_at;
+                let unchanged = finish_at == r.finish_at;
                 (finish_at, r.finish_key, unchanged)
             };
             if unchanged {
@@ -1584,9 +1492,7 @@ impl SchedulerEngine {
             }
             let gen = self.next_gen;
             self.next_gen += 1;
-            if self.config.tuning.event_compaction {
-                self.events.cancel(old_key);
-            }
+            self.events.cancel(old_key);
             let key = self.events.schedule(finish_at, Ev::Finish(id, gen));
             let r = self.running.get_mut(&id).expect("running job");
             r.generation = gen;
@@ -1641,11 +1547,11 @@ impl SchedulerEngine {
     /// Algorithm 1: one scheduling pass over the queue.
     fn schedule_pass(&mut self, now: SimTime) {
         let _scope = obs_profile::scope(ProfileScope::SchedulePass);
-        // Incremental mode keeps the queue sorted at insertion; a full
-        // re-sort is needed only after an out-of-order insert (RUSH delay
-        // re-queues after the front). Keys are unique, so sorting a dirty
-        // queue lands on the identical order a legacy always-sort produces.
-        if !self.config.tuning.incremental_queue || self.queue_dirty {
+        // The queue is kept sorted at insertion; a full re-sort is needed
+        // only after an out-of-order insert (RUSH delay re-queues after the
+        // front). Keys are unique, so the re-sort lands on the one order
+        // every sorted insert agrees with.
+        if self.queue_dirty {
             let r1 = self.config.r1;
             r1.sort(&mut self.queue);
             self.queue_dirty = false;
@@ -2067,7 +1973,7 @@ impl SchedulerEngine {
         let base = job.base_runtime().as_secs_f64();
         let work = base * os * intrinsic;
 
-        let congestion = self.job_congestion(job.id, &nodes);
+        let congestion = self.machine.congestion_cached(SourceId(job.id.0), &nodes);
         let fs = self.machine.fs_saturation();
         // Straggler nodes gate the whole allocation's speed.
         let node_factor = self.machine.allocation_speed_factor(&nodes);

@@ -1,16 +1,16 @@
-//! Differential equivalence proptest: randomized seeded scenarios through
-//! the legacy and optimized engines — and through serial vs. parallel
+//! Differential equivalence proptests: randomized seeded scenarios driven
+//! two ways — materialized vs. streamed requests, serial vs. parallel
 //! sharded execution — must produce byte-identical traces and identical
 //! outcome structs. On failure the harness's [`Divergence`] report names
 //! the first diverging trace event, so a shrunk counterexample points
-//! straight at the earliest decision where the engines disagreed.
+//! straight at the earliest decision where the two runs disagreed.
+//!
+//! [`Divergence`]: rush_sched::difftest::Divergence
 
 use proptest::prelude::*;
 use rush_sched::difftest::{diff_results, DiffOutcome, DiffScenario};
-use rush_sched::engine::EngineTuning;
 use rush_sched::predictor::{NeverVaries, VariabilityPredictor};
 use rush_sched::shard::{shard_seed, ShardExecution, ShardSpec, ShardedCampaign};
-use rush_sched::SchedulerConfig;
 
 /// Asserts a clean diff, rendering every divergence on failure (the
 /// vendored proptest stub reports failures as `Err(String)`).
@@ -20,7 +20,7 @@ fn assert_identical(outcome: DiffOutcome, label: &str) -> Result<(), String> {
         DiffOutcome::Diverged(diffs) => {
             let rendered: Vec<String> = diffs.iter().map(|d| d.to_string()).collect();
             Err(format!(
-                "{label}: engines diverged:\n  {}",
+                "{label}: runs diverged:\n  {}",
                 rendered.join("\n  ")
             ))
         }
@@ -29,35 +29,6 @@ fn assert_identical(outcome: DiffOutcome, label: &str) -> Result<(), String> {
 
 fn never() -> Box<dyn VariabilityPredictor> {
     Box::new(NeverVaries)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The tentpole contract: every EngineTuning optimization is
-    /// outcome-neutral across the scenario space — node counts, job
-    /// counts, fault injection on/off, online predictor on/off.
-    #[test]
-    fn legacy_and_optimized_engines_are_equivalent(
-        seed in 0u64..1_000_000,
-        nodes in prop_oneof![Just(16u32), Just(32), Just(64)],
-        jobs in 8usize..40,
-        faults in any::<bool>(),
-        perf_faults in any::<bool>(),
-        online_predictor in any::<bool>(),
-        learned_policy in any::<bool>(),
-    ) {
-        let scenario = DiffScenario { seed, nodes, jobs, faults, perf_faults, online_predictor, learned_policy };
-        let legacy = scenario.run(EngineTuning::legacy());
-        let optimized = scenario.run(EngineTuning::default());
-        assert_identical(
-            diff_results(&legacy, &optimized),
-            &format!("{scenario:?}"),
-        )?;
-        // The totals line up with the submitted stream on both sides.
-        prop_assert_eq!(legacy.completed.len() + legacy.failed.len(), jobs);
-        prop_assert_eq!(optimized.completed.len() + optimized.failed.len(), jobs);
-    }
 }
 
 proptest! {
@@ -109,7 +80,7 @@ proptest! {
                     name: format!("pod{i}"),
                     seed: scenario.seed,
                     machine: scenario.machine_config(),
-                    sched: scenario.sched_config(SchedulerConfig::default().tuning),
+                    sched: scenario.sched_config(),
                     requests: scenario.workload(),
                     predictor: never,
                 }

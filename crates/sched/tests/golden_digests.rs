@@ -18,7 +18,6 @@
 //! and commit it together with the change that motivated it.
 
 use rush_sched::difftest::{outcome_digest, DiffScenario};
-use rush_sched::engine::EngineTuning;
 use std::path::PathBuf;
 
 /// The pinned grid, in file order.
@@ -63,13 +62,7 @@ fn diff_scenarios_match_committed_digests() {
     let grid = grid();
     let mut actual = String::new();
     for s in &grid {
-        let optimized = outcome_digest(&s.run(EngineTuning::default()));
-        let legacy = outcome_digest(&s.run(EngineTuning::legacy()));
-        assert_eq!(
-            legacy, optimized,
-            "{s:?}: legacy and optimized engines disagree"
-        );
-        actual.push_str(&line(s, optimized));
+        actual.push_str(&line(s, outcome_digest(&s.run())));
         actual.push('\n');
     }
 

@@ -746,13 +746,25 @@ proptest! {
             prop_assert_eq!(ids(&sorted), ids(&rotated));
             // Incremental insertion reproduces the stable sort: keys are
             // static per job, so inserting in any arrival order converges
-            // to the same sequence.
-            let mut incremental: Vec<Job> = Vec::new();
-            for job in &queue {
-                let at = spec.insertion_point(&incremental, job);
-                incremental.insert(at, job.clone());
+            // to the same sequence — also when the insertions resume on a
+            // prefix that was re-sorted wholesale, as the engine's queue
+            // does after an out-of-order re-queue.
+            for arrivals in [&queue, &rotated] {
+                let mut incremental: Vec<Job> = Vec::new();
+                for job in arrivals.iter() {
+                    let at = spec.insertion_point(&incremental, job);
+                    incremental.insert(at, job.clone());
+                }
+                prop_assert_eq!(ids(&sorted), ids(&incremental));
             }
-            prop_assert_eq!(ids(&sorted), ids(&incremental));
+            let split = rotate % (queue.len() + 1);
+            let mut resumed = queue[..split].to_vec();
+            spec.sort(&mut resumed);
+            for job in &queue[split..] {
+                let at = spec.insertion_point(&resumed, job);
+                resumed.insert(at, job.clone());
+            }
+            prop_assert_eq!(ids(&sorted), ids(&resumed));
         }
     }
 

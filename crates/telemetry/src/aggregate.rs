@@ -50,27 +50,14 @@ pub fn aggregate_counters(
     to: SimTime,
 ) -> Vec<CounterAggregate> {
     let width = store.counter_count();
-    // Row-major stores are walked block-at-a-time instead of
-    // binary-searching per (node, counter) pair. Each counter still sees
-    // its samples in the same order as the per-counter scan below (nodes in
-    // caller order, time ascending within a node), so the pooled stats are
-    // bit-identical across both paths.
+    // The store is walked a node block at a time; each counter sees its
+    // samples with nodes in caller order, time ascending within a node.
     let mut stats: Vec<OnlineStats> = (0..width).map(|_| OnlineStats::new()).collect();
     for &node in nodes {
-        match store.rows(node, from, to) {
-            Some((_, rows)) => {
-                for row in rows.chunks_exact(width) {
-                    for (st, &v) in stats.iter_mut().zip(row) {
-                        st.push(v);
-                    }
-                }
-            }
-            None => {
-                for (counter, st) in stats.iter_mut().enumerate() {
-                    for v in store.window(node, counter, from, to) {
-                        st.push(v);
-                    }
-                }
+        let (_, rows) = store.rows(node, from, to);
+        for row in rows.chunks_exact(width) {
+            for (st, &v) in stats.iter_mut().zip(row) {
+                st.push(v);
             }
         }
     }

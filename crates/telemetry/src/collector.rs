@@ -5,7 +5,9 @@
 //! vectors into a [`MetricStore`]. Drivers call [`Sampler::advance_to`]
 //! whenever simulation time moves; the sampler catches up on every interval
 //! boundary it crossed, so sampling cadence is independent of the caller's
-//! event granularity.
+//! event granularity. Rounds read the machine through
+//! [`Machine::sample_counters_swept_into`], so one network sweep serves a
+//! whole round over every node.
 
 use crate::store::{GapReason, MetricStore};
 use rand::Rng;
@@ -42,10 +44,8 @@ pub struct Sampler {
     /// Per-node samples lost because the node was down.
     gaps_node_down: u64,
     rng: CountedRng,
-    /// Reuse one counter buffer across the whole sweep instead of
-    /// allocating a vector per node per round. Scratch space, not state:
-    /// excluded from snapshots.
-    batched: bool,
+    /// One counter buffer reused across every round. Scratch space, not
+    /// state: excluded from snapshots.
     buf: Vec<f64>,
 }
 
@@ -67,18 +67,8 @@ impl Sampler {
             gaps_blackout: 0,
             gaps_node_down: 0,
             rng: CountedRng::seeded(0),
-            batched: false,
             buf: Vec::new(),
         }
-    }
-
-    /// Samples through [`Machine::sample_counters_into`] with a reused
-    /// buffer instead of a fresh vector per node per round. Identical
-    /// values and RNG draws — a pure allocation saving, toggled so the
-    /// legacy benchmark side keeps the original allocation profile.
-    pub fn with_batched(mut self, enabled: bool) -> Self {
-        self.batched = enabled;
-        self
     }
 
     /// Drops each per-node sample independently with probability `prob`,
@@ -250,15 +240,8 @@ impl Sampler {
                     store.record_gap(node, at, GapReason::Corrupt);
                     continue;
                 }
-                if self.batched {
-                    let mut buf = std::mem::take(&mut self.buf);
-                    machine.sample_counters_into(node, &mut buf);
-                    store.record(node, at, &buf);
-                    self.buf = buf;
-                } else {
-                    let values = machine.sample_counters(node);
-                    store.record(node, at, &values);
-                }
+                machine.sample_counters_swept_into(node, &mut self.buf);
+                store.record(node, at, &self.buf);
             }
             self.samples_taken += 1;
             self.next_due = at + self.interval;

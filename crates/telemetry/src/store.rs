@@ -1,27 +1,15 @@
 //! Time-indexed counter storage (the Cassandra/Sonar stand-in).
 //!
-//! The store has two interchangeable layouts:
+//! Samples are stored row-major, one block per node: a sampling round
+//! appends a single timestamp plus one contiguous row of `counter_count`
+//! values, exactly the shape the sampler produces, so a sweep is a
+//! streaming write. Window queries recover per-counter columns by striding
+//! through rows, which stays cheap because retention keeps blocks short.
 //!
-//! * **Columnar** — one [`TimeSeries`] per `(node, counter)` pair
-//!   ([`MetricStore::new`]). This is the original layout; it scatters every
-//!   90-counter sample across 90 heap buffers, which makes the record path
-//!   memory-bound at full-machine scale (each sweep touches ~50k cache
-//!   lines).
-//! * **Row-major** — one block per node ([`MetricStore::new_row_major`]): a
-//!   sampling round appends a single timestamp plus one contiguous row of
-//!   `counter_count` values, exactly the shape the sampler produces, so a
-//!   sweep is a streaming write. Window queries recover per-counter columns
-//!   by striding through rows, which stays cheap because retention keeps
-//!   blocks short.
-//!
-//! Both layouts store identical data and answer every query identically —
-//! the differential harness holds them to that — so the scheduler picks one
-//! purely as a performance tuning. The store knows nothing about counter
-//! semantics: it stores whatever vector the sampler hands it, as long as the
-//! width never changes.
+//! The store knows nothing about counter semantics: it stores whatever
+//! vector the sampler hands it, as long as the width never changes.
 
 use rush_cluster::topology::NodeId;
-use rush_simkit::series::TimeSeries;
 use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
 use rush_simkit::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -53,7 +41,7 @@ pub struct Gap {
     pub reason: GapReason,
 }
 
-/// One node's samples in the row-major layout: `times[i]` stamps the row
+/// One node's samples: `times[i]` stamps the row
 /// `values[i * width .. (i + 1) * width]`.
 #[derive(Debug, Clone, Default)]
 struct NodeBlock {
@@ -64,7 +52,7 @@ struct NodeBlock {
 impl NodeBlock {
     /// Appends a row. Rows must arrive in non-decreasing time order;
     /// out-of-order appends panic in debug builds and are clamped to the
-    /// last timestamp otherwise (same contract as [`TimeSeries::push`]).
+    /// last timestamp otherwise.
     fn push_row(&mut self, at: SimTime, row: &[f64]) {
         let at = match self.times.last() {
             Some(&last) => {
@@ -85,53 +73,26 @@ impl NodeBlock {
     }
 }
 
-/// The two physical layouts behind the same logical store.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// One series per `(node, counter)`, indexed `node * width + counter`.
-    Columnar(Vec<TimeSeries>),
-    /// One row-major block per node.
-    RowMajor(Vec<NodeBlock>),
-}
-
 /// Per-node, per-counter sample storage.
 #[derive(Debug, Clone)]
 pub struct MetricStore {
     node_count: u32,
     counter_count: usize,
-    repr: Repr,
+    blocks: Vec<NodeBlock>,
     /// Missing-sample records per node, append-only in time order.
     gaps: Vec<Vec<Gap>>,
 }
 
 impl MetricStore {
-    /// Creates columnar storage for `node_count` nodes × `counter_count`
-    /// counters (the original layout).
+    /// Creates storage for `node_count` nodes × `counter_count` counters.
     pub fn new(node_count: u32, counter_count: usize) -> Self {
         assert!(counter_count > 0, "store needs at least one counter");
         MetricStore {
             node_count,
             counter_count,
-            repr: Repr::Columnar(vec![TimeSeries::new(); node_count as usize * counter_count]),
+            blocks: vec![NodeBlock::default(); node_count as usize],
             gaps: vec![Vec::new(); node_count as usize],
         }
-    }
-
-    /// Creates row-major storage: one contiguous block per node, appended a
-    /// whole sample row at a time.
-    pub fn new_row_major(node_count: u32, counter_count: usize) -> Self {
-        assert!(counter_count > 0, "store needs at least one counter");
-        MetricStore {
-            node_count,
-            counter_count,
-            repr: Repr::RowMajor(vec![NodeBlock::default(); node_count as usize]),
-            gaps: vec![Vec::new(); node_count as usize],
-        }
-    }
-
-    /// True when this store uses the row-major block layout.
-    pub fn is_row_major(&self) -> bool {
-        matches!(self.repr, Repr::RowMajor(_))
     }
 
     /// Number of nodes covered.
@@ -142,15 +103,6 @@ impl MetricStore {
     /// Counters per node.
     pub fn counter_count(&self) -> usize {
         self.counter_count
-    }
-
-    fn index(&self, node: NodeId, counter: usize) -> usize {
-        debug_assert!(node.0 < self.node_count, "node {node:?} out of range");
-        debug_assert!(
-            counter < self.counter_count,
-            "counter {counter} out of range"
-        );
-        node.0 as usize * self.counter_count + counter
     }
 
     /// Records one full counter vector for `node` at time `at`.
@@ -166,15 +118,7 @@ impl MetricStore {
             self.counter_count
         );
         debug_assert!(node.0 < self.node_count, "node {node:?} out of range");
-        match &mut self.repr {
-            Repr::Columnar(series) => {
-                let base = node.0 as usize * self.counter_count;
-                for (i, &v) in values.iter().enumerate() {
-                    series[base + i].push(at, v);
-                }
-            }
-            Repr::RowMajor(blocks) => blocks[node.0 as usize].push_row(at, values),
-        }
+        self.blocks[node.0 as usize].push_row(at, values);
     }
 
     /// Records that `node`'s sample due at `at` was lost, and why.
@@ -195,13 +139,8 @@ impl MetricStore {
 
     /// Number of stored sample rows for `node` in `[from, to)`.
     fn rows_in(&self, node: NodeId, from: SimTime, to: SimTime) -> usize {
-        match &self.repr {
-            Repr::Columnar(series) => series[self.index(node, 0)].window(from, to).len(),
-            Repr::RowMajor(blocks) => {
-                let (lo, hi) = blocks[node.0 as usize].row_range(from, to);
-                hi - lo
-            }
-        }
+        let (lo, hi) = self.blocks[node.0 as usize].row_range(from, to);
+        hi - lo
     }
 
     /// Fraction of scheduled samples in `[from, to)` across `nodes` that
@@ -232,27 +171,9 @@ impl MetricStore {
     pub fn latest_sample_at(&self, nodes: &[NodeId], t: SimTime) -> Option<SimTime> {
         let mut latest = None;
         for &node in nodes {
-            // All counters of a node share timestamps, so the node's
-            // timestamp column (counter 0 in the columnar layout) is
-            // representative.
-            let candidate = match &self.repr {
-                Repr::Columnar(series) => {
-                    let mut best = None;
-                    for (at, _) in series[self.index(node, 0)].iter() {
-                        if at > t {
-                            break;
-                        }
-                        best = Some(at);
-                    }
-                    best
-                }
-                Repr::RowMajor(blocks) => {
-                    let times = &blocks[node.0 as usize].times;
-                    let idx = times.partition_point(|&at| at <= t);
-                    (idx > 0).then(|| times[idx - 1])
-                }
-            };
-            latest = latest.max(candidate);
+            let times = &self.blocks[node.0 as usize].times;
+            let idx = times.partition_point(|&at| at <= t);
+            latest = latest.max((idx > 0).then(|| times[idx - 1]));
         }
         latest
     }
@@ -262,68 +183,41 @@ impl MetricStore {
     /// (`values[i * counter_count + c]` is counter `c` of the `i`-th
     /// returned row). This is the zero-copy bulk-query path — aggregation
     /// walks rows once instead of binary-searching per counter.
-    ///
-    /// Only the row-major layout can answer without copying; columnar
-    /// stores return `None` and callers fall back to per-counter
-    /// [`window`](Self::window) queries.
-    pub fn rows(&self, node: NodeId, from: SimTime, to: SimTime) -> Option<(&[SimTime], &[f64])> {
-        match &self.repr {
-            Repr::Columnar(_) => None,
-            Repr::RowMajor(blocks) => {
-                let block = &blocks[node.0 as usize];
-                let (lo, hi) = block.row_range(from, to);
-                Some((
-                    &block.times[lo..hi],
-                    &block.values[lo * self.counter_count..hi * self.counter_count],
-                ))
-            }
-        }
+    pub fn rows(&self, node: NodeId, from: SimTime, to: SimTime) -> (&[SimTime], &[f64]) {
+        let block = &self.blocks[node.0 as usize];
+        let (lo, hi) = block.row_range(from, to);
+        (
+            &block.times[lo..hi],
+            &block.values[lo * self.counter_count..hi * self.counter_count],
+        )
     }
 
     /// Samples of `counter` on `node` within `[from, to)`, in time order.
     pub fn window(&self, node: NodeId, counter: usize, from: SimTime, to: SimTime) -> Vec<f64> {
-        match &self.repr {
-            Repr::Columnar(series) => series[self.index(node, counter)].window(from, to).to_vec(),
-            Repr::RowMajor(blocks) => {
-                debug_assert!(
-                    counter < self.counter_count,
-                    "counter {counter} out of range"
-                );
-                let block = &blocks[node.0 as usize];
-                let (lo, hi) = block.row_range(from, to);
-                (lo..hi)
-                    .map(|row| block.values[row * self.counter_count + counter])
-                    .collect()
-            }
-        }
+        debug_assert!(
+            counter < self.counter_count,
+            "counter {counter} out of range"
+        );
+        let block = &self.blocks[node.0 as usize];
+        let (lo, hi) = block.row_range(from, to);
+        (lo..hi)
+            .map(|row| block.values[row * self.counter_count + counter])
+            .collect()
     }
 
-    /// Total stored points across all series.
+    /// Total stored values across all nodes and counters.
     pub fn point_count(&self) -> usize {
-        match &self.repr {
-            Repr::Columnar(series) => series.iter().map(TimeSeries::len).sum(),
-            Repr::RowMajor(blocks) => blocks.iter().map(|b| b.values.len()).sum(),
-        }
+        self.blocks.iter().map(|b| b.values.len()).sum()
     }
 
     /// Drops all samples and gap records before `cutoff` (memory bound for
     /// long campaigns).
     pub fn retain_from(&mut self, cutoff: SimTime) {
-        match &mut self.repr {
-            Repr::Columnar(series) => {
-                for s in series {
-                    s.retain_from(cutoff);
-                }
-            }
-            Repr::RowMajor(blocks) => {
-                let width = self.counter_count;
-                for b in blocks {
-                    let lo = b.times.partition_point(|&t| t < cutoff);
-                    if lo > 0 {
-                        b.times.drain(..lo);
-                        b.values.drain(..lo * width);
-                    }
-                }
+        for b in &mut self.blocks {
+            let lo = b.times.partition_point(|&t| t < cutoff);
+            if lo > 0 {
+                b.times.drain(..lo);
+                b.values.drain(..lo * self.counter_count);
             }
         }
         for g in &mut self.gaps {
@@ -358,84 +252,68 @@ impl Snapshot for MetricStore {
                 })
                 .collect(),
         );
-        let base = Val::map()
+        let blocks = Val::List(
+            self.blocks
+                .iter()
+                .map(|b| {
+                    Val::map()
+                        .with(
+                            "t",
+                            Val::List(b.times.iter().map(|t| Val::U64(t.as_micros())).collect()),
+                        )
+                        .with(
+                            "v",
+                            Val::List(b.values.iter().map(|&v| Val::from_f64(v)).collect()),
+                        )
+                })
+                .collect(),
+        );
+        Val::map()
             .with("node_count", Val::U64(u64::from(self.node_count)))
             .with("counter_count", Val::U64(self.counter_count as u64))
-            .with("gaps", gaps);
-        match &self.repr {
-            Repr::Columnar(series) => base.with(
-                "series",
-                Val::List(series.iter().map(Snapshot::to_val).collect()),
-            ),
-            Repr::RowMajor(blocks) => base.with(
-                "blocks",
-                Val::List(
-                    blocks
-                        .iter()
-                        .map(|b| {
-                            Val::map()
-                                .with(
-                                    "t",
-                                    Val::List(
-                                        b.times.iter().map(|t| Val::U64(t.as_micros())).collect(),
-                                    ),
-                                )
-                                .with(
-                                    "v",
-                                    Val::List(b.values.iter().map(|&v| Val::from_f64(v)).collect()),
-                                )
-                        })
-                        .collect(),
-                ),
-            ),
-        }
+            .with("gaps", gaps)
+            .with("blocks", blocks)
     }
 }
 
 impl Restorable for MetricStore {
     fn from_val(v: &Val) -> Result<Self, SnapshotError> {
-        let node_count = v.u("node_count")? as u32;
-        let counter_count = v.u("counter_count")? as usize;
-        // The layout is part of the snapshot: a store restores into the
-        // representation it was captured from, so a resumed run keeps the
-        // exact memory behavior of the uninterrupted one.
-        let repr = if let Ok(series_vals) = v.l("series") {
-            if series_vals.len() != node_count as usize * counter_count {
-                return Err(SnapshotError::Schema("store series count".to_string()));
+        let schema = |what: &str| SnapshotError::Schema(format!("store {what}"));
+        let node_count = u32::try_from(v.u("node_count")?).map_err(|_| schema("node count"))?;
+        let counter_count = usize::try_from(v.u("counter_count")?)
+            .ok()
+            .filter(|&c| c > 0)
+            .ok_or_else(|| schema("counter count"))?;
+        if v.get("series").is_ok() {
+            return Err(schema("body has the retired per-series layout"));
+        }
+        let block_vals = v.l("blocks")?;
+        if block_vals.len() != node_count as usize {
+            return Err(schema("block count"));
+        }
+        let mut blocks = Vec::with_capacity(block_vals.len());
+        for bv in block_vals {
+            let times: Vec<SimTime> = bv
+                .l("t")?
+                .iter()
+                .map(|t| t.as_u64().map(SimTime::from_micros))
+                .collect::<Result<_, _>>()?;
+            if times.windows(2).any(|w| w[0] > w[1]) {
+                return Err(schema("block times out of order"));
             }
-            Repr::Columnar(
-                series_vals
-                    .iter()
-                    .map(TimeSeries::from_val)
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            let block_vals = v.l("blocks")?;
-            if block_vals.len() != node_count as usize {
-                return Err(SnapshotError::Schema("store block count".to_string()));
+            let values: Vec<f64> = bv
+                .l("v")?
+                .iter()
+                .map(Val::as_f64)
+                .collect::<Result<_, _>>()?;
+            if times.len().checked_mul(counter_count) != Some(values.len()) {
+                return Err(schema("block value count"));
             }
-            let mut blocks = Vec::with_capacity(block_vals.len());
-            for bv in block_vals {
-                let times: Vec<SimTime> = bv
-                    .l("t")?
-                    .iter()
-                    .map(|t| t.as_u64().map(SimTime::from_micros))
-                    .collect::<Result<_, _>>()?;
-                let values: Vec<f64> = bv
-                    .l("v")?
-                    .iter()
-                    .map(Val::as_f64)
-                    .collect::<Result<_, _>>()?;
-                if values.len() != times.len() * counter_count {
-                    return Err(SnapshotError::Schema("block shape mismatch".to_string()));
-                }
-                blocks.push(NodeBlock { times, values });
-            }
-            Repr::RowMajor(blocks)
-        };
+            blocks.push(NodeBlock { times, values });
+        }
         let gap_vals = v.l("gaps")?;
         if gap_vals.len() != node_count as usize {
-            return Err(SnapshotError::Schema("store gap rows".to_string()));
+            return Err(schema("gap rows"));
         }
         let mut gaps = Vec::with_capacity(gap_vals.len());
         for per_node in gap_vals {
@@ -464,7 +342,7 @@ impl Restorable for MetricStore {
         Ok(MetricStore {
             node_count,
             counter_count,
-            repr,
+            blocks,
             gaps,
         })
     }
@@ -478,78 +356,29 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Runs a test body against both layouts so every behavior contract is
-    /// pinned layout-independently.
-    fn for_both_layouts(node_count: u32, width: usize, body: impl Fn(MetricStore)) {
-        body(MetricStore::new(node_count, width));
-        body(MetricStore::new_row_major(node_count, width));
-    }
-
     #[test]
     fn record_and_window_round_trip() {
-        for_both_layouts(4, 3, |mut store| {
-            store.record(NodeId(1), t(10), &[1.0, 2.0, 3.0]);
-            store.record(NodeId(1), t(20), &[4.0, 5.0, 6.0]);
-            assert_eq!(store.window(NodeId(1), 0, t(0), t(30)), &[1.0, 4.0]);
-            assert_eq!(store.window(NodeId(1), 2, t(15), t(30)), &[6.0]);
-            assert_eq!(store.window(NodeId(0), 0, t(0), t(30)), &[] as &[f64]);
-            assert_eq!(store.point_count(), 6);
-        });
+        let mut store = MetricStore::new(4, 3);
+        store.record(NodeId(1), t(10), &[1.0, 2.0, 3.0]);
+        store.record(NodeId(1), t(20), &[4.0, 5.0, 6.0]);
+        assert_eq!(store.window(NodeId(1), 0, t(0), t(30)), &[1.0, 4.0]);
+        assert_eq!(store.window(NodeId(1), 2, t(15), t(30)), &[6.0]);
+        assert_eq!(store.window(NodeId(0), 0, t(0), t(30)), &[] as &[f64]);
+        assert_eq!(store.point_count(), 6);
     }
 
     #[test]
     fn rows_expose_matching_times_and_row_major_values() {
-        let mut store = MetricStore::new_row_major(2, 2);
+        let mut store = MetricStore::new(2, 2);
         store.record(NodeId(0), t(10), &[1.0, 2.0]);
         store.record(NodeId(0), t(20), &[3.0, 4.0]);
         store.record(NodeId(0), t(30), &[5.0, 6.0]);
-        let (times, values) = store.rows(NodeId(0), t(15), t(35)).unwrap();
+        let (times, values) = store.rows(NodeId(0), t(15), t(35));
         assert_eq!(times, &[t(20), t(30)]);
         assert_eq!(values, &[3.0, 4.0, 5.0, 6.0]);
-        let (times, values) = store.rows(NodeId(1), t(0), t(100)).unwrap();
+        let (times, values) = store.rows(NodeId(1), t(0), t(100));
         assert!(times.is_empty());
         assert!(values.is_empty());
-        // Columnar stores cannot answer the bulk query without copying.
-        assert!(MetricStore::new(2, 2).rows(NodeId(0), t(0), t(1)).is_none());
-    }
-
-    #[test]
-    fn layouts_answer_queries_identically() {
-        let mut columnar = MetricStore::new(3, 2);
-        let mut rows = MetricStore::new_row_major(3, 2);
-        for s in 0..12u64 {
-            let vals = [s as f64, -(s as f64) * 0.5];
-            for store in [&mut columnar, &mut rows] {
-                store.record(NodeId((s % 3) as u32), t(s * 10), &vals);
-            }
-        }
-        columnar.record_gap(NodeId(1), t(35), GapReason::Dropout);
-        rows.record_gap(NodeId(1), t(35), GapReason::Dropout);
-        let nodes = [NodeId(0), NodeId(1), NodeId(2)];
-        for counter in 0..2 {
-            for &node in &nodes {
-                assert_eq!(
-                    columnar.window(node, counter, t(20), t(90)),
-                    rows.window(node, counter, t(20), t(90)),
-                );
-            }
-        }
-        assert_eq!(columnar.point_count(), rows.point_count());
-        assert_eq!(
-            columnar.coverage(&nodes, t(0), t(120)),
-            rows.coverage(&nodes, t(0), t(120)),
-        );
-        assert_eq!(
-            columnar.latest_sample_at(&nodes, t(75)),
-            rows.latest_sample_at(&nodes, t(75)),
-        );
-        columnar.retain_from(t(40));
-        rows.retain_from(t(40));
-        assert_eq!(columnar.point_count(), rows.point_count());
-        assert_eq!(
-            columnar.window(NodeId(0), 0, t(0), t(200)),
-            rows.window(NodeId(0), 0, t(0), t(200)),
-        );
     }
 
     #[test]
@@ -560,25 +389,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sample width")]
-    fn wrong_width_rejected_row_major() {
-        let mut store = MetricStore::new_row_major(2, 3);
-        store.record(NodeId(0), t(1), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn retain_from_prunes_all_series() {
-        for_both_layouts(2, 2, |mut store| {
-            for s in 0..10 {
-                store.record(NodeId(0), t(s), &[s as f64, 0.0]);
-                store.record(NodeId(1), t(s), &[0.0, s as f64]);
-            }
-            assert_eq!(store.point_count(), 40);
-            store.retain_from(t(8));
-            assert_eq!(store.point_count(), 8);
-            assert_eq!(store.window(NodeId(0), 0, t(0), t(100)), &[8.0, 9.0]);
-            assert_eq!(store.window(NodeId(1), 1, t(0), t(100)), &[8.0, 9.0]);
-        });
+        let mut store = MetricStore::new(2, 2);
+        for s in 0..10 {
+            store.record(NodeId(0), t(s), &[s as f64, 0.0]);
+            store.record(NodeId(1), t(s), &[0.0, s as f64]);
+        }
+        assert_eq!(store.point_count(), 40);
+        store.retain_from(t(8));
+        assert_eq!(store.point_count(), 8);
+        assert_eq!(store.window(NodeId(0), 0, t(0), t(100)), &[8.0, 9.0]);
+        assert_eq!(store.window(NodeId(1), 1, t(0), t(100)), &[8.0, 9.0]);
     }
 
     #[test]
@@ -586,8 +407,6 @@ mod tests {
         let store = MetricStore::new(7, 90);
         assert_eq!(store.node_count(), 7);
         assert_eq!(store.counter_count(), 90);
-        assert!(!store.is_row_major());
-        assert!(MetricStore::new_row_major(7, 90).is_row_major());
     }
 
     #[test]
@@ -597,95 +416,163 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one counter")]
-    fn zero_width_rejected_row_major() {
-        MetricStore::new_row_major(1, 0);
-    }
-
-    #[test]
     fn gaps_recorded_and_counted() {
-        for_both_layouts(2, 1, |mut store| {
-            store.record(NodeId(0), t(0), &[1.0]);
-            store.record_gap(NodeId(0), t(10), GapReason::Dropout);
-            store.record_gap(NodeId(1), t(10), GapReason::Blackout);
-            assert_eq!(store.gap_count(), 2);
-            assert_eq!(store.gaps(NodeId(0)).len(), 1);
-            assert_eq!(store.gaps(NodeId(0))[0].reason, GapReason::Dropout);
-            assert_eq!(store.gaps(NodeId(1))[0].at, t(10));
-        });
+        let mut store = MetricStore::new(2, 1);
+        store.record(NodeId(0), t(0), &[1.0]);
+        store.record_gap(NodeId(0), t(10), GapReason::Dropout);
+        store.record_gap(NodeId(1), t(10), GapReason::Blackout);
+        assert_eq!(store.gap_count(), 2);
+        assert_eq!(store.gaps(NodeId(0)).len(), 1);
+        assert_eq!(store.gaps(NodeId(0))[0].reason, GapReason::Dropout);
+        assert_eq!(store.gaps(NodeId(1))[0].at, t(10));
     }
 
     #[test]
     fn coverage_is_kept_over_scheduled() {
-        for_both_layouts(2, 1, |mut store| {
-            // node 0: 3 kept, 1 lost; node 1: 2 kept, 2 lost
-            store.record(NodeId(0), t(0), &[1.0]);
-            store.record(NodeId(0), t(10), &[1.0]);
-            store.record(NodeId(0), t(20), &[1.0]);
-            store.record_gap(NodeId(0), t(30), GapReason::Dropout);
-            store.record(NodeId(1), t(0), &[1.0]);
-            store.record_gap(NodeId(1), t(10), GapReason::NodeDown);
-            store.record_gap(NodeId(1), t(20), GapReason::Corrupt);
-            store.record(NodeId(1), t(30), &[1.0]);
-            let both = [NodeId(0), NodeId(1)];
-            // 5 kept of 8 scheduled over the full window
-            assert!((store.coverage(&both, t(0), t(40)) - 5.0 / 8.0).abs() < 1e-12);
-            // Window bounds apply: at [10, 30) node 0 keeps 2/2, node 1 0/2.
-            assert!((store.coverage(&both, t(10), t(30)) - 0.5).abs() < 1e-12);
-            // Only node 0 over the same window is fully covered.
-            assert_eq!(store.coverage(&[NodeId(0)], t(10), t(30)), 1.0);
-        });
+        let mut store = MetricStore::new(2, 1);
+        // node 0: 3 kept, 1 lost; node 1: 2 kept, 2 lost
+        store.record(NodeId(0), t(0), &[1.0]);
+        store.record(NodeId(0), t(10), &[1.0]);
+        store.record(NodeId(0), t(20), &[1.0]);
+        store.record_gap(NodeId(0), t(30), GapReason::Dropout);
+        store.record(NodeId(1), t(0), &[1.0]);
+        store.record_gap(NodeId(1), t(10), GapReason::NodeDown);
+        store.record_gap(NodeId(1), t(20), GapReason::Corrupt);
+        store.record(NodeId(1), t(30), &[1.0]);
+        let both = [NodeId(0), NodeId(1)];
+        // 5 kept of 8 scheduled over the full window
+        assert!((store.coverage(&both, t(0), t(40)) - 5.0 / 8.0).abs() < 1e-12);
+        // Window bounds apply: at [10, 30) node 0 keeps 2/2, node 1 0/2.
+        assert!((store.coverage(&both, t(10), t(30)) - 0.5).abs() < 1e-12);
+        // Only node 0 over the same window is fully covered.
+        assert_eq!(store.coverage(&[NodeId(0)], t(10), t(30)), 1.0);
     }
 
     #[test]
     fn empty_window_coverage_is_full() {
-        for_both_layouts(2, 1, |store| {
-            assert_eq!(store.coverage(&[NodeId(0)], t(0), t(100)), 1.0);
-        });
+        let store = MetricStore::new(2, 1);
+        assert_eq!(store.coverage(&[NodeId(0)], t(0), t(100)), 1.0);
     }
 
     #[test]
     fn latest_sample_tracks_staleness_source() {
-        for_both_layouts(2, 2, |mut store| {
-            assert_eq!(store.latest_sample_at(&[NodeId(0)], t(100)), None);
-            store.record(NodeId(0), t(10), &[1.0, 2.0]);
-            store.record(NodeId(1), t(25), &[1.0, 2.0]);
-            let both = [NodeId(0), NodeId(1)];
-            assert_eq!(store.latest_sample_at(&both, t(100)), Some(t(25)));
-            assert_eq!(store.latest_sample_at(&both, t(20)), Some(t(10)));
-            // inclusive upper bound
-            assert_eq!(store.latest_sample_at(&both, t(25)), Some(t(25)));
-            assert_eq!(store.latest_sample_at(&both, t(5)), None);
-        });
+        let mut store = MetricStore::new(2, 2);
+        assert_eq!(store.latest_sample_at(&[NodeId(0)], t(100)), None);
+        store.record(NodeId(0), t(10), &[1.0, 2.0]);
+        store.record(NodeId(1), t(25), &[1.0, 2.0]);
+        let both = [NodeId(0), NodeId(1)];
+        assert_eq!(store.latest_sample_at(&both, t(100)), Some(t(25)));
+        assert_eq!(store.latest_sample_at(&both, t(20)), Some(t(10)));
+        // inclusive upper bound
+        assert_eq!(store.latest_sample_at(&both, t(25)), Some(t(25)));
+        assert_eq!(store.latest_sample_at(&both, t(5)), None);
+    }
+
+    /// A small populated store: three nodes, two counters, two gaps.
+    fn populated() -> MetricStore {
+        let mut store = MetricStore::new(3, 2);
+        store.record(NodeId(0), t(0), &[1.0, 2.0]);
+        store.record(NodeId(2), t(10), &[3.5, -0.25]);
+        store.record_gap(NodeId(1), t(5), GapReason::Blackout);
+        store.record_gap(NodeId(1), t(15), GapReason::NodeDown);
+        store
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_points_gaps_and_layout() {
-        for_both_layouts(3, 2, |mut store| {
-            store.record(NodeId(0), t(0), &[1.0, 2.0]);
-            store.record(NodeId(2), t(10), &[3.5, -0.25]);
-            store.record_gap(NodeId(1), t(5), GapReason::Blackout);
-            store.record_gap(NodeId(1), t(15), GapReason::NodeDown);
-            let back = MetricStore::from_val(&store.to_val()).unwrap();
-            assert_eq!(back.node_count(), 3);
-            assert_eq!(back.counter_count(), 2);
-            assert_eq!(back.is_row_major(), store.is_row_major());
-            assert_eq!(back.point_count(), store.point_count());
-            assert_eq!(back.window(NodeId(2), 1, t(0), t(20)), &[-0.25]);
-            assert_eq!(back.gaps(NodeId(1)), store.gaps(NodeId(1)));
-            assert_eq!(back.gap_count(), 2);
+    fn snapshot_round_trip_preserves_points_and_gaps() {
+        let store = populated();
+        let back = MetricStore::from_val(&store.to_val()).unwrap();
+        assert_eq!(back.node_count(), 3);
+        assert_eq!(back.counter_count(), 2);
+        assert_eq!(back.point_count(), store.point_count());
+        assert_eq!(back.window(NodeId(2), 1, t(0), t(20)), &[-0.25]);
+        assert_eq!(back.gaps(NodeId(1)), store.gaps(NodeId(1)));
+        assert_eq!(back.gap_count(), 2);
+        assert_eq!(back.to_val(), store.to_val());
+    }
+
+    /// `populated()`'s snapshot body with the map entry `key` rewritten.
+    fn body_with(key: &str, edit: impl FnOnce(&mut Vec<(String, Val)>, usize)) -> Val {
+        let Val::Map(mut entries) = populated().to_val() else {
+            panic!("store body is a map");
+        };
+        let i = entries
+            .iter()
+            .position(|(k, _)| k == key)
+            .unwrap_or(entries.len());
+        edit(&mut entries, i);
+        Val::Map(entries)
+    }
+
+    fn assert_schema_error(body: &Val) {
+        match MetricStore::from_val(body) {
+            Err(SnapshotError::Schema(_)) => {}
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_the_retired_series_layout() {
+        let body = body_with("series", |entries, _| {
+            entries.push(("series".to_string(), Val::List(Vec::new())));
         });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn decoder_rejects_a_missing_blocks_key() {
+        let body = body_with("blocks", |entries, i| {
+            entries.remove(i);
+        });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn decoder_rejects_a_wrong_block_count() {
+        let body = body_with("blocks", |entries, i| {
+            let Val::List(blocks) = &mut entries[i].1 else {
+                panic!("blocks is a list");
+            };
+            blocks.pop();
+        });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn decoder_rejects_a_wrong_value_count() {
+        let body = body_with("blocks", |entries, i| {
+            let Val::List(blocks) = &mut entries[i].1 else {
+                panic!("blocks is a list");
+            };
+            let Val::Map(block) = &mut blocks[0] else {
+                panic!("block is a map");
+            };
+            let (_, Val::List(values)) = block.iter_mut().find(|(k, _)| k == "v").unwrap() else {
+                panic!("block values are a list");
+            };
+            values.pop();
+        });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn decoder_rejects_a_zero_or_huge_counter_count() {
+        for count in [0, u64::MAX] {
+            let body = body_with("counter_count", |entries, i| {
+                entries[i].1 = Val::U64(count);
+            });
+            assert_schema_error(&body);
+        }
     }
 
     #[test]
     fn retain_from_prunes_gaps_too() {
-        for_both_layouts(1, 1, |mut store| {
-            for s in 0..10 {
-                store.record_gap(NodeId(0), t(s), GapReason::Dropout);
-            }
-            store.retain_from(t(7));
-            assert_eq!(store.gap_count(), 3);
-            assert_eq!(store.gaps(NodeId(0))[0].at, t(7));
-        });
+        let mut store = MetricStore::new(1, 1);
+        for s in 0..10 {
+            store.record_gap(NodeId(0), t(s), GapReason::Dropout);
+        }
+        store.retain_from(t(7));
+        assert_eq!(store.gap_count(), 3);
+        assert_eq!(store.gaps(NodeId(0))[0].at, t(7));
     }
 }

@@ -61,7 +61,8 @@ fn main() {
     report(&mut machine, &job_a);
 
     // Counters a monitoring daemon would scrape from one node.
-    let counters = machine.sample_counters(NodeId(0));
+    let mut counters = Vec::new();
+    machine.sample_counters_into(NodeId(0), &mut counters);
     println!("\nnode 0 counters (first of each table):");
     println!("   sysclassib/port_xmit_data  = {:.3e}", counters[0]);
     println!("   sysclassib/port_xmit_wait  = {:.3e}", counters[8]);
