@@ -1067,7 +1067,8 @@ impl SchedulerEngine {
                     self.refresh_running_speeds(now, None);
                     self.schedule_pass(now);
                 }
-                // else: superseded by a progress update
+                // else: stale generation. Superseded finish events are
+                // cancelled, so this is only a backstop.
             }
             Ev::Tick => {
                 self.advance_world(now);
