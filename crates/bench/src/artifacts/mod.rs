@@ -1,20 +1,16 @@
 //! One render function per table/figure of the paper.
 //!
-//! Every artifact used to be a standalone binary with its own `main`; the
-//! logic now lives here as `render(&ArtifactCtx) -> String` functions so
-//! that both entry points share it:
-//!
-//! * the thin per-figure binaries (`fig05_adaa_variation`, …) print one
-//!   artifact to stdout, exactly as before;
-//! * the `run_all` orchestrator executes all of them as a dependency DAG
-//!   ([`rush_core::campaign`]), writing each result to `results/`.
+//! Each artifact is a `render(&ArtifactCtx) -> String` function. The
+//! `run_all` orchestrator executes them as a dependency DAG
+//! ([`rush_core::campaign`]) and writes each result to `results/`;
+//! `run_all --only NAME` regenerates a single one.
 //!
 //! [`ArtifactCtx`] carries the shared expensive state: the campaign is
 //! materialized once (`OnceLock`) and handed out as an `Arc`, and one
 //! [`ModelCache`] serves every artifact's trials, so concurrent artifacts
 //! reuse a single training pass instead of each retraining the same model.
-//! Rendering is deterministic — the returned text is byte-identical to the
-//! old binaries' stdout.
+//! Rendering is deterministic: identical arguments give byte-identical
+//! text.
 //!
 //! [`ALL`] is the registry: name, output file, DAG dependencies and render
 //! function for each artifact, in `run_all.sh`'s historical order.
@@ -40,51 +36,28 @@ macro_rules! outln {
     }};
 }
 
-mod ablation_backfill;
-mod ablation_labels;
-mod ablation_placement;
-mod ablation_policy;
-mod ablation_skip_threshold;
-mod ablation_window;
-mod fig01_variability_timeline;
-mod fig02_pipeline;
-mod fig03_model_f1;
-mod fig04_adpa_pdpa;
-mod fig05_adaa_variation;
-mod fig06_adaa_runtimes;
-mod fig07_pdpa_runtimes;
-mod fig08_weak_scaling;
-mod fig09_strong_scaling;
-mod fig10_makespan;
-mod fig11_wait_times;
-mod online_accuracy;
-mod pipeline_rfe;
-mod policy_headtohead;
-mod table1_dataset;
-mod table2_experiments;
-
-pub use ablation_backfill::render as render_ablation_backfill;
-pub use ablation_labels::render as render_ablation_labels;
-pub use ablation_placement::render as render_ablation_placement;
-pub use ablation_policy::render as render_ablation_policy;
-pub use ablation_skip_threshold::render as render_ablation_skip_threshold;
-pub use ablation_window::render as render_ablation_window;
-pub use fig01_variability_timeline::render as render_fig01_variability_timeline;
-pub use fig02_pipeline::render as render_fig02_pipeline;
-pub use fig03_model_f1::render as render_fig03_model_f1;
-pub use fig04_adpa_pdpa::render as render_fig04_adpa_pdpa;
-pub use fig05_adaa_variation::render as render_fig05_adaa_variation;
-pub use fig06_adaa_runtimes::render as render_fig06_adaa_runtimes;
-pub use fig07_pdpa_runtimes::render as render_fig07_pdpa_runtimes;
-pub use fig08_weak_scaling::render as render_fig08_weak_scaling;
-pub use fig09_strong_scaling::render as render_fig09_strong_scaling;
-pub use fig10_makespan::render as render_fig10_makespan;
-pub use fig11_wait_times::render as render_fig11_wait_times;
-pub use online_accuracy::render as render_online_accuracy;
-pub use pipeline_rfe::render as render_pipeline_rfe;
-pub use policy_headtohead::render as render_policy_headtohead;
-pub use table1_dataset::render as render_table1_dataset;
-pub use table2_experiments::render as render_table2_experiments;
+pub mod ablation_backfill;
+pub mod ablation_labels;
+pub mod ablation_placement;
+pub mod ablation_policy;
+pub mod ablation_skip_threshold;
+pub mod ablation_window;
+pub mod fig01_variability_timeline;
+pub mod fig02_pipeline;
+pub mod fig03_model_f1;
+pub mod fig04_adpa_pdpa;
+pub mod fig05_adaa_variation;
+pub mod fig06_adaa_runtimes;
+pub mod fig07_pdpa_runtimes;
+pub mod fig08_weak_scaling;
+pub mod fig09_strong_scaling;
+pub mod fig10_makespan;
+pub mod fig11_wait_times;
+pub mod online_accuracy;
+pub mod pipeline_rfe;
+pub mod policy_headtohead;
+pub mod table1_dataset;
+pub mod table2_experiments;
 
 /// Shared state every artifact renders against.
 ///
@@ -181,133 +154,133 @@ pub const ALL: &[ArtifactDef] = &[
         name: "table1_dataset",
         output: "table1.txt",
         deps: &[CAMPAIGN_NODE],
-        render: render_table1_dataset,
+        render: table1_dataset::render,
     },
     ArtifactDef {
         name: "table2_experiments",
         output: "table2.txt",
         deps: &[],
-        render: render_table2_experiments,
+        render: table2_experiments::render,
     },
     ArtifactDef {
         name: "fig01_variability_timeline",
         output: "fig01.txt",
         deps: &[CAMPAIGN_NODE],
-        render: render_fig01_variability_timeline,
+        render: fig01_variability_timeline::render,
     },
     ArtifactDef {
         name: "fig02_pipeline",
         output: "fig02.txt",
         deps: &[],
-        render: render_fig02_pipeline,
+        render: fig02_pipeline::render,
     },
     ArtifactDef {
         name: "fig03_model_f1",
         output: "fig03.txt",
         deps: &[CAMPAIGN_NODE],
-        render: render_fig03_model_f1,
+        render: fig03_model_f1::render,
     },
     ArtifactDef {
         name: "fig04_adpa_pdpa",
         output: "fig04.txt",
         deps: &[MODEL_DEFAULT_NODE, MODEL_PDPA_NODE],
-        render: render_fig04_adpa_pdpa,
+        render: fig04_adpa_pdpa::render,
     },
     ArtifactDef {
         name: "fig05_adaa_variation",
         output: "fig05.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_fig05_adaa_variation,
+        render: fig05_adaa_variation::render,
     },
     ArtifactDef {
         name: "fig06_adaa_runtimes",
         output: "fig06.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_fig06_adaa_runtimes,
+        render: fig06_adaa_runtimes::render,
     },
     ArtifactDef {
         name: "fig07_pdpa_runtimes",
         output: "fig07.txt",
         deps: &[MODEL_PDPA_NODE],
-        render: render_fig07_pdpa_runtimes,
+        render: fig07_pdpa_runtimes::render,
     },
     ArtifactDef {
         name: "fig08_weak_scaling",
         output: "fig08.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_fig08_weak_scaling,
+        render: fig08_weak_scaling::render,
     },
     ArtifactDef {
         name: "fig09_strong_scaling",
         output: "fig09.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_fig09_strong_scaling,
+        render: fig09_strong_scaling::render,
     },
     ArtifactDef {
         name: "fig10_makespan",
         output: "fig10.txt",
         deps: &[MODEL_DEFAULT_NODE, MODEL_PDPA_NODE],
-        render: render_fig10_makespan,
+        render: fig10_makespan::render,
     },
     ArtifactDef {
         name: "fig11_wait_times",
         output: "fig11.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_fig11_wait_times,
+        render: fig11_wait_times::render,
     },
     ArtifactDef {
         name: "pipeline_rfe",
         output: "rfe.txt",
         deps: &[CAMPAIGN_NODE],
-        render: render_pipeline_rfe,
+        render: pipeline_rfe::render,
     },
     ArtifactDef {
         name: "ablation_skip_threshold",
         output: "ablation_skip.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_skip_threshold,
+        render: ablation_skip_threshold::render,
     },
     ArtifactDef {
         name: "ablation_window",
         output: "ablation_window.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_window,
+        render: ablation_window::render,
     },
     ArtifactDef {
         name: "ablation_policy",
         output: "ablation_policy.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_policy,
+        render: ablation_policy::render,
     },
     ArtifactDef {
         name: "ablation_labels",
         output: "ablation_labels.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_labels,
+        render: ablation_labels::render,
     },
     ArtifactDef {
         name: "ablation_placement",
         output: "ablation_placement.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_placement,
+        render: ablation_placement::render,
     },
     ArtifactDef {
         name: "ablation_backfill",
         output: "ablation_backfill.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_ablation_backfill,
+        render: ablation_backfill::render,
     },
     ArtifactDef {
         name: "online_accuracy",
         output: "online_accuracy.txt",
         deps: &[MODEL_DEFAULT_NODE],
-        render: render_online_accuracy,
+        render: online_accuracy::render,
     },
     ArtifactDef {
         name: "policy_headtohead",
         output: "policy_headtohead.txt",
         deps: &[],
-        render: render_policy_headtohead,
+        render: policy_headtohead::render,
     },
 ];
 
@@ -353,10 +326,10 @@ mod tests {
         // fig02/table2 must not touch the campaign: they are the CI smoke
         // artifacts and have no DAG dependencies.
         let ctx = ArtifactCtx::new(HarnessArgs::default());
-        let fig02 = render_fig02_pipeline(&ctx);
+        let fig02 = fig02_pipeline::render(&ctx);
         assert!(fig02.contains("282"));
         assert!(fig02.contains("all shapes match the paper."));
-        let table2 = render_table2_experiments(&ctx);
+        let table2 = table2_experiments::render(&ctx);
         assert!(table2.contains("ADAA"));
         assert!(table2.contains("csv:"));
         assert!(ctx.campaign.get().is_none(), "campaign was materialized");

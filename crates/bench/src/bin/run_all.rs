@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the paper as one dependency-aware
 //! campaign run.
 //!
-//! Where `run_all.sh` used to launch 21 binaries serially — each reloading
-//! the campaign cache and retraining its models — this binary models the
+//! Rather than one process per artifact — each reloading the campaign
+//! cache and retraining its models — this binary models the
 //! artifacts as a DAG (campaign dataset → trained models → figures/tables/
 //! ablations, see `rush_bench::artifacts::ALL`), executes independent
 //! nodes concurrently on a bounded worker pool, and shares the campaign
@@ -12,11 +12,13 @@
 //!
 //! Usage: `run_all [--quick] [--only a,b] [--workers N] [--force]
 //! [--results-dir DIR] [--list] [--quiet] [--node-timeout SECS]
-//! [harness flags...]`
+//! [harness flags...]` (harness flags: see `rush_bench::cli`). An unknown,
+//! repeated or malformed flag exits 2 before any work starts.
 
 use rush_bench::artifacts::{self, ArtifactCtx};
 use rush_bench::cli::HarnessArgs;
 use rush_bench::orchestrator::{build_dag, run_fingerprint};
+use rush_core::args::{ArgError, Args};
 use rush_core::campaign::{default_workers, execute, NodeStatus, RunOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -32,59 +34,36 @@ struct OrchestratorArgs {
     node_timeout: Option<std::time::Duration>,
 }
 
-fn parse_args() -> OrchestratorArgs {
-    let mut only = None;
-    let mut workers = None;
-    let mut force = false;
-    let mut list = false;
-    let mut results_dir = PathBuf::from("results");
-    let mut verbose = true;
-    let mut node_timeout = None;
-    let mut rest = Vec::new();
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut grab = |what: &str| -> String {
-            iter.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
-        match arg.as_str() {
-            "--only" => {
-                only = Some(
-                    grab("--only")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                )
-            }
-            "--workers" => workers = Some(grab("--workers").parse().expect("--workers: integer")),
-            "--force" => force = true,
-            "--list" => list = true,
-            "--results-dir" => results_dir = PathBuf::from(grab("--results-dir")),
-            "--quiet" => verbose = false,
-            "--node-timeout" => {
-                let secs: u64 = grab("--node-timeout")
-                    .parse()
-                    .expect("--node-timeout: seconds as integer");
-                node_timeout = Some(std::time::Duration::from_secs(secs));
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    OrchestratorArgs {
-        harness: HarnessArgs::parse(rest),
+fn parse_args() -> Result<OrchestratorArgs, ArgError> {
+    let mut args = Args::parse(std::env::args().skip(1))?;
+    let only = args.opt::<String>("only")?.map(|names| {
+        names
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    });
+    let parsed = OrchestratorArgs {
         only,
-        workers,
-        force,
-        list,
-        results_dir,
-        verbose,
-        node_timeout,
-    }
+        workers: args.opt("workers")?,
+        force: args.flag("force")?,
+        list: args.flag("list")?,
+        results_dir: PathBuf::from(args.get("results-dir", String::from("results"))?),
+        verbose: !args.flag("quiet")?,
+        node_timeout: args
+            .opt("node-timeout")?
+            .map(std::time::Duration::from_secs),
+        harness: HarnessArgs::read(&mut args)?,
+    };
+    args.finish()?;
+    Ok(parsed)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     if args.list {
         println!("resource nodes:");
         for name in [
@@ -111,10 +90,8 @@ fn main() {
         })
     });
 
-    // The vendored rayon is sequential (inner trial parallelism = 1), so
-    // the outer pool takes the whole core budget.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = args.workers.unwrap_or_else(|| default_workers(cores, 1));
+    let workers = args.workers.unwrap_or_else(|| default_workers(cores));
     let opts = RunOptions {
         results_dir: args.results_dir.clone(),
         workers,
@@ -172,28 +149,22 @@ fn main() {
 
     eprintln!();
     for node in &report.nodes {
-        let detail = match node.status {
-            NodeStatus::Fresh => format!(
-                "{} ms{}",
-                node.wall_ms,
-                if node.retried { " (retried)" } else { "" }
+        let error = || node.error.clone().unwrap_or_default();
+        let (status, detail) = match node.status {
+            NodeStatus::Fresh => (
+                "fresh",
+                format!(
+                    "{} ms{}",
+                    node.wall_ms,
+                    if node.retried { " (retried)" } else { "" }
+                ),
             ),
-            NodeStatus::Skipped => "up to date".to_string(),
-            NodeStatus::Failed | NodeStatus::TimedOut | NodeStatus::Blocked => {
-                node.error.clone().unwrap_or_default()
-            }
+            NodeStatus::Skipped => ("skipped", "up to date".to_string()),
+            NodeStatus::Failed => ("FAILED", error()),
+            NodeStatus::TimedOut => ("TIMEOUT", error()),
+            NodeStatus::Blocked => ("BLOCKED", error()),
         };
-        eprintln!(
-            "[campaign] {:<28} {:<8} {detail}",
-            node.name,
-            match node.status {
-                NodeStatus::Fresh => "fresh",
-                NodeStatus::Skipped => "skipped",
-                NodeStatus::Failed => "FAILED",
-                NodeStatus::TimedOut => "TIMEOUT",
-                NodeStatus::Blocked => "BLOCKED",
-            }
-        );
+        eprintln!("[campaign] {:<28} {status:<8} {detail}", node.name);
     }
     eprintln!(
         "[campaign] done in {:.1}s: {} fresh, {} skipped, {} failed, {} timed out, {} blocked; manifest: {}",

@@ -1,7 +1,7 @@
 //! Campaign disk cache.
 //!
-//! Collecting a 60-day campaign takes real time; every figure binary needs
-//! the same one. The cache stores [`CampaignData`] as a line-based text
+//! Collecting a 60-day campaign takes real time; every `run_all` invocation
+//! at the same scale needs the same one. The cache stores [`CampaignData`] as a line-based text
 //! file keyed by [`config_fingerprint`], so the first run collects and the
 //! rest reload.
 //!
@@ -59,14 +59,9 @@ pub fn cache_path(dir: &Path, config: &CampaignConfig) -> PathBuf {
     dir.join(format!("campaign-{:016x}.txt", config_fingerprint(config)))
 }
 
-/// Returns the campaign for `config` from the default cache directory,
+/// Returns the campaign for `config` from the cache directory `dir`,
 /// loading when possible and collecting + storing otherwise. `no_cache`
 /// forces recollection.
-pub fn campaign_cached(config: &CampaignConfig, no_cache: bool) -> CampaignData {
-    campaign_cached_in(&default_cache_dir(), config, no_cache)
-}
-
-/// [`campaign_cached`] against an explicit cache directory.
 pub fn campaign_cached_in(dir: &Path, config: &CampaignConfig, no_cache: bool) -> CampaignData {
     let path = cache_path(dir, config);
     if !no_cache {

@@ -1,14 +1,14 @@
-//! Minimal argument parsing shared by the figure binaries.
-//!
-//! Every binary accepts:
+//! The harness flags of the `run_all` orchestrator:
 //!
 //! * `--days N` — campaign length (default 60)
 //! * `--trials N` — trials per policy (default 5, the paper's count)
 //! * `--jobs N` — override the experiment job count (default: Table II)
 //! * `--seed N` — master seed (default 0xC0FFEE)
 //! * `--no-cache` — recollect the campaign even if a cache exists
-//! * `--quick` — smoke scale: 8 days, 1 trial, 24 jobs
+//! * `--quick` — smoke-scale defaults: 8 days, 1 trial, 24 jobs (explicit
+//!   `--days`/`--trials`/`--jobs` still win)
 
+use rush_core::args::{ArgError, Args};
 use rush_core::config::CampaignConfig;
 
 /// Parsed harness arguments.
@@ -39,38 +39,26 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `args` (without the program name). Panics with a usage
-    /// message on malformed input.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut out = HarnessArgs::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let mut grab = |what: &str| -> String {
-                iter.next()
-                    .unwrap_or_else(|| panic!("{what} requires a value"))
-            };
-            match arg.as_str() {
-                "--days" => out.days = grab("--days").parse().expect("--days: integer"),
-                "--trials" => out.trials = grab("--trials").parse().expect("--trials: integer"),
-                "--jobs" => out.jobs = Some(grab("--jobs").parse().expect("--jobs: integer")),
-                "--seed" => out.seed = grab("--seed").parse().expect("--seed: integer"),
-                "--no-cache" => out.no_cache = true,
-                "--quick" => {
-                    out.days = 8;
-                    out.trials = 1;
-                    out.jobs = Some(24);
-                }
-                other => panic!(
-                    "unknown argument '{other}'; supported: --days --trials --jobs --seed --no-cache --quick"
-                ),
+    /// Reads the harness flags from `args`, leaving any others for the
+    /// caller.
+    pub fn read(args: &mut Args) -> Result<Self, ArgError> {
+        let base = if args.flag("quick")? {
+            HarnessArgs {
+                days: 8,
+                trials: 1,
+                jobs: Some(24),
+                ..HarnessArgs::default()
             }
-        }
-        out
-    }
-
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        } else {
+            HarnessArgs::default()
+        };
+        Ok(HarnessArgs {
+            days: args.get("days", base.days)?,
+            trials: args.get("trials", base.trials)?,
+            jobs: args.opt("jobs")?.or(base.jobs),
+            seed: args.get("seed", base.seed)?,
+            no_cache: args.flag("no-cache")?,
+        })
     }
 
     /// The campaign configuration these arguments select.
@@ -88,13 +76,16 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> HarnessArgs {
-        HarnessArgs::parse(args.iter().map(|s| s.to_string()))
+    fn parse(argv: &[&str]) -> Result<HarnessArgs, ArgError> {
+        let mut args = Args::parse(argv.iter().map(|s| s.to_string()))?;
+        let out = HarnessArgs::read(&mut args)?;
+        args.finish()?;
+        Ok(out)
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
         assert_eq!(a.days, 60);
         assert_eq!(a.trials, 5);
         assert_eq!(a.jobs, None);
@@ -105,7 +96,8 @@ mod tests {
     fn explicit_values() {
         let a = parse(&[
             "--days", "10", "--trials", "2", "--jobs", "50", "--seed", "9",
-        ]);
+        ])
+        .unwrap();
         assert_eq!(a.days, 10);
         assert_eq!(a.trials, 2);
         assert_eq!(a.jobs, Some(50));
@@ -114,23 +106,28 @@ mod tests {
 
     #[test]
     fn quick_mode() {
-        let a = parse(&["--quick"]);
+        let a = parse(&["--quick"]).unwrap();
         assert_eq!(a.days, 8);
         assert_eq!(a.trials, 1);
         assert_eq!(a.jobs, Some(24));
+        // Explicit flags win over the smoke-scale defaults.
+        let a = parse(&["--days", "16", "--quick"]).unwrap();
+        assert_eq!((a.days, a.trials), (16, 1));
     }
 
     #[test]
     fn campaign_config_reflects_args() {
-        let a = parse(&["--days", "16"]);
+        let a = parse(&["--days", "16"]).unwrap();
         let c = a.campaign_config();
         assert_eq!(c.days, 16);
         assert_eq!(c.storm_days, Some((10, 12)));
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn unknown_flag_rejected() {
-        parse(&["--bogus"]);
+        let err = parse(&["--bogus"]).unwrap_err().to_string();
+        assert_eq!(err, "unknown option --bogus");
+        let err = parse(&["--dyas", "3"]).unwrap_err().to_string();
+        assert!(err.contains("did you mean --days?"), "{err}");
     }
 }

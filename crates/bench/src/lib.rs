@@ -1,23 +1,16 @@
 //! # rush-bench
 //!
 //! The reproduction harness: every table/figure of the paper as a render
-//! function in [`artifacts`], exposed two ways — one thin binary per
-//! artifact (`fig01_…` … `fig11_…`, `table1_…`, `table2_…`) for single
-//! regenerations, and the `run_all` orchestrator binary that executes the
-//! whole set as a parallel, resumable dependency DAG (see
-//! [`rush_core::campaign`] and DESIGN.md §12). Criterion micro-benchmarks
-//! of the hot paths live under `benches/`.
+//! function in [`artifacts`], run by the `run_all` orchestrator binary as a
+//! parallel, resumable dependency DAG (see [`rush_core::campaign`] and
+//! DESIGN.md §12); `run_all --only NAME` regenerates a single artifact.
+//! Scheduler speed is measured by the separate `perfbench` package.
 //!
 //! Shared plumbing lives here: a disk cache for the (expensive) campaign
-//! ([`cache`]), and argument parsing for `--days`, `--trials`, `--jobs`,
-//! `--seed` overrides so every figure can be regenerated at paper scale or
-//! smoke scale ([`cli`]).
+//! ([`cache`]), and the `--days`, `--trials`, `--jobs`, `--seed` flags so
+//! every figure can be regenerated at paper scale or smoke scale ([`cli`]).
 
 pub mod artifacts;
 pub mod cache;
 pub mod cli;
 pub mod orchestrator;
-
-pub use artifacts::ArtifactCtx;
-pub use cache::{campaign_cached, campaign_cached_in, config_fingerprint, default_cache_dir};
-pub use cli::HarnessArgs;

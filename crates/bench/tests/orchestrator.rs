@@ -47,14 +47,14 @@ fn cheap_artifacts_run_fresh_then_skip() {
     let dag = build_dag(&ctx);
 
     // First run: both artifacts render fresh, byte-identical to a direct
-    // render call (what the per-figure binaries print).
+    // render call.
     let report = execute(&dag, &opts(&ctx, &dag, &results)).expect("first run");
     assert!(report.all_ok(), "first run failed: {:?}", report.nodes);
     assert_eq!(report.count(NodeStatus::Fresh), 2);
     let fig02 = fs::read_to_string(results.join("fig02.txt")).expect("fig02.txt");
     let table2 = fs::read_to_string(results.join("table2.txt")).expect("table2.txt");
-    assert_eq!(fig02, artifacts::render_fig02_pipeline(&ctx));
-    assert_eq!(table2, artifacts::render_table2_experiments(&ctx));
+    assert_eq!(fig02, artifacts::fig02_pipeline::render(&ctx));
+    assert_eq!(table2, artifacts::table2_experiments::render(&ctx));
 
     // The manifest records both as fresh with matching content hashes.
     let manifest = Manifest::load(&results).expect("manifest written");
@@ -93,4 +93,22 @@ fn cheap_artifacts_run_fresh_then_skip() {
 
     let _ = fs::remove_dir_all(&results);
     let _ = fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn unknown_flag_exits_2_before_any_work() {
+    let results = scratch("usage");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--quick", "--only", "fig02_pipeline", "--bogus"])
+        .arg("--results-dir")
+        .arg(&results)
+        .output()
+        .expect("spawn run_all");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --bogus"), "{err}");
+    assert!(
+        !results.exists(),
+        "no results directory before the options parse"
+    );
 }

@@ -12,8 +12,11 @@
 //! rush schedule --campaign campaign.txt --experiment ADAA --trials 3
 //! ```
 //!
-//! Every command is deterministic given `--seed`.
+//! Every command is deterministic given `--seed`. Options are read by
+//! [`rush_core::args::Args`]: a command reads all of its options before it
+//! starts any work, and an unknown, repeated or malformed option exits 2.
 
+use rush_core::args::{ArgError, Args};
 use rush_core::campaign_io;
 use rush_core::checkpoint::CheckpointManager;
 use rush_core::collect::{run_campaign, CampaignData};
@@ -28,9 +31,11 @@ use rush_ml::codec;
 use rush_ml::model::{Classifier, ModelKind};
 use rush_ml::select::{compare_models, select_best};
 use rush_sched::audit::{AuditConfig, AuditPolicy};
+use rush_sched::engine::ScheduleResult;
+use rush_sched::service::ServiceConfig;
 use rush_simkit::fault::FaultConfig;
 use rush_simkit::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -158,114 +163,82 @@ COMMANDS:
                --trace-out FILE   write per-scheme evaluation events as
                                   JSON lines
     help       print this message
+
+Options are --key VALUE or a bare --flag, each at most once. Exit status:
+0 success; 1 the run failed; 2 usage error (unknown command, unknown or
+repeated option, missing or malformed value), reported before any work.
 ";
 
-/// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "profile",
-    "audit-every-event",
-    "lenient",
-    "assert-learned-beats-fcfs",
-];
+/// Why a command failed. A usage error (exit 2) is found while reading
+/// the options, before any work starts; a run error (exit 1) comes from the
+/// work itself.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<ArgError> for Failure {
+    fn from(e: ArgError) -> Self {
+        Failure::Usage(e.to_string())
+    }
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Run(e)
+    }
+}
+
+/// A usage error for an option value the typed getters cannot judge.
+fn usage(message: String) -> Failure {
+    Failure::Usage(message)
+}
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let command = match args.next() {
-        Some(c) => c,
-        None => {
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let mut argv = std::env::args().skip(1);
+    let Some(command) = argv.next() else {
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
     };
-    let options = match parse_options(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "collect" => cmd_collect(&options),
-        "evaluate" => cmd_evaluate(&options),
-        "train" => cmd_train(&options),
-        "info" => cmd_info(&options),
-        "schedule" => cmd_schedule(&options),
-        "replay" => cmd_replay(&options),
-        "chaos" => cmd_chaos(&options),
-        "train-policy" => cmd_train_policy(&options),
-        "policy-eval" => cmd_policy_eval(&options),
+    let command: fn(Args) -> Result<(), Failure> = match command.as_str() {
+        "collect" => cmd_collect,
+        "evaluate" => cmd_evaluate,
+        "train" => cmd_train,
+        "info" => cmd_info,
+        "schedule" => cmd_schedule,
+        "replay" => cmd_replay,
+        "chaos" => cmd_chaos,
+        "train-policy" => cmd_train_policy,
+        "policy-eval" => cmd_policy_eval,
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => {
+            eprintln!("error: unknown command '{other}'\nsee 'rush help' for the commands");
+            return ExitCode::from(2);
+        }
     };
-    match result {
+    match Args::parse(argv).map_err(Failure::from).and_then(command) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}\nsee 'rush help' for the options of each command");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// `--key value` pairs.
-type Options = HashMap<String, String>;
-
-fn parse_options(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut out = HashMap::new();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let key = arg
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, found '{arg}'"))?;
-        if BOOLEAN_FLAGS.contains(&key) {
-            out.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let value = args
-            .next()
-            .ok_or_else(|| format!("--{key} requires a value"))?;
-        out.insert(key.to_string(), value);
-    }
-    Ok(out)
+/// A `--key FILE` option the command cannot run without.
+fn required_file(args: &mut Args, key: &'static str) -> Result<String, Failure> {
+    args.opt(key)?
+        .ok_or_else(|| usage(format!("--{key} FILE is required")))
 }
 
-fn get_u64(options: &Options, key: &str, default: u64) -> Result<u64, String> {
-    match options.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: expected integer, got '{v}'")),
-    }
-}
-
-fn get_f64(options: &Options, key: &str, default: f64) -> Result<f64, String> {
-    match options.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: expected number, got '{v}'")),
-    }
-}
-
-/// Parses an optional `--key MINUTES` duration.
-fn get_mins(options: &Options, key: &str) -> Result<Option<SimDuration>, String> {
-    options
-        .get(key)
-        .map(|v| {
-            v.parse::<u64>()
-                .map(SimDuration::from_mins)
-                .map_err(|_| format!("--{key}: expected minutes as integer, got '{v}'"))
-        })
-        .transpose()
-}
-
-fn load_campaign(options: &Options) -> Result<CampaignData, String> {
-    let path = options
-        .get("campaign")
-        .ok_or("--campaign FILE is required")?;
+fn load_campaign(path: &str) -> Result<CampaignData, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // The file carries its own run data; the attached config only matters
     // for provenance, so reuse the default with the recorded day count
@@ -273,13 +246,11 @@ fn load_campaign(options: &Options) -> Result<CampaignData, String> {
     campaign_io::decode(&text, &CampaignConfig::default())
 }
 
-fn cmd_collect(options: &Options) -> Result<(), String> {
-    let days = get_u64(options, "days", 30)? as u32;
-    let seed = get_u64(options, "seed", 0xC0FFEE)?;
-    let out = options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "campaign.txt".to_string());
+fn cmd_collect(mut args: Args) -> Result<(), Failure> {
+    let days: u32 = args.get("days", 30)?;
+    let seed: u64 = args.get("seed", 0xC0FFEE)?;
+    let out = args.get("out", String::from("campaign.txt"))?;
+    args.finish()?;
     let config = CampaignConfig {
         days,
         seed,
@@ -303,9 +274,11 @@ fn cmd_collect(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_evaluate(options: &Options) -> Result<(), String> {
-    let campaign = load_campaign(options)?;
-    let seed = get_u64(options, "seed", 7)?;
+fn cmd_evaluate(mut args: Args) -> Result<(), Failure> {
+    let campaign = required_file(&mut args, "campaign")?;
+    let seed: u64 = args.get("seed", 7)?;
+    args.finish()?;
+    let campaign = load_campaign(&campaign)?;
     println!(
         "campaign: {} runs; evaluating with leave-one-application-out CV...",
         campaign.runs.len()
@@ -327,24 +300,22 @@ fn cmd_evaluate(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(options: &Options) -> Result<(), String> {
-    let campaign = load_campaign(options)?;
-    let seed = get_u64(options, "seed", 7)?;
-    let out = options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "model.txt".to_string());
-    let kind = match options.get("kind").map(String::as_str) {
+fn cmd_train(mut args: Args) -> Result<(), Failure> {
+    let campaign = required_file(&mut args, "campaign")?;
+    let seed: u64 = args.get("seed", 7)?;
+    let out = args.get("out", String::from("model.txt"))?;
+    let kind = match args.opt::<String>("kind")? {
         None => ModelKind::AdaBoost,
-        Some(name) => {
-            ModelKind::from_name(name).ok_or_else(|| format!("unknown model kind '{name}'"))?
-        }
+        Some(name) => ModelKind::from_name(&name)
+            .ok_or_else(|| usage(format!("unknown model kind '{name}'")))?,
     };
-    let scheme = match options.get("scheme").map(String::as_str) {
-        None | Some("three-class") => LabelScheme::ThreeClass,
-        Some("binary") => LabelScheme::Binary,
-        Some(other) => return Err(format!("unknown scheme '{other}'")),
+    let scheme = match args.get("scheme", String::from("three-class"))?.as_str() {
+        "three-class" => LabelScheme::ThreeClass,
+        "binary" => LabelScheme::Binary,
+        other => return Err(usage(format!("unknown scheme '{other}'"))),
     };
+    args.finish()?;
+    let campaign = load_campaign(&campaign)?;
     eprintln!(
         "training {kind} ({scheme:?}) on {} runs...",
         campaign.runs.len()
@@ -360,9 +331,10 @@ fn cmd_train(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info(options: &Options) -> Result<(), String> {
-    let path = options.get("model").ok_or("--model FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn cmd_info(mut args: Args) -> Result<(), Failure> {
+    let path = required_file(&mut args, "model")?;
+    args.finish()?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let model = codec::decode(&text).map_err(|e| e.to_string())?;
     println!("kind:       {}", model.kind());
     println!("features:   {}", model.n_features());
@@ -384,21 +356,57 @@ fn cmd_info(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_schedule(options: &Options) -> Result<(), String> {
-    let campaign = load_campaign(options)?;
-    let seed = get_u64(options, "seed", 0xE0)?;
-    let trials = get_u64(options, "trials", 3)? as usize;
-    let jobs = options
-        .get("jobs")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--jobs: bad integer '{v}'"))
-        })
-        .transpose()?;
-    let experiment = match options
-        .get("experiment")
-        .map(String::as_str)
-        .unwrap_or("ADAA")
+/// Writes a schedule run's `--trace-out` event trace as JSON lines and its
+/// `--metrics-out` registry (CSV for a `.csv` path, JSON otherwise).
+fn export(
+    result: &ScheduleResult,
+    trace: Option<&str>,
+    metrics: Option<&str>,
+) -> Result<(), String> {
+    if let Some(path) = trace {
+        let body = rush_obs::tracer::records_to_jsonl(&result.events);
+        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {} trace events to {path}", result.events.len());
+    }
+    if let Some(path) = metrics {
+        let body = if path.ends_with(".csv") {
+            result.metrics.to_csv()
+        } else {
+            result.metrics.to_json()
+        };
+        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote metrics registry to {path}");
+    }
+    Ok(())
+}
+
+/// The crash-safe campaign options of `rush schedule`.
+struct Checkpointing {
+    every: Option<SimDuration>,
+    keep: usize,
+    dir: Option<String>,
+    resume: Option<String>,
+    stop_at: Option<SimTime>,
+}
+
+impl Checkpointing {
+    /// Whether any option selects the single checkpointed trial
+    /// (`--checkpoint-keep` alone does not).
+    fn enabled(&self) -> bool {
+        self.every.is_some()
+            || self.dir.is_some()
+            || self.resume.is_some()
+            || self.stop_at.is_some()
+    }
+}
+
+fn cmd_schedule(mut args: Args) -> Result<(), Failure> {
+    let campaign = required_file(&mut args, "campaign")?;
+    let seed: u64 = args.get("seed", 0xE0)?;
+    let trials: usize = args.get("trials", 3)?;
+    let jobs: Option<usize> = args.opt("jobs")?;
+    let experiment = match args
+        .get("experiment", String::from("ADAA"))?
         .to_ascii_uppercase()
         .as_str()
     {
@@ -407,53 +415,55 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
         "PDPA" => Experiment::Pdpa,
         "WS" => Experiment::Ws,
         "SS" => Experiment::Ss,
-        other => return Err(format!("unknown experiment '{other}'")),
+        other => return Err(usage(format!("unknown experiment '{other}'"))),
     };
     let mut faults = FaultConfig {
-        seed: get_u64(options, "fault-seed", 0)?,
-        node_mtbf: get_mins(options, "node-mtbf")?,
-        blackout_mtbf: get_mins(options, "telemetry-blackout")?,
+        seed: args.get("fault-seed", 0)?,
+        node_mtbf: args.opt("node-mtbf")?.map(SimDuration::from_mins),
+        blackout_mtbf: args.opt("telemetry-blackout")?.map(SimDuration::from_mins),
         ..FaultConfig::none()
     };
-    if let Some(mttr) = get_mins(options, "node-mttr")? {
-        faults.node_mttr = mttr;
+    if let Some(mttr) = args.opt("node-mttr")? {
+        faults.node_mttr = SimDuration::from_mins(mttr);
     }
-    let profile = options.contains_key("profile");
+    let profile = args.flag("profile")?;
+    let trace_out: Option<String> = args.opt("trace-out")?;
+    let metrics_out: Option<String> = args.opt("metrics-out")?;
+    let audit = AuditConfig {
+        policy: match args.get("audit", String::from("off"))?.as_str() {
+            "off" => AuditPolicy::Off,
+            "log" => AuditPolicy::Log,
+            "fail-fast" => AuditPolicy::FailFast,
+            "repair" => AuditPolicy::Repair,
+            other => return Err(usage(format!("unknown audit policy '{other}'"))),
+        },
+        every_event: args.flag("audit-every-event")?,
+    };
+    let defaults = ServiceConfig::default();
+    let service = ServiceConfig {
+        retrain_every: SimDuration::from_secs(args.get("retrain-every", 0)?),
+        drift_window: args.get("drift-window", defaults.drift_window)?,
+        drift_threshold: args.get("drift-threshold", defaults.drift_threshold)?,
+        shadow_decisions: args.get("shadow-decisions", defaults.shadow_decisions)?,
+        ..defaults
+    };
+    let shift_at = args.opt("shift-at")?.map(SimTime::from_secs);
+    let ckpt = Checkpointing {
+        every: args
+            .opt::<NonZeroU64>("checkpoint-every")?
+            .map(|secs| SimDuration::from_secs(secs.get())),
+        keep: args.get("checkpoint-keep", 3)?,
+        dir: args.opt("checkpoint-dir")?,
+        resume: args.opt("resume")?,
+        stop_at: args.opt("stop-after")?.map(SimTime::from_secs),
+    };
+    args.finish()?;
+    let (trace_out, metrics_out) = (trace_out.as_deref(), metrics_out.as_deref());
+
+    let campaign = load_campaign(&campaign)?;
     if profile {
         rush_obs::profile::set_enabled(true);
     }
-    let trace_out = options.get("trace-out");
-    let metrics_out = options.get("metrics-out");
-    let audit = AuditConfig {
-        policy: match options.get("audit").map(String::as_str) {
-            None | Some("off") => AuditPolicy::Off,
-            Some("log") => AuditPolicy::Log,
-            Some("fail-fast") => AuditPolicy::FailFast,
-            Some("repair") => AuditPolicy::Repair,
-            Some(other) => return Err(format!("unknown audit policy '{other}'")),
-        },
-        every_event: options.contains_key("audit-every-event"),
-    };
-    let mut service = rush_sched::service::ServiceConfig {
-        retrain_every: SimDuration::from_secs(get_u64(options, "retrain-every", 0)?),
-        drift_threshold: get_f64(options, "drift-threshold", 0.15)?,
-        ..rush_sched::service::ServiceConfig::default()
-    };
-    service.drift_window =
-        get_u64(options, "drift-window", u64::from(service.drift_window))? as u32;
-    service.shadow_decisions = get_u64(
-        options,
-        "shadow-decisions",
-        u64::from(service.shadow_decisions),
-    )? as u32;
-    let shift_at = options
-        .get("shift-at")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(SimTime::from_secs)
-                .map_err(|_| format!("--shift-at: expected seconds as integer, got '{v}'"))
-        })
-        .transpose()?;
     let settings = ExperimentSettings {
         trials,
         base_seed: seed,
@@ -466,11 +476,15 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
         shift_at,
         ..ExperimentSettings::default()
     };
-    let checkpointed = ["checkpoint-every", "checkpoint-dir", "resume", "stop-after"]
-        .iter()
-        .any(|k| options.contains_key(*k));
-    if checkpointed {
-        return run_checkpointed(&campaign, experiment, &settings, options);
+    if ckpt.enabled() {
+        return run_checkpointed(
+            &campaign,
+            experiment,
+            &settings,
+            &ckpt,
+            trace_out,
+            metrics_out,
+        );
     }
     eprintln!(
         "running {experiment}: {} jobs x {trials} trials x 2 policies...",
@@ -504,10 +518,10 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
         println!("{}", robustness_table(&comparison).render());
     }
     if trace_out.is_some() || metrics_out.is_some() {
-        // A dedicated single-threaded re-run of trial 0 under the RUSH
-        // policy: the comparison above runs trials on rayon workers and
-        // discards per-trial traces, while this run is a pure function of
-        // the seed — identical seeds yield byte-identical exports.
+        // A dedicated re-run of trial 0 under the RUSH policy: the
+        // comparison above discards per-trial traces, while this run is a
+        // pure function of the seed — identical seeds yield byte-identical
+        // exports.
         let reference = build_reference(&campaign);
         let (result, _) = run_trial_raw(
             experiment,
@@ -517,20 +531,7 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
             &settings,
             0,
         );
-        if let Some(path) = trace_out {
-            let body = rush_obs::tracer::records_to_jsonl(&result.events);
-            std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {} trace events to {path}", result.events.len());
-        }
-        if let Some(path) = metrics_out {
-            let body = if path.ends_with(".csv") {
-                result.metrics.to_csv()
-            } else {
-                result.metrics.to_json()
-            };
-            std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote metrics registry to {path}");
-        }
+        export(&result, trace_out, metrics_out)?;
     }
     if profile {
         eprint!("{}", rush_obs::profile::report());
@@ -543,29 +544,27 @@ fn cmd_schedule(options: &Options) -> Result<(), String> {
 /// schemes under the invariant auditor, and writes the canonical-JSON resilience report atomically. A pure
 /// function of the options: identical invocations produce byte-identical
 /// report files.
-fn cmd_chaos(options: &Options) -> Result<(), String> {
+fn cmd_chaos(mut args: Args) -> Result<(), Failure> {
     use rush_core::campaign::write_atomic;
     use rush_sched::chaos::{run_chaos, ChaosConfig};
 
     let config = ChaosConfig {
-        seed: get_u64(options, "seed", 42)?,
-        scenarios: get_u64(options, "scenarios", 8)? as u32,
-        nodes: get_u64(options, "nodes", 64)? as u32,
-        jobs: get_u64(options, "jobs", 500)? as usize,
+        seed: args.get("seed", 42)?,
+        scenarios: args.get("scenarios", 8)?,
+        nodes: args.get("nodes", 64)?,
+        jobs: args.get("jobs", 500)?,
     };
+    let out = args.get("out", String::from("results/chaos_report.json"))?;
+    args.finish()?;
     if config.nodes < 8 || !config.nodes.is_multiple_of(8) {
-        return Err(format!(
+        return Err(usage(format!(
             "--nodes must be a positive multiple of 8, got {}",
             config.nodes
-        ));
+        )));
     }
     if config.scenarios == 0 || config.jobs == 0 {
-        return Err("--scenarios and --jobs must be positive".into());
+        return Err(usage("--scenarios and --jobs must be positive".into()));
     }
-    let out = options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/chaos_report.json".to_string());
     eprintln!(
         "chaos: {} scenarios x 3 schemes, {} nodes, {} jobs (seed {})...",
         config.scenarios, config.nodes, config.jobs, config.seed
@@ -600,29 +599,29 @@ fn cmd_chaos(options: &Options) -> Result<(), String> {
 
     let violations = report.total_violations();
     if violations > 0 {
-        return Err(format!(
+        return Err(Failure::Run(format!(
             "auditor recorded {violations} invariant violations"
-        ));
+        )));
     }
     Ok(())
 }
 
 /// Shared environment options of the policy commands.
-fn policy_env_config(options: &Options) -> Result<rush_sched::env::SchedEnvConfig, String> {
+fn policy_env_config(args: &mut Args) -> Result<rush_sched::env::SchedEnvConfig, Failure> {
     let config = rush_sched::env::SchedEnvConfig {
-        seed: get_u64(options, "seed", 42)?,
-        nodes: get_u64(options, "nodes", 32)? as u32,
-        jobs: get_u64(options, "jobs", 120)? as usize,
+        seed: args.get("seed", 42)?,
+        nodes: args.get("nodes", 32)?,
+        jobs: args.get("jobs", 120)?,
         ..rush_sched::env::SchedEnvConfig::default()
     };
     if config.nodes < 8 || !config.nodes.is_multiple_of(8) {
-        return Err(format!(
+        return Err(usage(format!(
             "--nodes must be a positive multiple of 8, got {}",
             config.nodes
-        ));
+        )));
     }
     if config.jobs == 0 {
-        return Err("--jobs must be positive".into());
+        return Err(usage("--jobs must be positive".into()));
     }
     Ok(config)
 }
@@ -655,31 +654,30 @@ fn bsld_milli(bsld: f64) -> u64 {
 /// seeded CEM over sort-weight vectors, scored by negated mean bounded
 /// slowdown on seeded episodes. Identical invocations write byte-identical
 /// artifacts.
-fn cmd_train_policy(options: &Options) -> Result<(), String> {
+fn cmd_train_policy(mut args: Args) -> Result<(), Failure> {
     use rush_core::campaign::write_atomic;
     use rush_obs::event::ObsEvent;
     use rush_sched::env::{train_policy, TrainConfig};
 
     let config = TrainConfig {
-        env: policy_env_config(options)?,
-        rounds: get_u64(options, "rounds", 10)? as u32,
-        population: get_u64(options, "population", 24)? as usize,
-        elite: get_u64(options, "elite", 6)? as usize,
-        episodes: get_u64(options, "episodes", 2)?,
+        env: policy_env_config(&mut args)?,
+        rounds: args.get("rounds", 10)?,
+        population: args.get("population", 24)?,
+        elite: args.get("elite", 6)?,
+        episodes: args.get("episodes", 2)?,
     };
+    let out = args.get("out", String::from("results/policy.txt"))?;
+    let trace_out: Option<String> = args.opt("trace-out")?;
+    args.finish()?;
     if config.rounds == 0 || config.population == 0 {
-        return Err("--rounds and --population must be positive".into());
+        return Err(usage("--rounds and --population must be positive".into()));
     }
     if config.elite == 0 || config.elite > config.population {
-        return Err(format!(
+        return Err(usage(format!(
             "--elite must be in 1..=population, got {} of {}",
             config.elite, config.population
-        ));
+        )));
     }
-    let out = options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/policy.txt".to_string());
     eprintln!(
         "train-policy: {} rounds x {} candidates x {} episodes, {} nodes, {} jobs (seed {})...",
         config.rounds,
@@ -709,7 +707,7 @@ fn cmd_train_policy(options: &Options) -> Result<(), String> {
     );
     println!("wrote policy artifact to {out}");
 
-    if let Some(path) = options.get("trace-out") {
+    if let Some(path) = &trace_out {
         let events: Vec<ObsEvent> = outcome
             .rounds
             .iter()
@@ -729,29 +727,27 @@ fn cmd_train_policy(options: &Options) -> Result<(), String> {
 /// FCFS, EASY, RUSH and the trained learned policy run the same seeded
 /// workloads; the per-scheme service metrics land in a canonical-JSON
 /// report. Identical invocations write byte-identical reports.
-fn cmd_policy_eval(options: &Options) -> Result<(), String> {
+fn cmd_policy_eval(mut args: Args) -> Result<(), Failure> {
     use rush_core::campaign::write_atomic;
     use rush_obs::event::ObsEvent;
     use rush_sched::env::head_to_head;
     use rush_sched::SORT_FACTORS;
 
-    let env = policy_env_config(options)?;
-    let episodes = get_u64(options, "episodes", 2)?.max(1);
-    let path = options.get("policy").ok_or("--policy FILE is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let env = policy_env_config(&mut args)?;
+    let episodes = args.get::<u64>("episodes", 2)?.max(1);
+    let path = required_file(&mut args, "policy")?;
+    let out = args.get("out", String::from("results/policy_report.json"))?;
+    let trace_out: Option<String> = args.opt("trace-out")?;
+    let assert_beats_fcfs = args.flag("assert-learned-beats-fcfs")?;
+    args.finish()?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let artifact = codec::decode_policy(&text).map_err(|e| format!("{path}: {e}"))?;
-    if artifact.weights.len() != SORT_FACTORS {
-        return Err(format!(
+    let weights: [f64; SORT_FACTORS] = artifact.weights.as_slice().try_into().map_err(|_| {
+        format!(
             "{path}: artifact holds {} weights; this build scores {SORT_FACTORS} features",
             artifact.weights.len()
-        ));
-    }
-    let mut weights = [0.0; SORT_FACTORS];
-    weights.copy_from_slice(&artifact.weights);
-    let out = options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/policy_report.json".to_string());
+        )
+    })?;
     eprintln!(
         "policy-eval: 4 schemes x {episodes} episodes, {} nodes, {} jobs (seed {})...",
         env.nodes, env.jobs, env.seed
@@ -780,7 +776,7 @@ fn cmd_policy_eval(options: &Options) -> Result<(), String> {
     println!("{}", table.render());
     println!("wrote {} bytes to {out}", json.len());
 
-    if let Some(path) = options.get("trace-out") {
+    if let Some(path) = &trace_out {
         let events: Vec<ObsEvent> = report
             .schemes
             .iter()
@@ -795,22 +791,13 @@ fn cmd_policy_eval(options: &Options) -> Result<(), String> {
         println!("wrote evaluation trace to {path}");
     }
 
-    if options.contains_key("assert-learned-beats-fcfs") && !report.learned_beats_fcfs() {
-        return Err(format!(
+    if assert_beats_fcfs && !report.learned_beats_fcfs() {
+        let bsld = |scheme| fmt(report.scheme(scheme).mean_bounded_slowdown, 3);
+        return Err(Failure::Run(format!(
             "learned policy did not beat FCFS on mean bounded slowdown ({} vs {})",
-            fmt(
-                report
-                    .scheme(rush_sched::env::EvalScheme::Learned)
-                    .mean_bounded_slowdown,
-                3
-            ),
-            fmt(
-                report
-                    .scheme(rush_sched::env::EvalScheme::Fcfs)
-                    .mean_bounded_slowdown,
-                3
-            )
-        ));
+            bsld(rush_sched::env::EvalScheme::Learned),
+            bsld(rush_sched::env::EvalScheme::Fcfs)
+        )));
     }
     Ok(())
 }
@@ -819,52 +806,51 @@ fn cmd_policy_eval(options: &Options) -> Result<(), String> {
 /// synthesized stream → reorder window → streaming engine, with per-job
 /// result folding so memory tracks the live-job population. Ingest
 /// diagnostics are printed here — the library stays silent.
-fn cmd_replay(options: &Options) -> Result<(), String> {
+fn cmd_replay(mut args: Args) -> Result<(), Failure> {
     use rush_core::replay::{self, EstimatesMode, JobStream, ReplaySettings, REPLAY_MACHINE_NODES};
     use rush_workloads::swf::SwfReader;
     use rush_workloads::synth::{synthesize, SynthSpec};
     use std::io::BufReader;
 
-    let trace = options.get("trace").cloned();
-    let lenient = options.contains_key("lenient");
-    let target = match options.get("synthesize") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--synthesize: expected job count, got '{v}'"))?,
-        ),
-    };
-    if trace.is_none() && target.is_none() {
-        return Err("replay needs --trace FILE, --synthesize N, or both".into());
-    }
+    let trace: Option<String> = args.opt("trace")?;
+    let lenient = args.flag("lenient")?;
+    let target: Option<u64> = args.opt("synthesize")?;
     let spec = SynthSpec {
         target_jobs: target.unwrap_or(0),
-        arrival_scale: get_f64(options, "arrival-scale", 1.0)?,
-        gap_secs: get_u64(options, "gap", 60)?,
+        arrival_scale: args.get("arrival-scale", 1.0)?,
+        gap_secs: args.get("gap", 60)?,
     };
-    if spec.arrival_scale <= 0.0 || !spec.arrival_scale.is_finite() {
-        return Err("--arrival-scale must be a positive factor".into());
-    }
     let settings = ReplaySettings {
-        seed: get_u64(options, "seed", 7)?,
-        est_factor: get_f64(options, "est-factor", 1.5)?,
-        cores_per_node: get_u64(options, "cores-per-node", 36)? as u32,
-        max_nodes: get_u64(options, "max-nodes", 4096)? as u32,
-        reorder_window: SimDuration::from_secs(get_u64(options, "window", 600)?),
-        train_jobs: get_u64(options, "train-jobs", 5_000)? as usize,
+        seed: args.get("seed", 7)?,
+        est_factor: args.get("est-factor", 1.5)?,
+        cores_per_node: args.get("cores-per-node", 36)?,
+        max_nodes: args.get("max-nodes", 4096)?,
+        reorder_window: SimDuration::from_secs(args.get("window", 600)?),
+        train_jobs: args.get("train-jobs", 5_000)?,
         fold: true,
     };
-    let modes: Vec<EstimatesMode> = match options.get("estimates").map(String::as_str) {
-        None | Some("factor") => vec![EstimatesMode::Factor],
-        Some("user") => vec![EstimatesMode::User],
-        Some("learned") => vec![EstimatesMode::Learned],
-        Some("compare") => vec![
+    let modes: Vec<EstimatesMode> = match args.get("estimates", String::from("factor"))?.as_str() {
+        "factor" => vec![EstimatesMode::Factor],
+        "user" => vec![EstimatesMode::User],
+        "learned" => vec![EstimatesMode::Learned],
+        "compare" => vec![
             EstimatesMode::Factor,
             EstimatesMode::User,
             EstimatesMode::Learned,
         ],
-        Some(other) => return Err(format!("unknown estimates mode '{other}'")),
+        other => return Err(usage(format!("unknown estimates mode '{other}'"))),
     };
+    let verify_prefix: Option<usize> = args.opt("verify-prefix")?;
+    let max_rss_mib: Option<u64> = args.opt("max-rss-mib")?;
+    args.finish()?;
+    if trace.is_none() && target.is_none() {
+        return Err(usage(
+            "replay needs --trace FILE, --synthesize N, or both".into(),
+        ));
+    }
+    if spec.arrival_scale <= 0.0 || !spec.arrival_scale.is_finite() {
+        return Err(usage("--arrival-scale must be a positive factor".into()));
+    }
 
     // Ingest pass: validate the trace once, surface diagnostics here (the
     // parser never prints), and materialize the synthesis seed if tiling.
@@ -902,7 +888,7 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
                 }
             }
             if jobs.is_empty() {
-                return Err(format!("{path}: no usable jobs"));
+                return Err(Failure::Run(format!("{path}: no usable jobs")));
             }
             Some(jobs)
         }
@@ -916,10 +902,7 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
         }
     };
 
-    if let Some(prefix) = options.get("verify-prefix") {
-        let prefix: usize = prefix
-            .parse()
-            .map_err(|_| format!("--verify-prefix: expected count, got '{prefix}'"))?;
+    if let Some(prefix) = verify_prefix {
         let checked = replay::verify_prefix(make_stream(), &settings, prefix)?;
         println!("verified streaming ≡ materialized on a {checked}-request prefix");
     }
@@ -988,18 +971,15 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
 
     if let Some(rss) = replay::peak_rss_mib() {
         println!("peak rss: {rss} MiB");
-        if let Some(limit) = options.get("max-rss-mib") {
-            let limit: u64 = limit
-                .parse()
-                .map_err(|_| format!("--max-rss-mib: expected MiB, got '{limit}'"))?;
-            if rss > limit {
-                return Err(format!(
-                    "peak RSS {rss} MiB exceeds the {limit} MiB ceiling"
-                ));
-            }
+        if let Some(limit) = max_rss_mib.filter(|&limit| rss > limit) {
+            return Err(Failure::Run(format!(
+                "peak RSS {rss} MiB exceeds the {limit} MiB ceiling"
+            )));
         }
-    } else if options.contains_key("max-rss-mib") {
-        return Err("--max-rss-mib: /proc/self/status is unavailable".into());
+    } else if max_rss_mib.is_some() {
+        return Err(Failure::Run(
+            "--max-rss-mib: /proc/self/status is unavailable".into(),
+        ));
     }
     Ok(())
 }
@@ -1015,39 +995,17 @@ fn run_checkpointed(
     campaign: &CampaignData,
     experiment: Experiment,
     settings: &ExperimentSettings,
-    options: &Options,
-) -> Result<(), String> {
-    let every = options
-        .get("checkpoint-every")
-        .map(|v| {
-            v.parse::<u64>()
-                .ok()
-                .filter(|&s| s > 0)
-                .ok_or_else(|| format!("--checkpoint-every: expected positive seconds, got '{v}'"))
-        })
-        .transpose()?
-        .map(SimDuration::from_secs);
-    let keep = get_u64(options, "checkpoint-keep", 3)? as usize;
-    let dir = options
-        .get("checkpoint-dir")
-        .cloned()
-        .unwrap_or_else(|| "checkpoints".to_string());
-    let stop_at = options
-        .get("stop-after")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(SimTime::from_secs)
-                .map_err(|_| format!("--stop-after: expected seconds as integer, got '{v}'"))
-        })
-        .transpose()?;
-
+    ckpt: &Checkpointing,
+    trace_out: Option<&str>,
+    metrics_out: Option<&str>,
+) -> Result<(), Failure> {
     let (mut engine, requests) =
         build_trial_engine(experiment, PolicyKind::Rush, campaign, settings, 0);
     engine.prepare(&requests);
 
-    if let Some(path) = options.get("resume") {
+    if let Some(path) = &ckpt.resume {
         let bytes = if Path::new(path).is_dir() {
-            let mgr = CheckpointManager::new(path, keep).map_err(|e| e.to_string())?;
+            let mgr = CheckpointManager::new(path, ckpt.keep).map_err(|e| e.to_string())?;
             let (found, bytes) = mgr
                 .load_latest_valid()
                 .map_err(|e| e.to_string())?
@@ -1067,12 +1025,14 @@ fn run_checkpointed(
         );
     }
 
-    let manager = every
-        .map(|_| CheckpointManager::new(&dir, keep))
+    let dir = ckpt.dir.as_deref().unwrap_or("checkpoints");
+    let manager = ckpt
+        .every
+        .map(|_| CheckpointManager::new(dir, ckpt.keep))
         .transpose()
         .map_err(|e| e.to_string())?;
     let audit_at_checkpoints = settings.audit.enabled() && !settings.audit.every_event;
-    let mut next_ckpt = every.map(|d| engine.now() + d);
+    let mut next_ckpt = ckpt.every.map(|d| engine.now() + d);
 
     let checkpoint =
         |engine: &mut rush_sched::SchedulerEngine, mgr: &CheckpointManager| -> Result<(), String> {
@@ -1096,10 +1056,10 @@ fn run_checkpointed(
         if let (Some(mgr), Some(next)) = (&manager, next_ckpt) {
             if now >= next {
                 checkpoint(&mut engine, mgr)?;
-                next_ckpt = Some(now + every.expect("manager implies interval"));
+                next_ckpt = Some(now + ckpt.every.expect("manager implies interval"));
             }
         }
-        if stop_at.is_some_and(|stop| now >= stop) && !engine.is_done() {
+        if ckpt.stop_at.is_some_and(|stop| now >= stop) && !engine.is_done() {
             if let Some(mgr) = &manager {
                 checkpoint(&mut engine, mgr)?;
             }
@@ -1117,20 +1077,7 @@ fn run_checkpointed(
     // every snapshot, so a resumed run's full export is byte-identical to
     // the uninterrupted run's — which is exactly what the CI drift lane
     // compares.
-    if let Some(path) = options.get("trace-out") {
-        let body = rush_obs::tracer::records_to_jsonl(&result.events);
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {} trace events to {path}", result.events.len());
-    }
-    if let Some(path) = options.get("metrics-out") {
-        let body = if path.ends_with(".csv") {
-            result.metrics.to_csv()
-        } else {
-            result.metrics.to_json()
-        };
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote metrics registry to {path}");
-    }
+    export(&result, trace_out, metrics_out)?;
     let mut table = TextTable::new(["metric", "value"]);
     table.row(["completed".to_string(), result.completed.len().to_string()]);
     table.row(["failed".to_string(), result.failed.len().to_string()]);

@@ -10,9 +10,8 @@
 //! worker pool:
 //!
 //! * **Parallel** — independent nodes run concurrently on
-//!   [`RunOptions::workers`] OS threads. The inner trial parallelism
-//!   (rayon) and the outer pool share one thread budget; see
-//!   [`default_workers`].
+//!   [`RunOptions::workers`] OS threads, one per core by default (see
+//!   [`default_workers`]); the trials inside a node run sequentially.
 //! * **Atomic** — each node's `results/<output>` is written to a `.tmp`
 //!   sibling and renamed into place (the [`crate::checkpoint`] discipline),
 //!   so a crash mid-write never leaves a truncated artifact.
@@ -30,6 +29,7 @@
 //! artifact text; the orchestrator owns all I/O, which is what makes the
 //! outputs byte-identical to the serial per-binary runs.
 
+use rush_simkit::snapshot::fnv1a;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs;
@@ -411,16 +411,6 @@ impl Manifest {
     }
 }
 
-/// FNV-1a over arbitrary bytes — the content-hash primitive.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Writes `bytes` to `path` via a `.tmp` sibling + rename, creating parent
 /// directories as needed. The tmp name embeds the pid so concurrent
 /// writers never clobber each other's partial files; rename settles the
@@ -438,13 +428,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Picks the outer worker-pool size for a machine with `cores` logical
-/// cores when each node runs `inner_threads` of its own (the rayon trial
-/// parallelism): total threads ≈ cores. The vendored rayon stub is
-/// sequential (`inner_threads` = 1), so the pool defaults to one worker
-/// per core.
-pub fn default_workers(cores: usize, inner_threads: usize) -> usize {
-    (cores / inner_threads.max(1)).max(1)
+/// Picks the worker-pool size for a machine with `cores` logical cores:
+/// one worker per core, at least one. Each node runs on a single thread.
+pub fn default_workers(cores: usize) -> usize {
+    cores.max(1)
 }
 
 /// Options for one [`execute`] run.
@@ -1224,7 +1211,11 @@ mod tests {
         assert_eq!(manifest, report.manifest);
         assert_eq!(manifest.entries.len(), 2);
         assert_eq!(manifest.entry("a").unwrap().status, NodeStatus::Fresh);
-        assert_eq!(manifest.entry("b").unwrap().content_hash, fnv1a(b"beta\n"));
+        // A literal, so manifests written by earlier builds stay skippable.
+        assert_eq!(
+            manifest.entry("b").unwrap().content_hash,
+            0x0b0b_885e_a629_85f7
+        );
         // No stray tmp files.
         assert!(fs::read_dir(&dir).unwrap().all(|e| !e
             .unwrap()
@@ -1580,10 +1571,9 @@ mod tests {
 
     #[test]
     fn default_workers_budget() {
-        assert_eq!(default_workers(8, 1), 8);
-        assert_eq!(default_workers(8, 4), 2);
-        assert_eq!(default_workers(2, 16), 1);
-        assert_eq!(default_workers(0, 0), 1);
+        assert_eq!(default_workers(8), 8);
+        assert_eq!(default_workers(1), 1);
+        assert_eq!(default_workers(0), 1);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! manages the on-disk engine snapshots behind crash-safe long campaigns
 //! (atomic writes, retention, corruption fallback); [`campaign`] is the
 //! artifact orchestrator that regenerates every table/figure of the
-//! evaluation as a parallel, resumable DAG run.
+//! evaluation as a parallel, resumable DAG run; [`args`] is the strict
+//! command-line reader of the `rush` and `run_all` binaries.
 
+pub mod args;
 pub mod campaign;
 pub mod campaign_io;
 pub mod checkpoint;

@@ -265,3 +265,54 @@ fn trace_out_reports_write_failures() {
     assert!(!out.status.success());
     assert!(stderr_of(&out).contains("cannot write"));
 }
+
+/// Runs `rush` and asserts a usage error: exit status 2, `message` on
+/// stderr, and no file at `out` (the command never started its work).
+fn assert_usage_error(args: &[&str], out: &std::path::Path, message: &str) {
+    let result = rush().args(args).output().expect("spawn rush");
+    assert_eq!(result.status.code(), Some(2), "{args:?}: {result:?}");
+    let err = stderr_of(&result);
+    assert!(
+        err.contains(message),
+        "{args:?}: stderr lacks {message:?}: {err}"
+    );
+    assert!(!out.exists(), "{args:?} wrote {}", out.display());
+}
+
+#[test]
+fn usage_errors_exit_2_before_any_work() {
+    let out = temp_dir("usage").join("out.txt");
+    let path = out.to_str().unwrap();
+    let campaign = campaign_file().to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["schedule", "--campaign", campaign, "--tarce-out", path],
+            "unknown option --tarce-out (did you mean --trace-out?)",
+        ),
+        (
+            &["collect", "--dayz", "3", "--out", path],
+            "unknown option --dayz (did you mean --days?)",
+        ),
+        (
+            &["collect", "--days", "1", "--out", path, "--days", "2"],
+            "--days given more than once",
+        ),
+        (
+            &["collect", "--out", path, "--days"],
+            "--days requires a value",
+        ),
+        // A flag of another subcommand.
+        (
+            &["collect", "--trials", "3", "--out", path],
+            "unknown option --trials",
+        ),
+        // Checked, not wrapped to a 1-day campaign.
+        (
+            &["collect", "--days", "4294967297", "--out", path],
+            "--days: expected integer in 0..=4294967295, got '4294967297'",
+        ),
+    ];
+    for (args, message) in cases {
+        assert_usage_error(args, &out, message);
+    }
+}

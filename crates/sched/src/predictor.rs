@@ -102,8 +102,8 @@ pub struct PredictorCtx<'a> {
 
 /// A variability oracle consulted in `Start()`.
 ///
-/// `Send` so whole engines can run on rayon workers (one per experiment
-/// trial).
+/// `Send` so whole engines can move to worker threads (the pod-sharded
+/// campaigns run one shard per thread).
 pub trait VariabilityPredictor: Send {
     /// Predicts the variability class of launching `job` on `nodes` now.
     ///

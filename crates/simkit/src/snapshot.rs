@@ -557,14 +557,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a hash of a string — the configuration fingerprint primitive.
-pub fn fingerprint_str(s: &str) -> u64 {
+/// 64-bit FNV-1a over bytes — the fingerprint and content-hash primitive.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// [`fnv1a`] of a string — the configuration fingerprint primitive.
+pub fn fingerprint_str(s: &str) -> u64 {
+    fnv1a(s.as_bytes())
 }
 
 #[cfg(test)]
@@ -682,6 +687,11 @@ mod tests {
     fn fingerprint_is_stable_and_discriminating() {
         assert_eq!(fingerprint_str("abc"), fingerprint_str("abc"));
         assert_ne!(fingerprint_str("abc"), fingerprint_str("abd"));
+        // Published FNV-1a vectors: stored fingerprints and manifest
+        // content hashes depend on these exact values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fingerprint_str("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
