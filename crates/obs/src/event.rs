@@ -2,10 +2,11 @@
 //!
 //! Every decision point in the scheduler and ML pipeline emits exactly one
 //! [`ObsEvent`] describing *what was decided*, stamped with simulation
-//! time and a monotone sequence number. Payloads are integers and enums
-//! only — no floats derived from wall time, no hash-ordered collections —
-//! so a trace is a pure function of the run's seeds and serializes to
-//! byte-identical JSONL across runs and platforms.
+//! time and a sequence number equal to its index in the run's append-only
+//! log. Payloads are integers and enums only — no floats derived from wall
+//! time, no hash-ordered collections — so a log is a pure function of the
+//! run's seeds and serializes to byte-identical JSONL across runs and
+//! platforms.
 
 use crate::json::JsonObject;
 use rush_simkit::snapshot::{SnapshotError, Val};
@@ -226,6 +227,11 @@ pub enum ObsEvent {
     },
 }
 
+/// Payload field count of each [`ObsEvent::to_val`] tag, indexed by tag.
+const ARITY: [usize; 27] = [
+    1, 3, 2, 1, 2, 2, 1, 2, 2, 3, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2, 1, 2, 1, 2, 3, 3,
+];
+
 impl ObsEvent {
     /// Stable `kind` label used in trace output.
     pub fn kind(&self) -> &'static str {
@@ -291,6 +297,26 @@ impl ObsEvent {
             | ObsEvent::PolicyTrainRound { .. }
             | ObsEvent::PolicyEvaluated { .. } => None,
         }
+    }
+
+    /// True for the ten job and node lifecycle kinds (submitted, started,
+    /// skipped, killed, requeued, failed, finished, rejected, node down,
+    /// node up): the instants at which the engine samples its queue-length
+    /// and busy-node series.
+    pub fn is_lifecycle(&self) -> bool {
+        matches!(
+            self,
+            ObsEvent::JobSubmitted { .. }
+                | ObsEvent::JobStarted { .. }
+                | ObsEvent::JobSkipped { .. }
+                | ObsEvent::JobKilled { .. }
+                | ObsEvent::JobRequeued { .. }
+                | ObsEvent::JobFailed { .. }
+                | ObsEvent::JobFinished { .. }
+                | ObsEvent::JobRejected { .. }
+                | ObsEvent::NodeDown { .. }
+                | ObsEvent::NodeUp { .. }
+        )
     }
 
     /// Encodes the event as a compact integer list `[tag, fields...]` for
@@ -377,7 +403,9 @@ impl ObsEvent {
         }
     }
 
-    /// Decodes an event encoded by [`ObsEvent::to_val`].
+    /// Decodes an event encoded by [`ObsEvent::to_val`]. A list whose length
+    /// does not match its tag, or a `u32` field above `u32::MAX`, is a
+    /// [`SnapshotError::Schema`] error.
     pub fn from_val(v: &Val) -> Result<Self, SnapshotError> {
         let items = v.as_list()?;
         let field = |i: usize| -> Result<u64, SnapshotError> {
@@ -386,30 +414,46 @@ impl ObsEvent {
                 .ok_or_else(|| SnapshotError::Schema("short event".to_string()))?
                 .as_u64()
         };
-        Ok(match field(0)? {
+        let small = |i: usize| -> Result<u32, SnapshotError> {
+            let x = field(i)?;
+            u32::try_from(x)
+                .map_err(|_| SnapshotError::Schema(format!("event field {i} = {x} exceeds u32")))
+        };
+        let tag = field(0)?;
+        match usize::try_from(tag).ok().and_then(|t| ARITY.get(t)) {
+            Some(&n) if items.len() == n + 1 => {}
+            Some(&n) => {
+                return Err(SnapshotError::Schema(format!(
+                    "event tag {tag} takes {n} fields, got {}",
+                    items.len() - 1
+                )));
+            }
+            None => return Err(SnapshotError::Schema(format!("event tag {tag}"))),
+        }
+        Ok(match tag {
             0 => ObsEvent::JobSubmitted { job: field(1)? },
             1 => ObsEvent::JobStarted {
                 job: field(1)?,
-                nodes: field(2)? as u32,
-                skips: field(3)? as u32,
+                nodes: small(2)?,
+                skips: small(3)?,
             },
             2 => ObsEvent::JobSkipped {
                 job: field(1)?,
-                skips: field(2)? as u32,
+                skips: small(2)?,
             },
             3 => ObsEvent::JobKilled { job: field(1)? },
             4 => ObsEvent::JobRequeued {
                 job: field(1)?,
-                attempt: field(2)? as u32,
+                attempt: small(2)?,
             },
             5 => ObsEvent::JobFailed {
                 job: field(1)?,
-                attempts: field(2)? as u32,
+                attempts: small(2)?,
             },
             6 => ObsEvent::JobFinished { job: field(1)? },
             7 => ObsEvent::PredictorVerdict {
                 job: field(1)?,
-                class: field(2)? as u32,
+                class: small(2)?,
             },
             8 => ObsEvent::PredictorFallback {
                 job: field(1)?,
@@ -424,85 +468,73 @@ impl ObsEvent {
             9 => ObsEvent::BackfillReservation {
                 job: field(1)?,
                 shadow_start_us: field(2)?,
-                extra_nodes: field(3)? as u32,
+                extra_nodes: small(3)?,
             },
-            10 => ObsEvent::NodeDown {
-                node: field(1)? as u32,
-            },
-            11 => ObsEvent::NodeUp {
-                node: field(1)? as u32,
-            },
-            12 => ObsEvent::NodeTrusted {
-                node: field(1)? as u32,
-            },
+            10 => ObsEvent::NodeDown { node: small(1)? },
+            11 => ObsEvent::NodeUp { node: small(1)? },
+            12 => ObsEvent::NodeTrusted { node: small(1)? },
             13 => ObsEvent::AuditViolation {
-                invariant: field(1)? as u32,
+                invariant: small(1)?,
                 detail: field(2)?,
             },
             14 => ObsEvent::PredictorDrift {
-                score_milli: field(1)? as u32,
+                score_milli: small(1)?,
             },
             15 => ObsEvent::PredictorRetrain {
-                version: field(1)? as u32,
-                samples: field(2)? as u32,
+                version: small(1)?,
+                samples: small(2)?,
             },
             16 => ObsEvent::PredictorShadowStart {
-                version: field(1)? as u32,
-                decisions: field(2)? as u32,
+                version: small(1)?,
+                decisions: small(2)?,
             },
             17 => ObsEvent::PredictorSwap {
-                from_version: field(1)? as u32,
-                to_version: field(2)? as u32,
+                from_version: small(1)?,
+                to_version: small(2)?,
             },
             18 => ObsEvent::PredictorRollback {
-                from_version: field(1)? as u32,
-                to_version: field(2)? as u32,
+                from_version: small(1)?,
+                to_version: small(2)?,
             },
             19 => ObsEvent::JobRejected {
                 job: field(1)?,
-                nodes: field(2)? as u32,
-                capacity: field(3)? as u32,
+                nodes: small(2)?,
+                capacity: small(3)?,
             },
             20 => ObsEvent::NodeDegraded {
-                node: field(1)? as u32,
-                factor_milli: field(2)? as u32,
+                node: small(1)?,
+                factor_milli: small(2)?,
             },
-            21 => ObsEvent::NodeRestored {
-                node: field(1)? as u32,
-            },
+            21 => ObsEvent::NodeRestored { node: small(1)? },
             22 => ObsEvent::StormStarted {
-                region: field(1)? as u32,
-                intensity_milli: field(2)? as u32,
+                region: small(1)?,
+                intensity_milli: small(2)?,
             },
-            23 => ObsEvent::StormEnded {
-                region: field(1)? as u32,
-            },
+            23 => ObsEvent::StormEnded { region: small(1)? },
             24 => ObsEvent::NodeFlapped {
-                node: field(1)? as u32,
-                cycles: field(2)? as u32,
+                node: small(1)?,
+                cycles: small(2)?,
             },
             25 => ObsEvent::PolicyTrainRound {
-                round: field(1)? as u32,
+                round: small(1)?,
                 best_bsld_milli: field(2)?,
                 elite_bsld_milli: field(3)?,
             },
             26 => ObsEvent::PolicyEvaluated {
-                scheme: field(1)? as u32,
+                scheme: small(1)?,
                 bsld_milli: field(2)?,
-                episodes: field(3)? as u32,
+                episodes: small(3)?,
             },
-            other => {
-                return Err(SnapshotError::Schema(format!("event tag {other}")));
-            }
+            _ => unreachable!("ARITY covers exactly the known tags"),
         })
     }
 }
 
-/// A traced event: sequence number, simulation timestamp, payload.
+/// One entry of a run's event log: sequence number, simulation timestamp,
+/// payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventRecord {
-    /// Monotone per-trace sequence number (0-based; gaps never occur —
-    /// ring-buffer eviction drops from the *front*).
+    /// The record's index in its log (0-based, contiguous).
     pub seq: u64,
     /// Simulation time of the event.
     pub at: SimTime,
@@ -615,6 +647,44 @@ impl EventRecord {
         };
         obj.finish()
     }
+}
+
+/// Renders records as JSON Lines (one `\n`-terminated object per record).
+/// Byte-deterministic for identical logs.
+pub fn records_to_jsonl(records: &[EventRecord]) -> String {
+    let mut out = String::new();
+    for r in records {
+        out.push_str(&r.to_json_line());
+        out.push('\n');
+    }
+    out
+}
+
+/// Snapshot encoding of a log: one `[t_us, event]` pair per record. The
+/// sequence numbers are not stored, since each equals its record's index.
+pub fn records_to_val(records: &[EventRecord]) -> Val {
+    Val::List(
+        records
+            .iter()
+            .map(|r| Val::List(vec![Val::U64(r.at.as_micros()), r.event.to_val()]))
+            .collect(),
+    )
+}
+
+/// Inverse of [`records_to_val`]; each record's `seq` is its index.
+pub fn records_from_val(v: &Val) -> Result<Vec<EventRecord>, SnapshotError> {
+    v.as_list()?
+        .iter()
+        .enumerate()
+        .map(|(i, pair)| match pair.as_list()? {
+            [at, event] => Ok(EventRecord {
+                seq: i as u64,
+                at: SimTime::from_micros(at.as_u64()?),
+                event: ObsEvent::from_val(event)?,
+            }),
+            _ => Err(SnapshotError::Schema(format!("log record {i}"))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -841,5 +911,65 @@ mod tests {
         for e in variants {
             assert_eq!(ObsEvent::from_val(&e.to_val()).unwrap(), e);
         }
+
+        let list = |items: &[u64]| Val::List(items.iter().copied().map(Val::U64).collect());
+        let rejected = |v: Val| {
+            assert!(
+                matches!(ObsEvent::from_val(&v), Err(SnapshotError::Schema(_))),
+                "{v:?} must be a schema error"
+            );
+        };
+        // A u32 field above u32::MAX is rejected, not truncated.
+        let too_big = u64::from(u32::MAX) + 1;
+        rejected(list(&[1, 1, too_big, 0]));
+        rejected(list(&[10, too_big]));
+        assert_eq!(
+            ObsEvent::from_val(&list(&[10, u64::from(u32::MAX)])).unwrap(),
+            ObsEvent::NodeDown { node: u32::MAX }
+        );
+        // The list length must match the tag: no trailing items, none short.
+        rejected(list(&[0, 3, 0]));
+        rejected(list(&[9, 4, 123_456, 7, 1]));
+        rejected(list(&[1, 1, 64]));
+        rejected(list(&[0]));
+        // Unknown tags and enum values stay errors.
+        rejected(list(&[27, 0]));
+        rejected(list(&[8, 2, 2]));
+    }
+
+    #[test]
+    fn records_render_as_json_lines_and_round_trip() {
+        let records: Vec<EventRecord> = [
+            ObsEvent::JobSubmitted { job: 1 },
+            ObsEvent::JobStarted {
+                job: 1,
+                nodes: 4,
+                skips: 0,
+            },
+            ObsEvent::JobFinished { job: 1 },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, event)| EventRecord {
+            seq: i as u64,
+            at: SimTime::from_secs(5 * i as u64),
+            event,
+        })
+        .collect();
+        let jsonl = records_to_jsonl(&records);
+        assert_eq!(jsonl.lines().count(), 3);
+        assert!(jsonl.starts_with("{\"seq\":0,\"t_us\":0,\"kind\":\"job_submitted\""));
+        assert!(jsonl.ends_with("\"kind\":\"job_finished\",\"job\":1}\n"));
+        assert_eq!(
+            records_from_val(&records_to_val(&records)).unwrap(),
+            records
+        );
+
+        // A record that is not a `[t_us, event]` pair is a schema error.
+        let bad = Val::List(vec![Val::List(vec![Val::U64(0)])]);
+        assert!(matches!(
+            records_from_val(&bad),
+            Err(SnapshotError::Schema(_))
+        ));
     }
 }

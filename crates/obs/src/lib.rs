@@ -8,12 +8,12 @@
 //! in their recorded artifacts so that identical seeds produce identical
 //! bytes:
 //!
-//! * [`event`] / [`tracer`] — structured, seed-deterministic event records
-//!   (job lifecycle, predictor verdicts and fallbacks, node health
-//!   transitions, backfill reservations) collected into a ring-buffered
-//!   [`tracer::EventTracer`] and exportable as canonical JSON Lines. A
-//!   trace is a replayable artifact: two runs with the same seeds emit
-//!   byte-identical JSONL, which the golden-trace tests pin down.
+//! * [`event`] — structured, seed-deterministic event records (job
+//!   lifecycle, predictor verdicts and fallbacks, node health transitions,
+//!   backfill reservations). The scheduler keeps every record of a run in
+//!   one append-only log, exportable as canonical JSON Lines. A log is a
+//!   replayable artifact: two runs with the same seeds emit byte-identical
+//!   JSONL, which the golden-trace tests pin down.
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of named counters,
 //!   gauges and histograms (reusing [`rush_simkit::histogram::Histogram`])
 //!   that subsystems register into; exports to JSON and CSV alongside the
@@ -33,9 +33,7 @@ pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod tracer;
 
-pub use event::{EventRecord, FallbackReason, ObsEvent};
+pub use event::{records_to_jsonl, EventRecord, FallbackReason, ObsEvent};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use profile::ProfileScope;
-pub use tracer::EventTracer;

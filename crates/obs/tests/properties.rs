@@ -1,9 +1,9 @@
-//! Property-based tests for the observability layer: tracer ring
-//! invariants, JSONL determinism, and registry export stability.
+//! Property-based tests for the observability layer: the event-log codec,
+//! JSONL determinism, and registry export stability.
 
 use proptest::prelude::*;
-use rush_obs::tracer::records_to_jsonl;
-use rush_obs::{EventTracer, MetricsRegistry, ObsEvent};
+use rush_obs::event::{records_from_val, records_to_val};
+use rush_obs::{records_to_jsonl, EventRecord, MetricsRegistry, ObsEvent};
 use rush_simkit::time::SimTime;
 
 fn arb_event() -> impl Strategy<Value = ObsEvent> {
@@ -24,43 +24,36 @@ fn arb_event() -> impl Strategy<Value = ObsEvent> {
     ]
 }
 
+/// The log a run would keep for `events`: one record per event, `seq` equal
+/// to its index, timestamps in simulation order.
+fn log_of(events: &[(u64, ObsEvent)]) -> Vec<EventRecord> {
+    let mut sorted = events.to_vec();
+    sorted.sort_by_key(|&(t, _)| t);
+    sorted
+        .into_iter()
+        .enumerate()
+        .map(|(i, (t, event))| EventRecord {
+            seq: i as u64,
+            at: SimTime::from_secs(t),
+            event,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn tracer_preserves_order_and_sequences(
+    fn log_codec_round_trips_every_record(
         events in proptest::collection::vec((0u64..10_000, arb_event()), 0..200),
-        cap in 1usize..64,
     ) {
-        let mut sorted = events.clone();
-        sorted.sort_by_key(|&(t, _)| t);
-
-        let mut tr = EventTracer::enabled(cap);
-        for &(t, e) in &sorted {
-            tr.emit(SimTime::from_secs(t), e);
-        }
-
-        // Emitted = evicted + held; the ring never exceeds its capacity.
-        prop_assert_eq!(tr.emitted(), sorted.len() as u64);
-        prop_assert_eq!(tr.evicted() + tr.len() as u64, tr.emitted());
-        prop_assert!(tr.len() <= cap);
-
-        // Sequence numbers are contiguous and end at emitted - 1; event
-        // timestamps are monotone in sequence order (sim-time ordering).
-        let recs: Vec<_> = tr.records().collect();
-        for pair in recs.windows(2) {
-            prop_assert_eq!(pair[1].seq, pair[0].seq + 1);
-            prop_assert!(pair[1].at >= pair[0].at);
-        }
-        if let Some(last) = recs.last() {
-            prop_assert_eq!(last.seq, tr.emitted() - 1);
-        }
-
-        // The held suffix is exactly the tail of what was emitted.
-        let tail = &sorted[sorted.len() - tr.len()..];
-        for (rec, &(t, e)) in recs.iter().zip(tail) {
-            prop_assert_eq!(rec.at, SimTime::from_secs(t));
-            prop_assert_eq!(rec.event, e);
+        // The snapshot codec stores no sequence numbers: decoding restores
+        // each as its index, so a log survives the round trip exactly.
+        let log = log_of(&events);
+        let decoded = records_from_val(&records_to_val(&log)).expect("valid log decodes");
+        prop_assert_eq!(&decoded, &log);
+        for (i, r) in decoded.iter().enumerate() {
+            prop_assert_eq!(r.seq, i as u64);
         }
     }
 
@@ -68,33 +61,17 @@ proptest! {
     fn identical_streams_serialize_to_identical_bytes(
         events in proptest::collection::vec((0u64..10_000, arb_event()), 0..100),
     ) {
-        let run = || {
-            let mut tr = EventTracer::enabled(1 << 16);
-            for &(t, e) in &events {
-                tr.emit(SimTime::from_secs(t), e);
-            }
-            tr.to_jsonl()
-        };
-        let a = run();
-        let b = run();
+        let a = records_to_jsonl(&log_of(&events));
+        let b = records_to_jsonl(&log_of(&events));
         prop_assert_eq!(&a, &b);
-        // take_records + records_to_jsonl is the same serialization path.
-        let mut tr = EventTracer::enabled(1 << 16);
-        for &(t, e) in &events {
-            tr.emit(SimTime::from_secs(t), e);
-        }
-        prop_assert_eq!(records_to_jsonl(&tr.take_records()), a);
+        prop_assert_eq!(a.lines().count(), events.len());
     }
 
     #[test]
     fn jsonl_lines_are_parseable_shape(
         events in proptest::collection::vec((0u64..10_000, arb_event()), 1..50),
     ) {
-        let mut tr = EventTracer::enabled(1 << 16);
-        for &(t, e) in &events {
-            tr.emit(SimTime::from_secs(t), e);
-        }
-        for line in tr.to_jsonl().lines() {
+        for line in records_to_jsonl(&log_of(&events)).lines() {
             prop_assert!(line.starts_with("{\"seq\":"), "{}", line);
             prop_assert!(line.ends_with('}'), "{}", line);
             prop_assert!(line.contains("\"t_us\":"), "{}", line);

@@ -364,7 +364,7 @@ fn export(
     metrics: Option<&str>,
 ) -> Result<(), String> {
     if let Some(path) = trace {
-        let body = rush_obs::tracer::records_to_jsonl(&result.events);
+        let body = rush_obs::records_to_jsonl(&result.events);
         std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {} trace events to {path}", result.events.len());
     }
@@ -469,8 +469,6 @@ fn cmd_schedule(mut args: Args) -> Result<(), Failure> {
         base_seed: seed,
         job_count_override: jobs,
         faults,
-        trace_capacity: (trace_out.is_some() || metrics_out.is_some())
-            .then_some(rush_obs::tracer::DEFAULT_CAPACITY),
         audit,
         service,
         shift_at,
@@ -1073,7 +1071,7 @@ fn run_checkpointed(
     }
 
     let result = engine.finalize();
-    // Trace/metrics exports mirror the plain path: the tracer rides in
+    // Trace/metrics exports mirror the plain path: the event log rides in
     // every snapshot, so a resumed run's full export is byte-identical to
     // the uninterrupted run's — which is exactly what the CI drift lane
     // compares.

@@ -256,10 +256,6 @@ pub struct ExperimentSettings {
     /// fault seed by `k` so paired policies face the *same* fault timeline
     /// while distinct trials face distinct ones.
     pub faults: FaultConfig,
-    /// Structured-event ring capacity. `None` (the default) leaves tracing
-    /// off; `Some(cap)` makes each trial's `ScheduleResult.events` carry up
-    /// to `cap` records for `--trace-out`-style exports.
-    pub trace_capacity: Option<usize>,
     /// Runtime invariant auditor (default: off). Enabled by the CLI's
     /// `--audit` flag for long checkpointed campaigns.
     pub audit: rush_sched::audit::AuditConfig,
@@ -295,7 +291,6 @@ impl Default for ExperimentSettings {
             placement: rush_cluster::placement::PlacementPolicy::LowestId,
             backfill: BackfillPolicy::Easy,
             faults: FaultConfig::none(),
-            trace_capacity: None,
             audit: rush_sched::audit::AuditConfig::default(),
             model_cache: ModelCache::new(),
             service: ServiceConfig::default(),
@@ -419,9 +414,6 @@ pub fn build_trial_engine(
     }
     if let Some(at) = settings.shift_at {
         engine = engine.with_regime_shift(at, SimTime::MAX, rush_cluster::noise::Regime::Storm);
-    }
-    if let Some(cap) = settings.trace_capacity {
-        engine = engine.with_tracing(cap);
     }
     (engine, requests)
 }

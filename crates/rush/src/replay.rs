@@ -309,7 +309,7 @@ pub fn compare_estimates(
 
 /// Byte-level equivalence check on a bounded prefix: the first `prefix`
 /// requests replayed through the streaming path and through the
-/// materialized path must produce identical traces and outcomes. Returns
+/// materialized path must produce identical event logs and outcomes. Returns
 /// the prefix length actually verified.
 pub fn verify_prefix(
     jobs: JobStream,
@@ -329,8 +329,8 @@ pub fn verify_prefix(
     let streamed = replay_engine(&unfolded, EstimateSource::Factor)
         .run_streaming(Box::new(IterSource::new(ordered.clone().into_iter())));
 
-    if materialized.trace.events() != streamed.trace.events() {
-        return Err("streaming trace diverged from materialized trace".into());
+    if materialized.events != streamed.events {
+        return Err("streaming event log diverged from materialized event log".into());
     }
     if materialized.completed != streamed.completed
         || materialized.failed != streamed.failed

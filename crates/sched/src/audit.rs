@@ -34,7 +34,7 @@ pub enum AuditPolicy {
     /// No auditing at all (the zero-cost default).
     #[default]
     Off,
-    /// Record the violation (stderr + `audit.violations` + tracer event)
+    /// Record the violation (stderr + `audit.violations` + log record)
     /// and keep going.
     Log,
     /// Panic on the first violation — for CI and bench matrices, where a
@@ -66,7 +66,7 @@ impl AuditConfig {
 }
 
 /// The audited invariants. Indices are stable: they appear in snapshots,
-/// tracer events, and CI output, and must never be renumbered.
+/// log records, and CI output, and must never be renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
     /// Pool slots partition the machine and busy nodes are accounted for.
@@ -85,7 +85,7 @@ impl Invariant {
     /// Number of invariants in the catalog.
     pub const COUNT: u64 = 5;
 
-    /// Stable index (snapshot/tracer encoding).
+    /// Stable index (snapshot/log encoding).
     pub fn index(self) -> u32 {
         match self {
             Invariant::NodeConservation => 0,
@@ -114,7 +114,7 @@ pub struct Violation {
     /// Which invariant failed.
     pub invariant: Invariant,
     /// Invariant-specific context (a job id, node id, or count), carried
-    /// into the tracer event.
+    /// into the log record.
     pub detail: u64,
     /// Human-readable description.
     pub message: String,

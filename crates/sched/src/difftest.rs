@@ -5,10 +5,10 @@
 //! simulator is driven, never what it decides. This module makes that
 //! contract mechanically checkable — build one seeded scenario, run it two
 //! ways (serial vs. parallel shards, materialized vs. streamed requests),
-//! and compare the results *byte for byte*: the encoded schedule trace,
-//! every completed and failed job's placement and timing, and the outcome
-//! scalars. On mismatch the harness names the first diverging trace event
-//! — the actionable datum when bisecting a determinism regression —
+//! and compare the results *byte for byte*: the encoded event log and load
+//! series, every completed and failed job's placement and timing, and the
+//! outcome scalars. On mismatch the harness names the first diverging log
+//! record — the actionable datum when bisecting a determinism regression —
 //! instead of a bare `assert_eq` dump of two multi-megabyte structures.
 //!
 //! The same comparison, folded into one [`outcome_digest`] per scenario,
@@ -24,12 +24,13 @@ use crate::metrics::RuntimeReference;
 use crate::policy::{LearnedPolicy, PolicySpec};
 use crate::predictor::{NeverVaries, PredictError, PredictorCtx, VariabilityClass};
 use crate::service::{LabeledSample, LoadedModel, OnlineModelHost, ServiceConfig};
+use crate::trace::log_to_val;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rush_cluster::machine::{Machine, MachineConfig};
 use rush_cluster::topology::{FatTreeConfig, NodeId};
 use rush_simkit::fault::FaultConfig;
-use rush_simkit::snapshot::{self, Snapshot};
+use rush_simkit::snapshot::{self, Val};
 use rush_simkit::time::SimDuration;
 use rush_workloads::apps::AppId;
 use rush_workloads::jobgen::{generate_jobs, WorkloadSpec};
@@ -210,7 +211,7 @@ impl OnlineModelHost for ThresholdHost {
 /// One observed difference between two runs of the same scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which comparison failed (`trace[i]`, `outcomes`, a scalar name...).
+    /// Which comparison failed (`log[i]`, `outcomes`, a scalar name...).
     pub what: String,
     /// The two sides, rendered.
     pub left: String,
@@ -230,10 +231,10 @@ impl std::fmt::Display for Divergence {
 /// The verdict of [`diff_results`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffOutcome {
-    /// Traces byte-identical, outcomes equal.
+    /// Logs byte-identical, outcomes equal.
     Identical,
     /// At least one difference; ordered most-diagnostic first (first
-    /// diverging trace event, then outcome set, then scalars).
+    /// diverging log record, then outcome set, then scalars).
     Diverged(Vec<Divergence>),
 }
 
@@ -288,40 +289,45 @@ pub fn outcome_scalars(result: &ScheduleResult) -> [(&'static str, u64); 7] {
 }
 
 /// One 64-bit digest of everything [`diff_results`] compares: the
-/// canonical trace encoding, the [`outcome_key`] and the
-/// [`outcome_scalars`]. Two runs with equal digests are (up to hash
-/// collisions) identical under [`diff_results`], so a committed digest
-/// pins a scenario's behaviour without committing its trace.
+/// canonical log encoding (records and load series), the [`outcome_key`]
+/// and the [`outcome_scalars`]. Two runs with equal digests are (up to
+/// hash collisions) identical under [`diff_results`], so a committed
+/// digest pins a scenario's behaviour without committing its log.
 pub fn outcome_digest(result: &ScheduleResult) -> u64 {
     snapshot::fingerprint_str(&format!(
         "{}|{:?}|{:?}",
-        result.trace.to_val().render(),
+        log_val(result).render(),
         outcome_key(result),
         outcome_scalars(result)
     ))
 }
 
+/// The encoded log of a run: its records and load series.
+fn log_val(result: &ScheduleResult) -> Val {
+    log_to_val(&result.events, &result.trace)
+}
+
 /// Compares two runs of the same scenario.
 ///
-/// The schedule traces are compared twice: element-wise, to name the first
-/// diverging event by index (the bisection handle), and as encoded bytes
-/// (`snapshot::encode` of the full trace including queue-length and
-/// busy-node series), so a divergence in the load series alone cannot hide
-/// behind an identical event list. Outcome sets and scalars follow.
+/// The logs are compared twice: record by record, to name the first
+/// diverging record by index (the bisection handle), and as encoded bytes
+/// (`snapshot::encode` of the records plus the queue-length and busy-node
+/// series), so a divergence in the load series alone cannot hide behind
+/// identical records. Outcome sets and scalars follow.
 pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcome {
     let mut diffs = Vec::new();
 
-    let le = left.trace.events();
-    let re = right.trace.events();
+    let le = &left.events;
+    let re = &right.events;
     if let Some(i) = (0..le.len().min(re.len())).find(|&i| le[i] != re[i]) {
         diffs.push(Divergence {
             what: format!(
-                "trace[{i}] (first diverging event of {} vs {})",
+                "log[{i}] (first diverging record of {} vs {})",
                 le.len(),
                 re.len()
             ),
-            left: format!("{:?} @ {}", le[i].1, le[i].0),
-            right: format!("{:?} @ {}", re[i].1, re[i].0),
+            left: format!("{:?} @ {}", le[i].event, le[i].at),
+            right: format!("{:?} @ {}", re[i].event, re[i].at),
         });
     } else if le.len() != re.len() {
         let (longer, at) = if le.len() > re.len() {
@@ -330,22 +336,22 @@ pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcom
             (re, le.len())
         };
         diffs.push(Divergence {
-            what: format!("trace length (common prefix of {at} events matches)"),
-            left: format!("{} events", le.len()),
+            what: format!("log length (common prefix of {at} records matches)"),
+            left: format!("{} records", le.len()),
             right: format!(
-                "{} events (next unmatched: {:?} @ {})",
+                "{} records (next unmatched: {:?} @ {})",
                 re.len(),
-                longer[at].1,
-                longer[at].0
+                longer[at].event,
+                longer[at].at
             ),
         });
     }
 
-    let lb = snapshot::encode(0, 0, 0, &left.trace.to_val());
-    let rb = snapshot::encode(0, 0, 0, &right.trace.to_val());
+    let lb = snapshot::encode(0, 0, 0, &log_val(left));
+    let rb = snapshot::encode(0, 0, 0, &log_val(right));
     if lb != rb && diffs.is_empty() {
         diffs.push(Divergence {
-            what: "encoded trace bytes (event lists match; load series differ)".to_string(),
+            what: "encoded log bytes (records match; load series differ)".to_string(),
             left: format!("{} bytes", lb.len()),
             right: format!("{} bytes", rb.len()),
         });
@@ -386,7 +392,7 @@ pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcom
 /// Runs `scenario` through materialized `prepare` and through streaming
 /// `prepare_streaming` over the same requests, and diffs the results. The
 /// engine-seeding contract: the two paths deliver the identical event
-/// sequence — same seq numbers, same trace bytes, same outcomes.
+/// sequence — same seq numbers, same log bytes, same outcomes.
 pub fn diff_seeding(scenario: &DiffScenario) -> DiffOutcome {
     let requests = scenario.workload();
     let materialized = scenario.build_engine().run(&requests);
@@ -441,8 +447,8 @@ mod tests {
         match diff_results(&a, &b) {
             DiffOutcome::Diverged(diffs) => {
                 assert!(
-                    diffs[0].what.starts_with("trace["),
-                    "first divergence should be a trace event, got {}",
+                    diffs[0].what.starts_with("log["),
+                    "first divergence should be a log record, got {}",
                     diffs[0].what
                 );
             }

@@ -22,7 +22,7 @@ use crate::profile::AvailabilityProfile;
 use crate::retry::RetryPolicy;
 use crate::service::{OnlineModelHost, PredictorService, ServiceConfig, ServiceEvent};
 use crate::source::JobSource;
-use crate::trace::{ScheduleTrace, TraceEvent};
+use crate::trace::{log_from_val, log_to_val, ScheduleTrace};
 use rand::Rng;
 use rush_cluster::machine::{Machine, NodeHealth, SourceId};
 use rush_cluster::noise::{Regime, RegimeOverride};
@@ -30,7 +30,7 @@ use rush_cluster::placement::{NodePool, PlacementPolicy};
 use rush_cluster::topology::NodeId;
 use rush_obs::metrics::{CounterId, GaugeId, HistogramId};
 use rush_obs::profile as obs_profile;
-use rush_obs::{EventRecord, EventTracer, FallbackReason, MetricsRegistry, ObsEvent, ProfileScope};
+use rush_obs::{EventRecord, FallbackReason, MetricsRegistry, ObsEvent, ProfileScope};
 use rush_simkit::event::{EventEntry, EventKey, EventQueue, QueueStats};
 use rush_simkit::fault::{FaultConfig, FaultKind, FaultSchedule};
 use rush_simkit::histogram::Histogram;
@@ -566,10 +566,11 @@ pub struct ScheduleResult {
     pub requeues: u64,
     /// Node crashes that fired during the run.
     pub node_failures: u64,
-    /// The recorded event timeline and load series.
+    /// The queue-length and busy-node series, sampled at every lifecycle
+    /// record of `events`. Empty under completion folding.
     pub trace: ScheduleTrace,
-    /// Structured observability events, in emission order. Empty unless
-    /// the engine was built with tracing enabled ([`SchedulerEngine::with_tracing`]).
+    /// The run's complete event log: every decision, in emission order,
+    /// with `seq` equal to the index. Empty under completion folding.
     pub events: Vec<EventRecord>,
     /// Registry-backed metrics for this run (`sched.*` namespace).
     pub metrics: MetricsRegistry,
@@ -666,8 +667,9 @@ pub struct SchedulerEngine {
     /// stale finish event from before a kill can never match a restarted
     /// job's fresh generation.
     next_gen: u64,
+    /// The append-only event log ([`ScheduleResult::events`]).
+    log: Vec<EventRecord>,
     trace: ScheduleTrace,
-    tracer: EventTracer,
     registry: MetricsRegistry,
     counters: SchedCounters,
 }
@@ -726,17 +728,17 @@ impl SchedulerEngine {
             pending_submits: 0,
             queue_dirty: false,
             next_gen: 0,
+            log: Vec::new(),
             trace: ScheduleTrace::new(),
-            tracer: EventTracer::disabled(),
             registry,
             counters,
         }
     }
 
-    /// Enables structured event tracing with a ring of `capacity` records.
-    /// Disabled by default; when disabled every emission is a single branch.
-    pub fn with_tracing(mut self, capacity: usize) -> Self {
-        self.tracer = EventTracer::enabled(capacity);
+    /// No-op: the event log is always complete. Kept only because the
+    /// benchmark package still calls it; it goes with the next change to
+    /// that package.
+    pub fn with_tracing(self, _capacity: usize) -> Self {
         self
     }
 
@@ -816,7 +818,7 @@ impl SchedulerEngine {
     /// An empty request set prepares trivially (the run completes with no
     /// outcomes); a request larger than the schedulable pool is *not* an
     /// error here — it is rejected at its submission instant, with a
-    /// [`TraceEvent::Rejected`] event and the `sched.jobs_rejected`
+    /// [`ObsEvent::JobRejected`] record and the `sched.jobs_rejected`
     /// counter, so both this path and the streaming one account for it
     /// identically.
     pub fn prepare(&mut self, requests: &[JobRequest]) {
@@ -1032,9 +1034,8 @@ impl SchedulerEngine {
                     // modes — instead of wedging the queue head forever
                     // (or panicking at prepare, as this engine once did).
                     self.replay.rejected += 1;
-                    self.record(now, TraceEvent::Rejected(job.id));
                     self.registry.inc(self.counters.jobs_rejected);
-                    self.tracer.emit(
+                    self.emit(
                         now,
                         ObsEvent::JobRejected {
                             job: job.id.0,
@@ -1043,10 +1044,8 @@ impl SchedulerEngine {
                         },
                     );
                 } else {
-                    self.record(now, TraceEvent::Submitted(job.id));
                     self.registry.inc(self.counters.jobs_submitted);
-                    self.tracer
-                        .emit(now, ObsEvent::JobSubmitted { job: job.id.0 });
+                    self.emit(now, ObsEvent::JobSubmitted { job: job.id.0 });
                     self.enqueue_job(job);
                     self.schedule_pass(now);
                 }
@@ -1109,8 +1108,7 @@ impl SchedulerEngine {
                     self.machine.trust_node(node);
                     self.pool.mark_up(node);
                     self.registry.inc(self.counters.nodes_trusted);
-                    self.tracer
-                        .emit(now, ObsEvent::NodeTrusted { node: node.0 });
+                    self.emit(now, ObsEvent::NodeTrusted { node: node.0 });
                     self.schedule_pass(now);
                 }
             }
@@ -1189,7 +1187,7 @@ impl SchedulerEngine {
             requeues: self.registry.counter(self.counters.requeues),
             node_failures: self.registry.counter(self.counters.node_failures),
             trace: std::mem::take(&mut self.trace),
-            events: self.tracer.take_records(),
+            events: std::mem::take(&mut self.log),
             metrics: self.registry.clone(),
             event_queue: queue_stats,
             replay: self.replay,
@@ -1216,8 +1214,7 @@ impl SchedulerEngine {
                 self.registry.inc(self.counters.node_failures);
                 self.machine.fail_node(node);
                 self.pool.mark_down(node);
-                self.record(now, TraceEvent::NodeDown(n));
-                self.tracer.emit(now, ObsEvent::NodeDown { node: n });
+                self.emit(now, ObsEvent::NodeDown { node: n });
                 // Kill everything running on the crashed node.
                 let victims: Vec<JobId> = self
                     .running
@@ -1253,8 +1250,7 @@ impl SchedulerEngine {
                 // stays quarantined until the probation ends.
                 self.machine.recover_node(node);
                 self.registry.inc(self.counters.node_recoveries);
-                self.record(now, TraceEvent::NodeUp(n));
-                self.tracer.emit(now, ObsEvent::NodeUp { node: n });
+                self.emit(now, ObsEvent::NodeUp { node: n });
                 self.events
                     .schedule(now + self.config.faults.suspect_probation, Ev::Trust(n));
             }
@@ -1262,15 +1258,14 @@ impl SchedulerEngine {
                 let id = NodeId(node);
                 self.machine.degrade_node(id, factor_milli);
                 self.registry.inc(self.counters.node_degrades);
-                self.tracer
-                    .emit(now, ObsEvent::NodeDegraded { node, factor_milli });
+                self.emit(now, ObsEvent::NodeDegraded { node, factor_milli });
                 // The straggler slows every job sharing it from this instant.
                 self.refresh_running_speeds(now, None);
             }
             FaultKind::NodeRestore(node) => {
                 self.machine.restore_node_speed(NodeId(node));
                 self.registry.inc(self.counters.node_restores);
-                self.tracer.emit(now, ObsEvent::NodeRestored { node });
+                self.emit(now, ObsEvent::NodeRestored { node });
                 self.refresh_running_speeds(now, None);
             }
             FaultKind::CongestionStorm {
@@ -1279,7 +1274,7 @@ impl SchedulerEngine {
             } => {
                 self.machine.start_storm(region, intensity_milli);
                 self.registry.inc(self.counters.storms);
-                self.tracer.emit(
+                self.emit(
                     now,
                     ObsEvent::StormStarted {
                         region,
@@ -1292,7 +1287,7 @@ impl SchedulerEngine {
             }
             FaultKind::StormEnd { region } => {
                 self.machine.end_storm(region);
-                self.tracer.emit(now, ObsEvent::StormEnded { region });
+                self.emit(now, ObsEvent::StormEnded { region });
                 self.refresh_running_speeds(now, None);
             }
             FaultKind::NodeFlap {
@@ -1307,7 +1302,7 @@ impl SchedulerEngine {
                 // crash process degrades to counted no-ops instead of
                 // double-releasing capacity.
                 self.registry.inc(self.counters.node_flaps);
-                self.tracer.emit(
+                self.emit(
                     now,
                     ObsEvent::NodeFlapped {
                         node,
@@ -1346,9 +1341,8 @@ impl SchedulerEngine {
         // Release returns healthy nodes to the pool; the crashed node stays
         // quarantined (Down with its pending-release flag cleared).
         self.pool.release(&r.nodes);
-        self.record(now, TraceEvent::Killed(id));
         self.registry.inc(self.counters.jobs_killed);
-        self.tracer.emit(now, ObsEvent::JobKilled { job: id.0 });
+        self.emit(now, ObsEvent::JobKilled { job: id.0 });
         // A killed job yields no label; its pending decision is dropped.
         if let Some(svc) = self.service.as_mut() {
             svc.observe_kill(id, now);
@@ -1360,9 +1354,8 @@ impl SchedulerEngine {
         let attempts = *attempts;
         if self.config.retry.exhausted(attempts) {
             self.delayed_until.remove(&id);
-            self.record(now, TraceEvent::Failed(id));
             self.registry.inc(self.counters.jobs_failed);
-            self.tracer.emit(
+            self.emit(
                 now,
                 ObsEvent::JobFailed {
                     job: id.0,
@@ -1383,8 +1376,7 @@ impl SchedulerEngine {
         self.registry.inc(self.counters.requeues);
         self.registry
             .record(self.counters.retry_backoff_s, backoff.as_secs_f64());
-        self.record(now, TraceEvent::Requeued(id, attempts));
-        self.tracer.emit(
+        self.emit(
             now,
             ObsEvent::JobRequeued {
                 job: id.0,
@@ -1398,10 +1390,23 @@ impl SchedulerEngine {
         self.events.schedule(now + backoff, Ev::Retry(id));
     }
 
-    /// Records a trace event with the current queue/busy snapshot.
-    fn record(&mut self, at: SimTime, event: TraceEvent) {
-        let busy = self.pool.busy_count();
-        self.trace.record(at, event, self.queue.len(), busy);
+    /// Appends one record to the event log; a lifecycle record also
+    /// samples the queue-length and busy-node series. Under completion
+    /// folding nothing is kept, so a streamed replay's memory does not
+    /// grow with its length.
+    fn emit(&mut self, at: SimTime, event: ObsEvent) {
+        if self.fold_completions {
+            return;
+        }
+        if event.is_lifecycle() {
+            self.trace
+                .sample(at, self.queue.len(), self.pool.busy_count());
+        }
+        self.log.push(EventRecord {
+            seq: self.log.len() as u64,
+            at,
+            event,
+        });
     }
 
     /// Advances machine time and telemetry sampling to `now`. Retention
@@ -1515,11 +1520,10 @@ impl SchedulerEngine {
         );
         self.machine.remove_load(SourceId(id.0));
         self.pool.release(&r.nodes);
-        self.record(now, TraceEvent::Finished(id));
         self.registry.inc(self.counters.jobs_finished);
         self.registry
             .record(self.counters.run_s, now.since(r.start_at).as_secs_f64());
-        self.tracer.emit(now, ObsEvent::JobFinished { job: id.0 });
+        self.emit(now, ObsEvent::JobFinished { job: id.0 });
         // The completed job is a labeled outcome for the online service:
         // its actual runtime grades the prediction made at launch.
         if let Some(svc) = self.service.as_mut() {
@@ -1674,7 +1678,7 @@ impl SchedulerEngine {
         };
         let blocked_id = blocked.id;
         self.registry.inc(self.counters.backfill_reservations);
-        self.tracer.emit(
+        self.emit(
             now,
             ObsEvent::BackfillReservation {
                 job: blocked_id.0,
@@ -1843,21 +1847,18 @@ impl SchedulerEngine {
         for ev in events {
             match ev {
                 ServiceEvent::DriftDetected { score_milli } => {
-                    self.tracer
-                        .emit(now, ObsEvent::PredictorDrift { score_milli });
+                    self.emit(now, ObsEvent::PredictorDrift { score_milli });
                 }
                 ServiceEvent::Retrained { version, samples } => {
                     self.registry.inc(self.counters.predictor_retrains);
-                    self.tracer
-                        .emit(now, ObsEvent::PredictorRetrain { version, samples });
+                    self.emit(now, ObsEvent::PredictorRetrain { version, samples });
                 }
                 ServiceEvent::ShadowStarted { version, decisions } => {
-                    self.tracer
-                        .emit(now, ObsEvent::PredictorShadowStart { version, decisions });
+                    self.emit(now, ObsEvent::PredictorShadowStart { version, decisions });
                 }
                 ServiceEvent::Swapped { from, to } => {
                     self.registry.inc(self.counters.predictor_swaps);
-                    self.tracer.emit(
+                    self.emit(
                         now,
                         ObsEvent::PredictorSwap {
                             from_version: from,
@@ -1867,7 +1868,7 @@ impl SchedulerEngine {
                 }
                 ServiceEvent::RolledBack { from, to } => {
                     self.registry.inc(self.counters.predictor_rollbacks);
-                    self.tracer.emit(
+                    self.emit(
                         now,
                         ObsEvent::PredictorRollback {
                             from_version: from,
@@ -1909,7 +1910,7 @@ impl SchedulerEngine {
             StartConsult::Verdict(class) => {
                 launch_prediction = Some(class);
                 self.registry.inc(self.counters.predictor_verdicts);
-                self.tracer.emit(
+                self.emit(
                     now,
                     ObsEvent::PredictorVerdict {
                         job: job.id.0,
@@ -1923,7 +1924,7 @@ impl SchedulerEngine {
                     FallbackReason::ModelError => self.counters.fallback_model_error,
                 };
                 self.registry.inc(counter);
-                self.tracer.emit(
+                self.emit(
                     now,
                     ObsEvent::PredictorFallback {
                         job: job.id.0,
@@ -1939,8 +1940,7 @@ impl SchedulerEngine {
             *self.skip_table.entry(job.id).or_insert(0) += 1;
             let skips = self.skip_table[&job.id];
             self.registry.inc(self.counters.skips);
-            self.record(now, TraceEvent::Delayed(job.id, skips));
-            self.tracer.emit(
+            self.emit(
                 now,
                 ObsEvent::JobSkipped {
                     job: job.id.0,
@@ -1982,11 +1982,10 @@ impl SchedulerEngine {
 
         let id = job.id;
         let skips = self.skip_table.get(&id).copied().unwrap_or(0);
-        self.record(now, TraceEvent::Started(id));
         self.registry.inc(self.counters.jobs_started);
         self.registry
             .record(self.counters.wait_s, now.since(job.submit_at).as_secs_f64());
-        self.tracer.emit(
+        self.emit(
             now,
             ObsEvent::JobStarted {
                 job: id.0,
@@ -2210,9 +2209,8 @@ impl SchedulerEngine {
             .with("pool", self.pool.snapshot_state())
             .with("store", self.store.to_val())
             .with("sampler", self.sampler.snapshot_state())
-            .with("tracer", self.tracer.to_val())
             .with("registry", self.registry.to_val())
-            .with("trace", self.trace.to_val());
+            .with("log", log_to_val(&self.log, &self.trace));
         if let Some(svc) = &self.service {
             body = body.with("service", svc.to_val());
         }
@@ -2417,9 +2415,8 @@ impl SchedulerEngine {
         let r2 = PolicySpec::from_val(&pl[1])?;
 
         let store = MetricStore::from_val(b.get("store")?)?;
-        let tracer = EventTracer::from_val(b.get("tracer")?)?;
         let registry = MetricsRegistry::from_val(b.get("registry")?)?;
-        let trace = ScheduleTrace::from_val(b.get("trace")?)?;
+        let (log, trace) = log_from_val(b.get("log")?)?;
 
         // The snapshot's online-service state and the engine's wiring must
         // agree: a service snapshot can only restore into an engine built
@@ -2486,8 +2483,8 @@ impl SchedulerEngine {
         self.config.r2 = r2;
         self.next_gen = b.u("next_gen")?;
         self.store = store;
-        self.tracer = tracer;
         self.registry = registry;
+        self.log = log;
         self.trace = trace;
         Ok(())
     }
@@ -2518,7 +2515,7 @@ impl SchedulerEngine {
         }
         for v in &violations {
             self.registry.inc(self.counters.audit_violations);
-            self.tracer.emit(
+            self.emit(
                 now,
                 ObsEvent::AuditViolation {
                     invariant: v.invariant.index(),
@@ -2724,6 +2721,14 @@ mod tests {
                 user_est_secs: None,
             })
             .collect()
+    }
+
+    /// The log records of one `ObsEvent::kind`.
+    fn records_of<'a>(
+        r: &'a ScheduleResult,
+        kind: &'a str,
+    ) -> impl Iterator<Item = &'a EventRecord> + 'a {
+        r.events.iter().filter(move |rec| rec.event.kind() == kind)
     }
 
     fn engine(predictor: Box<dyn VariabilityPredictor>) -> SchedulerEngine {
@@ -3147,11 +3152,7 @@ mod tests {
         let result = eng.run(&requests(1, 17));
         assert!(result.completed.is_empty() && result.failed.is_empty());
         assert_eq!(result.replay.rejected, 1);
-        assert!(result
-            .trace
-            .events()
-            .iter()
-            .any(|&(_, e)| e == TraceEvent::Rejected(JobId(0))));
+        assert!(records_of(&result, "job_rejected").any(|r| r.event.job() == Some(0)));
     }
 
     #[test]
@@ -3184,9 +3185,8 @@ mod tests {
         let mut stream = engine(Box::new(NeverVaries));
         let rb = stream.run_streaming(Box::new(crate::source::SliceSource::new(&reqs)));
         assert_eq!(
-            ra.trace.events(),
-            rb.trace.events(),
-            "streaming and materialized seeding must deliver identical event timelines"
+            ra.events, rb.events,
+            "streaming and materialized seeding must deliver identical event logs"
         );
         let key = |r: &ScheduleResult| {
             let mut k: Vec<_> = r
@@ -3274,24 +3274,9 @@ mod tests {
             "no job may be lost to a fault"
         );
         // Every kill is followed by either a requeue or a failure record.
-        let kills = result
-            .trace
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::Killed(_)))
-            .count();
-        let requeues = result
-            .trace
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::Requeued(_, _)))
-            .count();
-        let fails = result
-            .trace
-            .events()
-            .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::Failed(_)))
-            .count();
+        let kills = records_of(&result, "job_killed").count();
+        let requeues = records_of(&result, "job_requeued").count();
+        let fails = records_of(&result, "job_failed").count();
         assert_eq!(kills, requeues + fails);
     }
 
@@ -3305,17 +3290,14 @@ mod tests {
         let backoff = RetryPolicy::default().base_backoff;
         let mut checked = 0;
         for c in &result.completed {
-            let events = result.trace.events_of(c.job.id);
-            let Some(&(killed_at, _)) = events
-                .iter()
-                .find(|(_, e)| matches!(e, TraceEvent::Killed(_)))
-            else {
+            let of_job =
+                |kind| records_of(&result, kind).filter(|r| r.event.job() == Some(c.job.id.0));
+            let Some(killed_at) = of_job("job_killed").map(|r| r.at).next() else {
                 continue;
             };
-            let restart = events
-                .iter()
-                .filter(|&&(at, e)| matches!(e, TraceEvent::Started(_)) && at > killed_at)
-                .map(|&(at, _)| at)
+            let restart = of_job("job_started")
+                .map(|r| r.at)
+                .filter(|&at| at > killed_at)
                 .min()
                 .expect("killed-then-completed job must restart");
             assert!(
@@ -3599,14 +3581,14 @@ mod tests {
         // below), no job may *start* on node n.
         let mut down_since: HashMap<u32, SimTime> = HashMap::new();
         let mut up_at: HashMap<u32, SimTime> = HashMap::new();
-        for &(at, e) in result.trace.events() {
-            match e {
-                TraceEvent::NodeDown(n) => {
-                    down_since.insert(n, at);
+        for r in &result.events {
+            match r.event {
+                ObsEvent::NodeDown { node: n } => {
+                    down_since.insert(n, r.at);
                     up_at.remove(&n);
                 }
-                TraceEvent::NodeUp(n) => {
-                    up_at.insert(n, at);
+                ObsEvent::NodeUp { node: n } => {
+                    up_at.insert(n, r.at);
                 }
                 _ => {}
             }
@@ -3634,7 +3616,7 @@ mod tests {
 
     /// Everything observable about a finished run, flattened to text so two
     /// runs can be compared byte for byte: completion records, failure
-    /// records, counters, the schedule trace, the obs event stream, and the
+    /// records, counters, the encoded event log and load series, and the
     /// full metrics dump.
     fn run_fingerprint(r: &ScheduleResult) -> String {
         use std::fmt::Write as _;
@@ -3656,10 +3638,7 @@ mod tests {
             r.total_skips, r.max_queue_len, r.fallback_decisions, r.requeues, r.node_failures
         )
         .unwrap();
-        for &(at, e) in r.trace.events() {
-            writeln!(s, "T {at} {e:?}").unwrap();
-        }
-        s.push_str(&rush_obs::tracer::records_to_jsonl(&r.events));
+        s.push_str(&log_to_val(&r.events, &r.trace).render());
         s.push_str(&r.metrics.to_json());
         s
     }
@@ -3667,7 +3646,6 @@ mod tests {
     fn crashy_engine() -> SchedulerEngine {
         let machine = Machine::new(MachineConfig::tiny(7));
         SchedulerEngine::new(machine, crashy_config(13), Box::new(NeverVaries), 42)
-            .with_tracing(1 << 14)
     }
 
     #[test]
@@ -3735,7 +3713,6 @@ mod tests {
         let build = || {
             let machine = Machine::new(MachineConfig::tiny(7));
             SchedulerEngine::new(machine, crashy_config(13), Box::new(AlwaysVaries), 42)
-                .with_tracing(1 << 14)
         };
 
         let mut base = build();
@@ -3746,24 +3723,15 @@ mod tests {
         assert!(
             baseline.completed.iter().any(|c| {
                 c.skips > 0
-                    && baseline
-                        .trace
-                        .events_of(c.job.id)
-                        .iter()
-                        .any(|(_, e)| matches!(e, TraceEvent::Killed(_)))
+                    && records_of(&baseline, "job_killed")
+                        .any(|r| r.event.job() == Some(c.job.id.0))
             }),
             "fixture must complete a job that was both delayed and killed"
         );
 
         // Checkpoint just after the first requeue, so the snapshot carries
         // a killed job's skip history.
-        let first_requeue = baseline
-            .trace
-            .events()
-            .iter()
-            .find(|(_, e)| matches!(e, TraceEvent::Requeued(_, _)))
-            .map(|&(at, _)| at)
-            .unwrap();
+        let first_requeue = records_of(&baseline, "job_requeued").next().unwrap().at;
         let cut = first_requeue + SimDuration::from_secs(1);
         let mut victim = build();
         victim.prepare(&reqs);
@@ -3856,6 +3824,103 @@ mod tests {
 
         // The pristine bytes still restore.
         fresh().resume(&bytes).expect("pristine snapshot restores");
+    }
+
+    #[test]
+    fn resume_rejects_old_trace_keys_and_malformed_log_records() {
+        let reqs = requests(4, 4);
+        let mut eng = engine(Box::new(NeverVaries));
+        eng.prepare(&reqs);
+        for _ in 0..20 {
+            eng.step();
+        }
+        let env = snapshot::decode(&eng.snapshot()).unwrap();
+        let Val::Map(entries) = &env.body else {
+            panic!("snapshot body is a map")
+        };
+        let resume = |body: Vec<(String, Val)>| {
+            let bytes = snapshot::encode(
+                env.master_seed,
+                env.sim_clock_us,
+                env.fingerprint,
+                &Val::Map(body),
+            );
+            let mut fresh = engine(Box::new(NeverVaries));
+            fresh.prepare(&reqs);
+            fresh.resume(&bytes)
+        };
+        fn records_mut(body: &mut [(String, Val)]) -> &mut Vec<Val> {
+            let Some((_, Val::Map(log))) = body.iter_mut().find(|(k, _)| k == "log") else {
+                panic!("the body has a log map")
+            };
+            let Some((_, Val::List(records))) = log.iter_mut().find(|(k, _)| k == "records") else {
+                panic!("the log has a records list")
+            };
+            records
+        }
+
+        // A body from before the one log: `trace` plus `tracer`, no `log`.
+        let mut old_keys = entries.clone();
+        let (_, log) = old_keys.iter().find(|(k, _)| k == "log").unwrap().clone();
+        old_keys.retain(|(k, _)| k != "log");
+        old_keys.push(("trace".to_string(), log));
+        old_keys.push(("tracer".to_string(), Val::map()));
+        assert_eq!(
+            resume(old_keys),
+            Err(SnapshotError::Schema("missing key 'log'".to_string()))
+        );
+
+        // Malformed records: not a pair, an unknown event tag, a u32 field
+        // out of range, an event with a trailing field.
+        let malformed = [
+            Val::List(vec![Val::U64(0)]),
+            Val::List(vec![
+                Val::U64(0),
+                Val::List(vec![Val::U64(99), Val::U64(0)]),
+            ]),
+            Val::List(vec![
+                Val::U64(0),
+                Val::List(vec![Val::U64(10), Val::U64(1 << 40)]),
+            ]),
+            Val::List(vec![
+                Val::U64(0),
+                Val::List(vec![Val::U64(0), Val::U64(1), Val::U64(2)]),
+            ]),
+        ];
+        for bad in malformed {
+            let mut body = entries.clone();
+            records_mut(&mut body)[0] = bad.clone();
+            let got = resume(body);
+            assert!(
+                matches!(got, Err(SnapshotError::Schema(_))),
+                "{bad:?} must be a schema error, got {got:?}"
+            );
+        }
+
+        // The untouched body still restores.
+        resume(entries.clone()).expect("pristine body restores");
+    }
+
+    #[test]
+    fn folded_run_keeps_no_log_or_series() {
+        let reqs = requests(8, 4);
+        let mut eng = engine(Box::new(NeverVaries)).with_completion_folding();
+        let result = eng.run(&reqs);
+        assert_eq!(result.replay.completed, 8);
+        assert!(result.events.is_empty());
+        assert!(result.trace.queue_len_series().is_empty());
+        assert!(result.trace.busy_nodes_series().is_empty());
+
+        // The same run unfolded logs every lifecycle record.
+        let full = engine(Box::new(NeverVaries)).run(&reqs);
+        assert_eq!(records_of(&full, "job_finished").count(), 8);
+        assert_eq!(
+            full.trace.queue_len_series().len(),
+            full.events
+                .iter()
+                .filter(|r| r.event.is_lifecycle())
+                .count()
+        );
     }
 
     // ----- invariant auditor --------------------------------------------
@@ -4178,7 +4243,6 @@ mod tests {
             42,
         )
         .with_online_predictor(Box::new(TieHost), reference, "9.9".to_string())
-        .with_tracing(1 << 16)
     }
 
     #[test]
@@ -4306,8 +4370,7 @@ mod tests {
             },
             Box::new(NeverVaries),
             42,
-        )
-        .with_tracing(1 << 16);
+        );
         plain.prepare(&reqs);
         assert!(
             plain.resume(&with_service).is_err(),
@@ -4401,7 +4464,6 @@ mod tests {
     fn perf_faulty_engine() -> SchedulerEngine {
         let machine = Machine::new(MachineConfig::tiny(7));
         SchedulerEngine::new(machine, perf_fault_config(13), Box::new(NeverVaries), 42)
-            .with_tracing(1 << 14)
     }
 
     #[test]

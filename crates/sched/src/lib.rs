@@ -37,7 +37,7 @@
 //!   bounds) evaluated at checkpoint boundaries or after every event.
 //! * [`metrics`] — makespan, wait times, and variation counts (the
 //!   quantities of Figs. 5–11).
-//! * [`trace`] — event timeline, queue/busy series, and a text Gantt
+//! * [`trace`] — queue/busy series, the event-log codec, and a text Gantt
 //!   renderer.
 //! * [`shard`] — pod-sharded campaign execution: full-machine runs split
 //!   into independent per-pod engines, serial or one-thread-per-shard.
@@ -46,7 +46,7 @@
 //!   the whole trace in memory.
 //! * [`difftest`] — the differential equivalence harness: runs one
 //!   scenario through two engine configurations and reports the first
-//!   diverging trace event.
+//!   diverging log record.
 //! * [`chaos`] — the seeded chaos campaign: randomized performance-fault
 //!   scenarios run across FCFS/EASY/RUSH under the auditor and the
 //!   differential harness, folded into a per-scheme resilience report.
@@ -91,4 +91,4 @@ pub use shard::{
     shard_seed, CampaignResult, CampaignSummary, ShardExecution, ShardSpec, ShardedCampaign,
 };
 pub use source::{IterSource, JobSource, ReorderWindow, SliceSource};
-pub use trace::{ScheduleTrace, TraceEvent};
+pub use trace::ScheduleTrace;

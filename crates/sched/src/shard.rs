@@ -290,7 +290,7 @@ mod tests {
         for (a, b) in serial.shards.iter().zip(&parallel.shards) {
             assert_eq!(a.completed, b.completed);
             assert_eq!(a.failed.len(), b.failed.len());
-            assert_eq!(a.trace.events(), b.trace.events());
+            assert_eq!(a.events, b.events);
             assert_eq!(a.event_queue, b.event_queue);
         }
     }
@@ -355,7 +355,7 @@ mod tests {
         for (spec, got) in campaign.specs().iter().zip(&out.shards) {
             let solo = spec.run();
             assert_eq!(solo.completed, got.completed);
-            assert_eq!(solo.trace.events(), got.trace.events());
+            assert_eq!(solo.events, got.events);
         }
     }
 }

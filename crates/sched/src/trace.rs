@@ -1,168 +1,47 @@
 //! Schedule tracing: what happened, when.
 //!
-//! The engine records a [`ScheduleTrace`] as it runs: a timestamped event
-//! log (submissions, launches, RUSH delays, completions), the queue-length
-//! series, and the busy-node series. Traces power debugging, the
-//! utilization analyses of Section VI-C, and a text Gantt renderer for
-//! eyeballing schedules.
+//! The engine keeps one append-only log of [`EventRecord`]s per run
+//! (`ScheduleResult::events`) and, beside it, a [`ScheduleTrace`]: the
+//! queue-length and busy-node series sampled at every job and node
+//! lifecycle record ([`ObsEvent::is_lifecycle`]). The series power the
+//! utilization analyses of Section VI-C; a text Gantt renderer eyeballs
+//! schedules.
+//!
+//! [`ObsEvent::is_lifecycle`]: rush_obs::ObsEvent::is_lifecycle
 
-use crate::job::{CompletedJob, JobId};
+use crate::job::CompletedJob;
+use rush_obs::event::{records_from_val, records_to_val};
+use rush_obs::EventRecord;
 use rush_simkit::series::TimeSeries;
 use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
 use rush_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// One scheduling event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// A job arrived in the queue.
-    Submitted(JobId),
-    /// A job began execution.
-    Started(JobId),
-    /// RUSH pushed a job back (its new skip count attached).
-    Delayed(JobId, u32),
-    /// A job completed.
-    Finished(JobId),
-    /// A node failure killed the job mid-run.
-    Killed(JobId),
-    /// A killed job re-entered the queue (its attempt count attached).
-    Requeued(JobId, u32),
-    /// A killed job exhausted its retry budget and was reported failed.
-    Failed(JobId),
-    /// A node crashed (fault injection).
-    NodeDown(u32),
-    /// A node finished its post-repair probation and rejoined the pool.
-    NodeUp(u32),
-    /// A job was rejected at submission: its node demand exceeds the
-    /// schedulable pool and it can never start.
-    Rejected(JobId),
-}
-
-impl TraceEvent {
-    /// The job this event concerns; `None` for node-level events.
-    pub fn job(&self) -> Option<JobId> {
-        match *self {
-            TraceEvent::Submitted(j)
-            | TraceEvent::Started(j)
-            | TraceEvent::Delayed(j, _)
-            | TraceEvent::Finished(j)
-            | TraceEvent::Killed(j)
-            | TraceEvent::Requeued(j, _)
-            | TraceEvent::Failed(j)
-            | TraceEvent::Rejected(j) => Some(j),
-            TraceEvent::NodeDown(_) | TraceEvent::NodeUp(_) => None,
-        }
-    }
-
-    /// Snapshot encoding: `[tag, arg0, arg1]` with stable integer tags.
-    fn to_val(self) -> Val {
-        let (tag, a, b) = match self {
-            TraceEvent::Submitted(j) => (0, j.0, 0),
-            TraceEvent::Started(j) => (1, j.0, 0),
-            TraceEvent::Delayed(j, n) => (2, j.0, n as u64),
-            TraceEvent::Finished(j) => (3, j.0, 0),
-            TraceEvent::Killed(j) => (4, j.0, 0),
-            TraceEvent::Requeued(j, n) => (5, j.0, n as u64),
-            TraceEvent::Failed(j) => (6, j.0, 0),
-            TraceEvent::NodeDown(n) => (7, n as u64, 0),
-            TraceEvent::NodeUp(n) => (8, n as u64, 0),
-            TraceEvent::Rejected(j) => (9, j.0, 0),
-        };
-        Val::List(vec![Val::U64(tag), Val::U64(a), Val::U64(b)])
-    }
-
-    /// Inverse of [`TraceEvent::to_val`].
-    fn from_val(v: &Val) -> Result<TraceEvent, SnapshotError> {
-        let l = v.as_list()?;
-        if l.len() != 3 {
-            return Err(SnapshotError::Schema("trace event".to_string()));
-        }
-        let (tag, a, b) = (l[0].as_u64()?, l[1].as_u64()?, l[2].as_u64()?);
-        Ok(match tag {
-            0 => TraceEvent::Submitted(JobId(a)),
-            1 => TraceEvent::Started(JobId(a)),
-            2 => TraceEvent::Delayed(JobId(a), b as u32),
-            3 => TraceEvent::Finished(JobId(a)),
-            4 => TraceEvent::Killed(JobId(a)),
-            5 => TraceEvent::Requeued(JobId(a), b as u32),
-            6 => TraceEvent::Failed(JobId(a)),
-            7 => TraceEvent::NodeDown(a as u32),
-            8 => TraceEvent::NodeUp(a as u32),
-            9 => TraceEvent::Rejected(JobId(a)),
-            other => {
-                return Err(SnapshotError::Schema(format!(
-                    "bad trace event tag {other}"
-                )))
-            }
-        })
-    }
-
-    /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::Submitted(_) => "submit",
-            TraceEvent::Started(_) => "start",
-            TraceEvent::Delayed(_, _) => "delay",
-            TraceEvent::Finished(_) => "finish",
-            TraceEvent::Killed(_) => "kill",
-            TraceEvent::Requeued(_, _) => "requeue",
-            TraceEvent::Failed(_) => "fail",
-            TraceEvent::NodeDown(_) => "node-down",
-            TraceEvent::NodeUp(_) => "node-up",
-            TraceEvent::Rejected(_) => "reject",
-        }
-    }
-}
-
-/// The recorded history of one schedule run.
+/// The queue-length and busy-node series of one run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ScheduleTrace {
-    events: Vec<(SimTime, TraceEvent)>,
     queue_len: TimeSeries,
     busy_nodes: TimeSeries,
 }
 
 impl ScheduleTrace {
-    /// An empty trace.
+    /// Empty series.
     pub fn new() -> Self {
         ScheduleTrace::default()
     }
 
-    /// Records one event plus the instantaneous queue/busy state.
-    pub fn record(&mut self, at: SimTime, event: TraceEvent, queue_len: usize, busy_nodes: usize) {
-        self.events.push((at, event));
+    /// Samples the instantaneous queue/busy state at `at`.
+    pub fn sample(&mut self, at: SimTime, queue_len: usize, busy_nodes: usize) {
         self.queue_len.push(at, queue_len as f64);
         self.busy_nodes.push(at, busy_nodes as f64);
     }
 
-    /// All events, in time order.
-    pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Events concerning one job, in time order.
-    pub fn events_of(&self, job: JobId) -> Vec<(SimTime, TraceEvent)> {
-        self.events
-            .iter()
-            .filter(|(_, e)| e.job() == Some(job))
-            .copied()
-            .collect()
-    }
-
-    /// Number of delay events recorded.
-    pub fn delay_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|(_, e)| matches!(e, TraceEvent::Delayed(_, _)))
-            .count()
-    }
-
-    /// The queue-length series sampled at every event.
+    /// The queue-length series.
     pub fn queue_len_series(&self) -> &TimeSeries {
         &self.queue_len
     }
 
-    /// The busy-node series sampled at every event.
+    /// The busy-node series.
     pub fn busy_nodes_series(&self) -> &TimeSeries {
         &self.busy_nodes
     }
@@ -177,15 +56,6 @@ impl ScheduleTrace {
 impl Snapshot for ScheduleTrace {
     fn to_val(&self) -> Val {
         Val::map()
-            .with(
-                "events",
-                Val::List(
-                    self.events
-                        .iter()
-                        .map(|&(at, e)| Val::List(vec![Val::U64(at.as_micros()), e.to_val()]))
-                        .collect(),
-                ),
-            )
             .with("queue_len", self.queue_len.to_val())
             .with("busy_nodes", self.busy_nodes.to_val())
     }
@@ -193,23 +63,25 @@ impl Snapshot for ScheduleTrace {
 
 impl Restorable for ScheduleTrace {
     fn from_val(v: &Val) -> Result<Self, SnapshotError> {
-        let mut events = Vec::new();
-        for pair in v.l("events")? {
-            let l = pair.as_list()?;
-            if l.len() != 2 {
-                return Err(SnapshotError::Schema("trace record".to_string()));
-            }
-            events.push((
-                SimTime::from_micros(l[0].as_u64()?),
-                TraceEvent::from_val(&l[1])?,
-            ));
-        }
         Ok(ScheduleTrace {
-            events,
             queue_len: TimeSeries::from_val(v.get("queue_len")?)?,
             busy_nodes: TimeSeries::from_val(v.get("busy_nodes")?)?,
         })
     }
+}
+
+/// The encoding of a run's log and its series: the `log` key of an engine
+/// snapshot, and what `difftest::outcome_digest` hashes.
+pub fn log_to_val(records: &[EventRecord], trace: &ScheduleTrace) -> Val {
+    trace.to_val().with("records", records_to_val(records))
+}
+
+/// Inverse of [`log_to_val`].
+pub fn log_from_val(v: &Val) -> Result<(Vec<EventRecord>, ScheduleTrace), SnapshotError> {
+    Ok((
+        records_from_val(v.get("records")?)?,
+        ScheduleTrace::from_val(v)?,
+    ))
 }
 
 /// Renders completed jobs as a text Gantt chart: one row per job (earliest
@@ -265,8 +137,9 @@ pub fn gantt(completed: &[CompletedJob], width: usize, max_rows: usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Job;
+    use crate::job::{Job, JobId};
     use rush_cluster::topology::NodeId;
+    use rush_obs::ObsEvent;
     use rush_workloads::apps::AppId;
     use rush_workloads::scaling::ScalingMode;
 
@@ -296,32 +169,42 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_and_filters() {
+    fn log_round_trips_through_val() {
         let mut trace = ScheduleTrace::new();
-        trace.record(t(0), TraceEvent::Submitted(JobId(1)), 1, 0);
-        trace.record(t(5), TraceEvent::Delayed(JobId(1), 1), 1, 0);
-        trace.record(t(10), TraceEvent::Started(JobId(1)), 0, 4);
-        trace.record(t(20), TraceEvent::Finished(JobId(1)), 0, 0);
-        trace.record(t(25), TraceEvent::Submitted(JobId(2)), 1, 0);
-
-        assert_eq!(trace.events().len(), 5);
-        assert_eq!(trace.delay_count(), 1);
-        let of1 = trace.events_of(JobId(1));
-        assert_eq!(of1.len(), 4);
-        assert_eq!(of1[1].1, TraceEvent::Delayed(JobId(1), 1));
-        assert_eq!(of1[1].1.label(), "delay");
-        assert_eq!(of1[1].1.job(), Some(JobId(1)));
-        assert_eq!(TraceEvent::NodeDown(3).job(), None);
-        assert_eq!(TraceEvent::NodeUp(3).label(), "node-up");
-        assert_eq!(TraceEvent::Killed(JobId(1)).job(), Some(JobId(1)));
+        trace.sample(t(0), 1, 0);
+        trace.sample(t(10), 0, 4);
+        let records = vec![
+            EventRecord {
+                seq: 0,
+                at: t(0),
+                event: ObsEvent::JobSubmitted { job: 1 },
+            },
+            EventRecord {
+                seq: 1,
+                at: t(10),
+                event: ObsEvent::JobStarted {
+                    job: 1,
+                    nodes: 4,
+                    skips: 0,
+                },
+            },
+        ];
+        let v = log_to_val(&records, &trace);
+        let (back, series) = log_from_val(&v).unwrap();
+        assert_eq!(back, records);
+        assert_eq!(log_to_val(&back, &series), v);
+        assert!(
+            log_from_val(&trace.to_val()).is_err(),
+            "records are required"
+        );
     }
 
     #[test]
     fn series_follow_recorded_state() {
         let mut trace = ScheduleTrace::new();
-        trace.record(t(0), TraceEvent::Submitted(JobId(1)), 3, 0);
-        trace.record(t(10), TraceEvent::Started(JobId(1)), 2, 8);
-        trace.record(t(20), TraceEvent::Finished(JobId(1)), 2, 4);
+        trace.sample(t(0), 3, 0);
+        trace.sample(t(10), 2, 8);
+        trace.sample(t(20), 2, 4);
         assert_eq!(trace.queue_len_series().len(), 3);
         let mean = trace.mean_busy_nodes(t(0), t(30));
         assert!((mean - 4.0).abs() < 1e-9);

@@ -8,13 +8,14 @@ use rush_obs::{EventRecord, ObsEvent};
 use rush_sched::easy::{backfill_allowed, compute_reservation, RunningSnapshot};
 use rush_sched::engine::{BackfillPolicy, ScheduleResult, SchedulerConfig, SchedulerEngine};
 use rush_sched::predictor::{AlwaysFails, CongestionOracle, NeverVaries};
-use rush_sched::trace::TraceEvent;
+use rush_sched::trace::log_to_val;
 use rush_sched::{AuditConfig, AuditPolicy, RetryPolicy};
 use rush_simkit::fault::FaultConfig;
 use rush_simkit::time::{SimDuration, SimTime};
 use rush_workloads::apps::AppId;
 use rush_workloads::jobgen::JobRequest;
 use rush_workloads::scaling::ScalingMode;
+use std::collections::HashMap;
 
 /// Number of events in the stream matching `pred`.
 fn count_events(events: &[EventRecord], pred: impl Fn(&ObsEvent) -> bool) -> u64 {
@@ -27,6 +28,49 @@ fn counter(result: &ScheduleResult, name: &str) -> u64 {
         .metrics
         .counter_by_name(name)
         .unwrap_or_else(|| panic!("registry must carry {name}"))
+}
+
+/// Walks every job's records through its lifecycle: submitted, then
+/// consultations and skips while queued, then started, then finished or
+/// killed; a kill ends in a requeue (queued again) or a failure. Every job
+/// must end settled.
+fn check_lifecycle_order(events: &[EventRecord]) -> Result<(), String> {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Stage {
+        Queued,
+        Running,
+        Killed,
+        Settled,
+    }
+    let mut stages: HashMap<u64, Stage> = HashMap::new();
+    for r in events {
+        let Some(job) = r.event.job() else { continue };
+        let stage = stages.get(&job).copied();
+        let next = match (stage, r.event) {
+            (None, ObsEvent::JobSubmitted { .. }) => Stage::Queued,
+            (None, ObsEvent::JobRejected { .. }) => Stage::Settled,
+            (
+                Some(Stage::Queued),
+                ObsEvent::JobSkipped { .. }
+                | ObsEvent::PredictorVerdict { .. }
+                | ObsEvent::PredictorFallback { .. }
+                | ObsEvent::BackfillReservation { .. },
+            ) => Stage::Queued,
+            (Some(Stage::Queued), ObsEvent::JobStarted { .. }) => Stage::Running,
+            (Some(Stage::Running), ObsEvent::JobFinished { .. }) => Stage::Settled,
+            (Some(Stage::Running), ObsEvent::JobKilled { .. }) => Stage::Killed,
+            (Some(Stage::Killed), ObsEvent::JobRequeued { .. }) => Stage::Queued,
+            (Some(Stage::Killed), ObsEvent::JobFailed { .. }) => Stage::Settled,
+            (stage, event) => {
+                return Err(format!("job {job}: {} after {stage:?}", event.kind()));
+            }
+        };
+        stages.insert(job, next);
+    }
+    match stages.iter().find(|(_, &s)| s != Stage::Settled) {
+        Some((job, stage)) => Err(format!("job {job} ends {stage:?}")),
+        None => Ok(()),
+    }
 }
 
 fn snapshot() -> impl Strategy<Value = RunningSnapshot> {
@@ -187,9 +231,7 @@ proptest! {
                 est_factor: 4.0,
                 ..SchedulerConfig::default()
             };
-            let mut engine =
-                SchedulerEngine::new(machine, config, Box::new(NeverVaries), seed)
-                    .with_tracing(1 << 16);
+            let mut engine = SchedulerEngine::new(machine, config, Box::new(NeverVaries), seed);
             engine.run(&requests)
         };
 
@@ -301,9 +343,9 @@ proptest! {
 
         // Requeue counts never exceed the retry budget, and a failed job
         // records exactly max_retries + 1 kills.
-        for (_, event) in a.trace.events() {
-            if let TraceEvent::Requeued(_, attempt) = event {
-                prop_assert!(*attempt <= max_retries);
+        for r in &a.events {
+            if let ObsEvent::JobRequeued { attempt, .. } = r.event {
+                prop_assert!(attempt <= max_retries);
             }
         }
         for f in &a.failed {
@@ -311,9 +353,9 @@ proptest! {
         }
     }
 
-    /// The structured event stream and the metrics registry must agree with
-    /// each other, with the legacy trace, and with the schedule outcome on
-    /// arbitrary faulty workloads.
+    /// The event log and the metrics registry must agree with each other
+    /// and with the schedule outcome on arbitrary faulty workloads, and
+    /// every job's records must follow its lifecycle.
     #[test]
     fn event_stream_and_registry_agree_with_the_schedule(
         fault_seed in 0u64..500,
@@ -348,8 +390,7 @@ proptest! {
             Box::new(CongestionOracle::default()),
             seed,
         )
-        .with_noise_job((12..16).map(rush_cluster::topology::NodeId).collect(), 8.0)
-        .with_tracing(1 << 16);
+        .with_noise_job((12..16).map(rush_cluster::topology::NodeId).collect(), 8.0);
         let result = engine.run(&requests);
         let events = &result.events;
 
@@ -382,8 +423,6 @@ proptest! {
         let failed = count_events(events, |e| matches!(e, ObsEvent::JobFailed { .. }));
         prop_assert_eq!(submitted, job_count);
         prop_assert_eq!(finished + failed, submitted);
-        prop_assert_eq!(finished, result.completed.len() as u64);
-        prop_assert_eq!(failed, result.failed.len() as u64);
 
         // Registry counters equal event-stream counts for every family the
         // engine emits.
@@ -408,22 +447,30 @@ proptest! {
             prop_assert_eq!(counter(&result, name), expected, "{} disagrees", name);
         }
 
-        // The legacy result fields are registry-backed views of the same
-        // totals, and the legacy trace agrees on delays.
-        prop_assert_eq!(result.total_skips, counter(&result, "sched.skips"));
-        prop_assert_eq!(result.requeues, counter(&result, "sched.requeues"));
-        prop_assert_eq!(result.node_failures, counter(&result, "sched.node_failures"));
-        prop_assert_eq!(
-            result.trace.delay_count() as u64,
-            count_events(events, |e| matches!(e, ObsEvent::JobSkipped { .. }))
-        );
+        // The result's scalar fields count the same decisions as the log.
+        let kind = |k: &str| events.iter().filter(|r| r.event.kind() == k).count() as u64;
+        let scalars: [(&str, u64); 6] = [
+            ("job_skipped", result.total_skips),
+            ("job_requeued", result.requeues),
+            ("node_down", result.node_failures),
+            ("predictor_fallback", result.fallback_decisions),
+            ("job_finished", result.completed.len() as u64),
+            ("job_failed", result.failed.len() as u64),
+        ];
+        for (k, expected) in scalars {
+            prop_assert_eq!(kind(k), expected, "{} records disagree with the result", k);
+        }
+
+        // Every job's records come in lifecycle order.
+        if let Err(e) = check_lifecycle_order(events) {
+            prop_assert!(false, "{}", e);
+        }
 
         // Exactly one consultation outcome per Start() decision: fallbacks
         // and verdicts partition the consultations, and only a Variation
         // verdict may skip.
         let fallbacks =
             count_events(events, |e| matches!(e, ObsEvent::PredictorFallback { .. }));
-        prop_assert_eq!(result.fallback_decisions, fallbacks);
         prop_assert_eq!(
             counter(&result, "sched.predictor_verdicts"),
             count_events(events, |e| matches!(e, ObsEvent::PredictorVerdict { .. }))
@@ -446,7 +493,7 @@ proptest! {
 
 /// Regression for the PR-1 double-count bug: a `Start()` consultation that
 /// falls back to plain EASY (predictor error) must count as a fallback and
-/// never *also* as a RUSH skip, in both the legacy trace and the tracer.
+/// never *also* as a RUSH skip, in both the log and the registry.
 #[test]
 fn fallback_starts_never_count_as_skips() {
     let requests: Vec<JobRequest> = (0..6)
@@ -465,8 +512,7 @@ fn fallback_starts_never_count_as_skips() {
         SchedulerConfig::default(),
         Box::new(AlwaysFails),
         9,
-    )
-    .with_tracing(1 << 16);
+    );
     let result = engine.run(&requests);
 
     let fallbacks = count_events(&result.events, |e| {
@@ -478,14 +524,13 @@ fn fallback_starts_never_count_as_skips() {
     assert_eq!(result.fallback_decisions, fallbacks);
     assert_eq!(counter(&result, "sched.fallback_model_error"), fallbacks);
     assert_eq!(counter(&result, "sched.fallback_telemetry_gap"), 0);
-    // No skip is recorded anywhere: tracer, registry, legacy trace.
+    // No skip is recorded anywhere: log, registry, result.
     assert_eq!(
         count_events(&result.events, |e| matches!(e, ObsEvent::JobSkipped { .. })),
         0
     );
     assert_eq!(result.total_skips, 0);
     assert_eq!(counter(&result, "sched.skips"), 0);
-    assert_eq!(result.trace.delay_count(), 0);
 }
 
 /// Same regression from the telemetry side: blackout windows degrade the
@@ -518,8 +563,7 @@ fn telemetry_gap_fallbacks_do_not_double_count_skips() {
         },
         Box::new(CongestionOracle::default()),
         3,
-    )
-    .with_tracing(1 << 16);
+    );
     let result = engine.run(&requests);
 
     let gap_fallbacks = count_events(&result.events, |e| {
@@ -557,7 +601,6 @@ fn telemetry_gap_fallbacks_do_not_double_count_skips() {
         })
     );
     assert_eq!(result.total_skips, skipped);
-    assert_eq!(result.trace.delay_count() as u64, skipped);
 }
 
 proptest! {
@@ -616,7 +659,7 @@ proptest! {
                     .iter()
                     .map(|f| (f.job.id, f.attempts, f.last_killed_at))
                     .collect::<Vec<_>>(),
-                format!("{:?}", r.trace.events()),
+                log_to_val(&r.events, &r.trace).render(),
                 r.metrics.to_json(),
                 (r.total_skips, r.requeues, r.node_failures, r.fallback_decisions),
             )
@@ -812,7 +855,7 @@ proptest! {
                     .iter()
                     .map(|c| (c.job.id, c.start_at, c.end_at, c.nodes.clone()))
                     .collect::<Vec<_>>(),
-                format!("{:?}", r.trace.events()),
+                log_to_val(&r.events, &r.trace).render(),
                 r.metrics.to_json(),
             )
         };

@@ -1,15 +1,16 @@
 //! Schedule forensics: run a queue under RUSH with an oracle predictor and
-//! inspect the recorded trace — event timeline, delays, queue/busy series,
-//! and a text Gantt chart.
+//! inspect the recorded event log — delays, queue/busy series, and a text
+//! Gantt chart.
 //!
 //! Run with `cargo run --release --example schedule_trace`.
 
 use rand::SeedableRng;
 use rush_repro::cluster::machine::{Machine, MachineConfig};
 use rush_repro::cluster::topology::NodeId;
+use rush_repro::obs::ObsEvent;
 use rush_repro::sched::engine::{SchedulerConfig, SchedulerEngine};
 use rush_repro::sched::predictor::CongestionOracle;
-use rush_repro::sched::trace::{gantt, TraceEvent};
+use rush_repro::sched::trace::gantt;
 use rush_repro::simkit::time::{SimDuration, SimTime};
 use rush_repro::workloads::apps::AppId;
 use rush_repro::workloads::jobgen::{generate_jobs, WorkloadSpec};
@@ -35,18 +36,13 @@ fn main() {
 
     println!("{}", gantt(&result.completed, 72, 30));
 
-    println!("RUSH delays recorded: {}", result.trace.delay_count());
-    let delayed: Vec<_> = result
-        .trace
-        .events()
-        .iter()
-        .filter(|(_, e)| matches!(e, TraceEvent::Delayed(_, _)))
-        .take(8)
-        .collect();
-    for (at, event) in delayed {
-        if let TraceEvent::Delayed(job, skips) = event {
-            println!("  {at}: {job} delayed (skip #{skips})");
-        }
+    println!("RUSH delays recorded: {}", result.total_skips);
+    let delayed = result.events.iter().filter_map(|r| match r.event {
+        ObsEvent::JobSkipped { job, skips } => Some((r.at, job, skips)),
+        _ => None,
+    });
+    for (at, job, skips) in delayed.take(8) {
+        println!("  {at}: job{job} delayed (skip #{skips})");
     }
 
     let horizon = result.last_end;

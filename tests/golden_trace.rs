@@ -15,7 +15,7 @@
 use rand::SeedableRng;
 use rush_repro::cluster::machine::{Machine, MachineConfig};
 use rush_repro::cluster::topology::{FatTreeConfig, NodeId};
-use rush_repro::obs::tracer::records_to_jsonl;
+use rush_repro::obs::records_to_jsonl;
 use rush_repro::sched::engine::{ScheduleResult, SchedulerConfig, SchedulerEngine};
 use rush_repro::sched::predictor::CongestionOracle;
 use rush_repro::simkit::fault::FaultConfig;
@@ -57,8 +57,7 @@ fn golden_run(jobs: usize) -> ScheduleResult {
         Box::new(CongestionOracle::default()),
         0xA5,
     )
-    .with_noise_job(noise, 8.0)
-    .with_tracing(1 << 20);
+    .with_noise_job(noise, 8.0);
 
     let spec = WorkloadSpec::standard(AppId::ALL.to_vec(), jobs);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(2026);
@@ -75,7 +74,7 @@ fn golden_trace_matches_committed_reference() {
     let actual = records_to_jsonl(&golden_run(200).events);
 
     // The scenario must stay rich enough to pin every event family the
-    // tracer serializes — a reference full of submissions alone would let
+    // log serializes — a reference full of submissions alone would let
     // encoding regressions in the rarer records slip through.
     for kind in [
         "job_submitted",

@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use rush_repro::cluster::machine::{Machine, MachineConfig};
 use rush_repro::cluster::topology::{FatTreeConfig, NodeId};
 use rush_repro::core::checkpoint::CheckpointManager;
-use rush_repro::obs::tracer::records_to_jsonl;
+use rush_repro::obs::records_to_jsonl;
 use rush_repro::sched::difftest::diff_results;
 use rush_repro::sched::engine::{SchedulerConfig, SchedulerEngine};
 use rush_repro::sched::predictor::{CongestionOracle, VariabilityPredictor};
@@ -69,7 +69,6 @@ fn build_engine() -> SchedulerEngine {
         0xA5,
     )
     .with_noise_job(noise, 8.0)
-    .with_tracing(1 << 20)
 }
 
 fn requests() -> Vec<JobRequest> {

@@ -54,7 +54,7 @@ fn engine(estimates: EstimateSource) -> SchedulerEngine {
 }
 
 fn assert_same_outcome(a: &ScheduleResult, b: &ScheduleResult) {
-    assert_eq!(a.trace.events(), b.trace.events());
+    assert_eq!(a.events, b.events);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.failed, b.failed);
     assert_eq!(a.replay, b.replay);

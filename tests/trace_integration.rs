@@ -1,14 +1,26 @@
-//! Trace recording across a real engine run: the event log must be
-//! consistent with the completed-job records.
+//! The event log across a real engine run: it must be consistent with the
+//! completed-job records.
 
 use rush_repro::cluster::machine::{Machine, MachineConfig};
+use rush_repro::obs::ObsEvent;
+use rush_repro::sched::engine::ScheduleResult;
 use rush_repro::sched::engine::{SchedulerConfig, SchedulerEngine};
 use rush_repro::sched::predictor::{NeverVaries, Scripted, VariabilityClass};
-use rush_repro::sched::trace::{gantt, TraceEvent};
+use rush_repro::sched::trace::gantt;
 use rush_repro::simkit::time::SimTime;
 use rush_repro::workloads::apps::AppId;
 use rush_repro::workloads::jobgen::JobRequest;
 use rush_repro::workloads::scaling::ScalingMode;
+
+/// `(time, kind)` of every lifecycle record concerning `job`.
+fn records_of(result: &ScheduleResult, job: u64) -> Vec<(SimTime, &'static str)> {
+    result
+        .events
+        .iter()
+        .filter(|r| r.event.is_lifecycle() && r.event.job() == Some(job))
+        .map(|r| (r.at, r.event.kind()))
+        .collect()
+}
 
 fn requests(n: u64) -> Vec<JobRequest> {
     (0..n)
@@ -36,14 +48,19 @@ fn trace_is_consistent_with_completions() {
 
     // Every job has exactly one submit, one start, one finish, in order.
     for c in &result.completed {
-        let events = result.trace.events_of(c.job.id);
-        let labels: Vec<&str> = events.iter().map(|(_, e)| e.label()).collect();
-        assert_eq!(labels, vec!["submit", "start", "finish"], "{}", c.job.id);
-        assert_eq!(events[0].0, c.job.submit_at);
-        assert_eq!(events[1].0, c.start_at);
-        assert_eq!(events[2].0, c.end_at);
+        let records = records_of(&result, c.job.id.0);
+        let kinds: Vec<&str> = records.iter().map(|&(_, k)| k).collect();
+        assert_eq!(
+            kinds,
+            vec!["job_submitted", "job_started", "job_finished"],
+            "{}",
+            c.job.id
+        );
+        assert_eq!(records[0].0, c.job.submit_at);
+        assert_eq!(records[1].0, c.start_at);
+        assert_eq!(records[2].0, c.end_at);
     }
-    assert_eq!(result.trace.delay_count(), 0);
+    assert_eq!(result.total_skips, 0);
 
     // The busy-node series peaks at the expected concurrency.
     let peak = result
@@ -67,18 +84,24 @@ fn delays_appear_in_the_trace() {
     ]);
     let mut engine = SchedulerEngine::new(machine, SchedulerConfig::default(), Box::new(script), 4);
     let result = engine.run(&requests(3));
-    assert_eq!(result.trace.delay_count() as u64, result.total_skips);
-    assert!(result.total_skips >= 1);
-    // Skip counts in delay events increase per job.
-    let delayed_job = result
-        .trace
-        .events()
+    let skipped = result
+        .events
         .iter()
-        .find_map(|(_, e)| match e {
-            TraceEvent::Delayed(j, 1) => Some(*j),
+        .filter(|r| matches!(r.event, ObsEvent::JobSkipped { .. }))
+        .count();
+    assert_eq!(skipped as u64, result.total_skips);
+    assert!(result.total_skips >= 1);
+    // A delayed job's first skip record carries skip count 1, and the job
+    // still starts later.
+    let delayed_job = result
+        .events
+        .iter()
+        .find_map(|r| match r.event {
+            ObsEvent::JobSkipped { job, skips: 1 } => Some(job),
             _ => None,
         })
         .expect("a first delay exists");
-    let of_job = result.trace.events_of(delayed_job);
-    assert!(of_job.iter().any(|(_, e)| e.label() == "start"));
+    assert!(records_of(&result, delayed_job)
+        .iter()
+        .any(|&(_, k)| k == "job_started"));
 }
