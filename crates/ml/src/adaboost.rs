@@ -179,7 +179,7 @@ impl AdaBoost {
         acc
     }
 
-    /// The weak learners and their votes (for the export codec).
+    /// The weak learners and their votes.
     pub fn parts(&self) -> (&[DecisionTree], &[f64]) {
         (&self.learners, &self.alphas)
     }
@@ -189,21 +189,30 @@ impl AdaBoost {
         &self.config
     }
 
-    /// Rebuilds from codec parts.
-    pub(crate) fn from_parts(
+    /// Rebuilds an ensemble from its parts: one vote per learner, every
+    /// learner of width `n_classes` × `n_features`.
+    pub fn from_parts(
         learners: Vec<DecisionTree>,
         alphas: Vec<f64>,
         config: AdaBoostConfig,
         n_classes: usize,
         n_features: usize,
-    ) -> Self {
-        AdaBoost {
+    ) -> Result<Self, String> {
+        if learners.len() != alphas.len() {
+            return Err(format!(
+                "{} learners but {} votes",
+                learners.len(),
+                alphas.len()
+            ));
+        }
+        crate::forest::check_members(&learners, n_classes, n_features)?;
+        Ok(AdaBoost {
             learners,
             alphas,
             config,
             n_classes,
             n_features,
-        }
+        })
     }
 }
 

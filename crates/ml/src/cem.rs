@@ -186,6 +186,22 @@ pub fn train<F: FnMut(&[f64]) -> f64>(config: &CemConfig, mut objective: F) -> C
     }
 }
 
+/// A trained scheduling-policy artifact: the CEM-optimized sort-weight
+/// vector plus the provenance needed to reproduce the training run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PolicyArtifact {
+    /// The trained sort weights (`rush-sched`'s learned R1/R2 order).
+    pub weights: Vec<f64>,
+    /// Master seed of the training run.
+    pub seed: u64,
+    /// CEM rounds trained.
+    pub rounds: u32,
+    /// CEM population per round.
+    pub population: u32,
+    /// The best objective score observed (negated mean bounded slowdown).
+    pub score: f64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -366,12 +366,7 @@ fn decode_tree(r: &mut Reader<'_>) -> Result<DecisionTree, CodecError> {
     if importances.len() != n_features {
         return err("importance width mismatch");
     }
-    Ok(DecisionTree::from_parts(
-        nodes,
-        n_classes,
-        n_features,
-        importances,
-    ))
+    DecisionTree::from_parts(nodes, n_classes, n_features, importances).map_err(CodecError)
 }
 
 fn decode_forest(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
@@ -397,9 +392,9 @@ fn decode_forest(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
         bootstrap,
         tree: tree_cfg,
     };
-    Ok(TrainedModel::Forest(Forest::from_parts(
-        trees, config, n_classes, n_features,
-    )))
+    Forest::from_parts(trees, config, n_classes, n_features)
+        .map(TrainedModel::Forest)
+        .map_err(CodecError)
 }
 
 fn decode_adaboost(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
@@ -420,9 +415,9 @@ fn decode_adaboost(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
     for _ in 0..alphas.len() {
         learners.push(decode_tree(r)?);
     }
-    Ok(TrainedModel::AdaBoost(AdaBoost::from_parts(
-        learners, alphas, config, n_classes, n_features,
-    )))
+    AdaBoost::from_parts(learners, alphas, config, n_classes, n_features)
+        .map(TrainedModel::AdaBoost)
+        .map_err(CodecError)
 }
 
 fn decode_knn(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
@@ -440,7 +435,7 @@ fn decode_knn(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
     if means.len() != n_features || stds.len() != n_features {
         return err("scaler width mismatch");
     }
-    let scaler = Standardizer::from_parts(means, stds);
+    let scaler = Standardizer::from_parts(means, stds).map_err(CodecError)?;
 
     let mut rows = Vec::with_capacity(n_samples);
     let mut labels = Vec::with_capacity(n_samples);
@@ -456,13 +451,9 @@ fn decode_knn(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
         }
         rows.push(row);
     }
-    Ok(TrainedModel::Knn(Knn::from_parts(
-        scaler,
-        rows,
-        labels,
-        KnnConfig { k },
-        n_classes,
-    )))
+    Knn::from_parts(scaler, rows, labels, KnnConfig { k }, n_classes)
+        .map(TrainedModel::Knn)
+        .map_err(CodecError)
 }
 
 fn decode_logistic(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
@@ -494,29 +485,13 @@ fn decode_logistic(r: &mut Reader<'_>) -> Result<TrainedModel, CodecError> {
         }
         weights.push(row);
     }
-    Ok(TrainedModel::Logistic(Logistic::from_parts(
-        Standardizer::from_parts(means, stds),
-        weights,
-        biases,
-        config,
-    )))
+    let scaler = Standardizer::from_parts(means, stds).map_err(CodecError)?;
+    Logistic::from_parts(scaler, weights, biases, config)
+        .map(TrainedModel::Logistic)
+        .map_err(CodecError)
 }
 
-/// A trained scheduling-policy artifact: the CEM-optimized sort-weight
-/// vector plus the provenance needed to reproduce the training run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyArtifact {
-    /// The trained sort weights (`rush-sched`'s learned R1/R2 order).
-    pub weights: Vec<f64>,
-    /// Master seed of the training run.
-    pub seed: u64,
-    /// CEM rounds trained.
-    pub rounds: u32,
-    /// CEM population per round.
-    pub population: u32,
-    /// The best objective score observed (negated mean bounded slowdown).
-    pub score: f64,
-}
+pub use crate::cem::PolicyArtifact;
 
 /// Serializes a policy artifact to the line format. Floats use the
 /// shortest round-trip `Display`, so `decode_policy(encode_policy(a))`

@@ -172,7 +172,7 @@ impl Forest {
         acc
     }
 
-    /// The underlying trees (for the export codec).
+    /// The underlying trees.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
@@ -182,19 +182,47 @@ impl Forest {
         &self.config
     }
 
-    /// Rebuilds from codec parts.
-    pub(crate) fn from_parts(
+    /// Rebuilds a forest from its parts: at least one tree,
+    /// `config.n_trees` of them, each of width `n_classes` × `n_features`.
+    pub fn from_parts(
         trees: Vec<DecisionTree>,
         config: ForestConfig,
         n_classes: usize,
         n_features: usize,
-    ) -> Self {
-        Forest {
+    ) -> Result<Self, String> {
+        if trees.is_empty() || trees.len() != config.n_trees {
+            return Err(format!(
+                "forest holds {} trees, config says {}",
+                trees.len(),
+                config.n_trees
+            ));
+        }
+        check_members(&trees, n_classes, n_features)?;
+        Ok(Forest {
             trees,
             config,
             n_classes,
             n_features,
-        }
+        })
+    }
+}
+
+/// Checks that every ensemble member has the ensemble's width.
+pub(crate) fn check_members(
+    trees: &[DecisionTree],
+    n_classes: usize,
+    n_features: usize,
+) -> Result<(), String> {
+    match trees
+        .iter()
+        .position(|t| t.n_classes() != n_classes || t.n_features() != n_features)
+    {
+        Some(i) => Err(format!(
+            "tree {i} is {} classes x {} features, ensemble is {n_classes} x {n_features}",
+            trees[i].n_classes(),
+            trees[i].n_features()
+        )),
+        None => Ok(()),
     }
 }
 

@@ -109,26 +109,48 @@ impl Knn {
         &self.config
     }
 
-    /// Codec access: `(scaler, standardized rows, labels)`.
+    /// The parts: `(scaler, standardized rows, labels)`.
     pub fn parts(&self) -> (&Standardizer, &[Vec<f64>], &[u32]) {
         (&self.scaler, &self.train, &self.labels)
     }
 
-    /// Rebuilds from codec parts.
-    pub(crate) fn from_parts(
+    /// Rebuilds a model from its parts: `k ≥ 1`, at least one training
+    /// row, one label `< n_classes` per row, and finite rows as wide as the
+    /// scaler (so every query distance is comparable).
+    pub fn from_parts(
         scaler: Standardizer,
         train: Vec<Vec<f64>>,
         labels: Vec<u32>,
         config: KnnConfig,
         n_classes: usize,
-    ) -> Self {
-        Knn {
+    ) -> Result<Self, String> {
+        if config.k == 0 {
+            return Err("k must be positive".into());
+        }
+        if train.is_empty() || train.len() != labels.len() {
+            return Err(format!(
+                "{} training rows with {} labels",
+                train.len(),
+                labels.len()
+            ));
+        }
+        if let Some(l) = labels.iter().find(|&&l| l as usize >= n_classes) {
+            return Err(format!("label {l} of {n_classes} classes"));
+        }
+        let width = scaler.n_features();
+        if let Some(i) = train
+            .iter()
+            .position(|r| r.len() != width || r.iter().any(|v| !v.is_finite()))
+        {
+            return Err(format!("training row {i} is not {width} finite values"));
+        }
+        Ok(Knn {
             scaler,
             train,
             labels,
             config,
             n_classes,
-        }
+        })
     }
 }
 

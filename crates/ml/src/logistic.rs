@@ -128,24 +128,36 @@ impl Logistic {
         out
     }
 
-    /// Codec access: `(scaler, weights, biases, config)`.
+    /// The parts: `(scaler, weights, biases, config)`.
     pub fn parts(&self) -> (&Standardizer, &[Vec<f64>], &[f64], &LogisticConfig) {
         (&self.scaler, &self.weights, &self.biases, &self.config)
     }
 
-    /// Rebuilds from codec parts.
-    pub(crate) fn from_parts(
+    /// Rebuilds a model from its parts: at least one class, one bias per
+    /// class, and one weight row as wide as the scaler per class.
+    pub fn from_parts(
         scaler: Standardizer,
         weights: Vec<Vec<f64>>,
         biases: Vec<f64>,
         config: LogisticConfig,
-    ) -> Self {
-        Logistic {
+    ) -> Result<Self, String> {
+        if weights.is_empty() || weights.len() != biases.len() {
+            return Err(format!(
+                "{} weight rows with {} biases",
+                weights.len(),
+                biases.len()
+            ));
+        }
+        let width = scaler.n_features();
+        if let Some(i) = weights.iter().position(|w| w.len() != width) {
+            return Err(format!("weight row {i} is not {width} wide"));
+        }
+        Ok(Logistic {
             scaler,
             weights,
             biases,
             config,
-        }
+        })
     }
 }
 

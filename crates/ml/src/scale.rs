@@ -50,13 +50,18 @@ impl Standardizer {
         Standardizer { means, stds }
     }
 
-    /// Rebuilds a standardizer from stored statistics (the codec path).
-    ///
-    /// # Panics
-    /// Panics if the vectors disagree in length.
-    pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        assert_eq!(means.len(), stds.len(), "means/stds length mismatch");
-        Standardizer { means, stds }
+    /// Rebuilds a standardizer from stored statistics: one finite mean and
+    /// one finite, positive std per column, so a finite query never
+    /// transforms to NaN.
+    pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Result<Self, String> {
+        if means.len() != stds.len() {
+            return Err(format!("{} means but {} stds", means.len(), stds.len()));
+        }
+        if means.iter().any(|m| !m.is_finite()) || stds.iter().any(|s| !(s.is_finite() && *s > 0.0))
+        {
+            return Err("standardizer statistics must be finite, stds positive".into());
+        }
+        Ok(Standardizer { means, stds })
     }
 
     /// Number of columns the transform expects.

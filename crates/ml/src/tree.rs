@@ -227,24 +227,69 @@ impl DecisionTree {
         self.importances.iter().map(|&v| v / sum).collect()
     }
 
-    /// Raw node arena (for the export codec).
+    /// Raw node arena, in preorder: every split's children come after it.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
-    /// Rebuilds a tree from codec parts.
-    pub(crate) fn from_parts(
+    /// Unnormalized gini importances, as accumulated during growth.
+    pub fn raw_importances(&self) -> &[f64] {
+        &self.importances
+    }
+
+    /// Rebuilds a tree from its parts, checking every invariant
+    /// [`DecisionTree::predict`] relies on: a non-empty preorder arena whose
+    /// splits point forward (`i < left, right < nodes.len()`, so traversal
+    /// ends), split features `< n_features`, leaves of width `n_classes`
+    /// (at least one), and `n_features` importances.
+    pub fn from_parts(
         nodes: Vec<Node>,
         n_classes: usize,
         n_features: usize,
         importances: Vec<f64>,
-    ) -> Self {
-        DecisionTree {
+    ) -> Result<Self, String> {
+        if nodes.is_empty() {
+            return Err("tree has no nodes".into());
+        }
+        if n_classes == 0 {
+            return Err("tree has no classes".into());
+        }
+        if importances.len() != n_features {
+            return Err(format!(
+                "tree has {} importances for {n_features} features",
+                importances.len()
+            ));
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { probs } if probs.len() != n_classes => {
+                    return Err(format!(
+                        "leaf {i} has {} probabilities for {n_classes} classes",
+                        probs.len()
+                    ));
+                }
+                Node::Leaf { .. } => {}
+                Node::Split { feature, .. } if *feature >= n_features => {
+                    return Err(format!("split {i} tests feature {feature} of {n_features}"));
+                }
+                Node::Split { left, right, .. } => {
+                    for child in [*left, *right] {
+                        if child <= i || child >= nodes.len() {
+                            return Err(format!(
+                                "split {i} points to node {child} (want {i} < child < {})",
+                                nodes.len()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(DecisionTree {
             nodes,
             n_classes,
             n_features,
             importances,
-        }
+        })
     }
 }
 

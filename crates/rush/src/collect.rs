@@ -478,10 +478,15 @@ mod tests {
     /// observing the same machine state.
     #[test]
     fn test_sized_campaign_encoding_is_pinned() {
-        let text = crate::campaign_io::encode(&small_campaign());
+        let data = small_campaign();
+        let digest = |text: &str| format!("{:016x}", rush_simkit::snapshot::fingerprint_str(text));
         assert_eq!(
-            format!("{:016x}", rush_simkit::snapshot::fingerprint_str(&text)),
+            digest(&crate::campaign_io::encode(&data)),
             "8676cc05723fc893"
+        );
+        assert_eq!(
+            digest(&crate::persist::encode_campaign(&data)),
+            "9f999554fa2a561b"
         );
     }
 

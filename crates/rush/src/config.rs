@@ -1,7 +1,7 @@
 //! Paper-matching defaults for the campaign and pipeline.
 
 use rush_cluster::machine::MachineConfig;
-use rush_simkit::snapshot::{self, Val};
+use rush_simkit::snapshot::{self, SnapshotError, Val};
 use rush_simkit::time::{SimDuration, SimTime};
 use rush_workloads::apps::AppId;
 use serde::{Deserialize, Serialize};
@@ -123,10 +123,56 @@ impl CampaignConfig {
             .with("storm_days", storm)
     }
 
+    /// Inverse of [`CampaignConfig::to_val`]; a field out of range or an
+    /// unknown app name is a [`SnapshotError::Schema`] error.
+    pub fn from_val(v: &Val) -> Result<Self, SnapshotError> {
+        let small = |key: &str| -> Result<u32, SnapshotError> { to_u32(v.get(key)?) };
+        let apps = v
+            .l("apps")?
+            .iter()
+            .map(|a| app_named(a.as_str()?))
+            .collect::<Result<_, _>>()?;
+        let storm_days = match v.l("storm_days")? {
+            [] => None,
+            [a, b] => Some((to_u32(a)?, to_u32(b)?)),
+            other => {
+                return Err(SnapshotError::Schema(format!(
+                    "storm_days holds {} values, want 0 or 2",
+                    other.len()
+                )))
+            }
+        };
+        Ok(CampaignConfig {
+            days: small("days")?,
+            min_runs_per_day: small("min_runs_per_day")?,
+            max_runs_per_day: small("max_runs_per_day")?,
+            apps,
+            job_nodes: small("job_nodes")?,
+            window: SimDuration::from_micros(v.u("window_us")?),
+            sample_interval: SimDuration::from_micros(v.u("sample_interval_us")?),
+            monitor_nodes: small("monitor_nodes")?,
+            seed: v.u("seed")?,
+            storm_days,
+        })
+    }
+
     /// FNV-1a fingerprint of [`CampaignConfig::to_val`]'s canonical text.
     pub fn fingerprint(&self) -> u64 {
         snapshot::fingerprint_str(&self.to_val().render())
     }
+}
+
+fn to_u32(v: &Val) -> Result<u32, SnapshotError> {
+    let x = v.as_u64()?;
+    u32::try_from(x).map_err(|_| SnapshotError::Schema(format!("{x} exceeds u32")))
+}
+
+/// The application with lower-case name `name` (see [`AppId::name`]).
+pub(crate) fn app_named(name: &str) -> Result<AppId, SnapshotError> {
+    AppId::ALL
+        .into_iter()
+        .find(|a| a.name() == name)
+        .ok_or_else(|| SnapshotError::Schema(format!("unknown app '{name}'")))
 }
 
 #[cfg(test)]
@@ -173,6 +219,22 @@ mod tests {
         for field in ["days", "apps", "window_us", "seed", "storm_days"] {
             assert!(text.contains(field), "missing {field} in {text}");
         }
+    }
+
+    #[test]
+    fn from_val_inverts_to_val() {
+        let no_storm = CampaignConfig {
+            storm_days: None,
+            ..CampaignConfig::test_sized()
+        };
+        for config in [CampaignConfig::default(), no_storm] {
+            assert_eq!(CampaignConfig::from_val(&config.to_val()), Ok(config));
+        }
+        let Val::Map(mut entries) = CampaignConfig::default().to_val() else {
+            panic!("config is a map")
+        };
+        entries[0].1 = Val::U64(1 << 32);
+        assert!(CampaignConfig::from_val(&Val::Map(entries)).is_err());
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod collect;
 pub mod config;
 pub mod experiments;
 pub mod labels;
+pub mod persist;
 pub mod pipeline;
 pub mod predictor;
 pub mod replay;
