@@ -30,7 +30,7 @@ pub fn render(_ctx: &ArtifactCtx) -> String {
   x min/max/mean                |                                |
   (rush-telemetry)              v                                v
        |                  exported model              delayed or launched jobs
-  MPI probes  ------>     (rush-ml::codec,            (rush-core::predictor
+  MPI probes  ------>     (rush-core::persist,        (rush-core::predictor
   ring + AllReduce         282-feature input)           reads counters + probes)
   (rush-workloads::probes)
 

@@ -1,9 +1,9 @@
 //! Campaign disk cache.
 //!
 //! Collecting a 60-day campaign takes real time; every `run_all` invocation
-//! at the same scale needs the same one. The cache stores [`CampaignData`] as a line-based text
-//! file keyed by [`config_fingerprint`], so the first run collects and the
-//! rest reload.
+//! at the same scale needs the same one. The cache stores [`CampaignData`] as
+//! a `rush-campaign/2` document ([`rush_core::persist`]) keyed by
+//! [`config_fingerprint`], so the first run collects and the rest reload.
 //!
 //! Stores are atomic (unique tmp + rename, the [`rush_core::checkpoint`]
 //! discipline), so concurrent cold-cache writers — the orchestrator runs
@@ -11,9 +11,9 @@
 //! interleaving partial writes. Collection is deterministic, so both
 //! racers produce identical bytes and either rename winning is correct.
 //!
-//! A cache file is never trusted blindly: [`rush_core::campaign_io::decode`]
-//! re-validates it against the requested config and a corrupt or mismatched
-//! file falls back to recollection.
+//! A cache file is never trusted blindly: the document carries the config
+//! that collected it, and a file that does not decode, or whose stored
+//! config differs from the requested one, falls back to recollection.
 //!
 //! # Example
 //!
@@ -31,9 +31,9 @@
 //!     .exists());
 //! ```
 
-use rush_core::campaign_io::{decode, encode};
 use rush_core::collect::CampaignData;
 use rush_core::config::CampaignConfig;
+use rush_core::persist::{decode_campaign, encode_campaign};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -85,8 +85,15 @@ pub fn campaign_cached_in(dir: &Path, config: &CampaignConfig, no_cache: bool) -
 
 fn try_load(path: &Path, config: &CampaignConfig) -> Option<CampaignData> {
     let text = fs::read_to_string(path).ok()?;
-    match decode(&text, config) {
-        Ok(data) => Some(data),
+    match decode_campaign(&text) {
+        Ok(data) if data.config == *config => Some(data),
+        Ok(_) => {
+            eprintln!(
+                "[cache] ignoring {}: collected under another config",
+                path.display()
+            );
+            None
+        }
         Err(e) => {
             eprintln!("[cache] ignoring corrupt cache {}: {e}", path.display());
             None
@@ -101,7 +108,7 @@ fn store(path: &Path, data: &CampaignData) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    rush_core::campaign::write_atomic(path, encode(data).as_bytes())
+    rush_core::campaign::write_atomic(path, encode_campaign(data).as_bytes())
 }
 
 #[cfg(test)]
@@ -119,6 +126,26 @@ mod tests {
         let back = try_load(&path, &config).expect("reload");
         assert_eq!(back, data);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn campaign_of_another_config_is_recollected() {
+        let a = CampaignConfig::test_sized();
+        let b = CampaignConfig {
+            days: 2,
+            ..a.clone()
+        };
+        let dir = std::env::temp_dir().join(format!("rush-cache-mismatch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // A's campaign sits at B's path (a stale or hand-copied file).
+        store(&cache_path(&dir, &b), &run_campaign(&a)).expect("store");
+        assert_eq!(try_load(&cache_path(&dir, &b), &b), None);
+        let got = campaign_cached_in(&dir, &b, false);
+        assert_eq!(got.config, b);
+        assert_eq!(got, run_campaign(&b));
+        // The recollected file replaced the stale one.
+        assert_eq!(try_load(&cache_path(&dir, &b), &b), Some(got));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,10 +25,13 @@
 //! * [`rfe`] — recursive feature elimination keeping the best-F1 subset.
 //! * [`select`] — the model-selection driver comparing all four families.
 //! * [`tune`] — within-family hyperparameter grid search under CV.
-//! * [`model`] — the [`model::Classifier`] trait, the [`model::TrainedModel`]
-//!   enum, and a line-based export codec (the pickle stand-in).
+//! * [`model`] — the [`model::Classifier`] trait and the
+//!   [`model::TrainedModel`] enum. Each family rebuilds from its parts
+//!   through a checked `from_parts`; the file format (the pickle stand-in)
+//!   lives in `rush_core::persist`.
 //! * [`cem`] — from-scratch seeded cross-entropy method policy search
-//!   (trains the learned scheduling policy's sort-weight vector).
+//!   (trains the learned scheduling policy's sort-weight vector, kept as a
+//!   [`cem::PolicyArtifact`]).
 //! * [`online`] — incremental window retraining for the scheduler's
 //!   drift-aware online predictor service.
 //! * [`runtime`] — variance-reduction regression tree predicting job run
@@ -37,7 +40,6 @@
 
 pub mod adaboost;
 pub mod cem;
-pub mod codec;
 pub mod cv;
 pub mod dataset;
 pub mod forest;

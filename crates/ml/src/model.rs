@@ -3,8 +3,10 @@
 //! The paper trains four model families, picks the best by cross-validated
 //! F1, and pickles the winner for the scheduler to load (Section V-A). Here
 //! [`Classifier`] is the common interface, [`ModelKind`] names the four
-//! families, and [`TrainedModel`] is the owned, serializable artifact the
-//! scheduler consumes (export/import lives in [`crate::codec`]).
+//! families, and [`TrainedModel`] is the owned artifact the scheduler
+//! consumes. This crate keeps no file format: `rush_core::persist` writes
+//! models as documents and rebuilds them through the families' checked
+//! `from_parts`.
 
 use crate::adaboost::{AdaBoost, AdaBoostConfig};
 use crate::dataset::Dataset;

@@ -17,7 +17,6 @@
 //! starts any work, and an unknown, repeated or malformed option exits 2.
 
 use rush_core::args::{ArgError, Args};
-use rush_core::campaign_io;
 use rush_core::checkpoint::CheckpointManager;
 use rush_core::collect::{run_campaign, CampaignData};
 use rush_core::config::CampaignConfig;
@@ -25,9 +24,9 @@ use rush_core::experiments::{
     build_trial_engine, run_comparison, run_trial_raw, Experiment, ExperimentSettings, PolicyKind,
 };
 use rush_core::labels::{build_dataset, LabelScheme, NodeScope};
+use rush_core::persist;
 use rush_core::pipeline::{build_reference, train_final_with_scheme};
 use rush_core::report::{fmt, robustness_table, TextTable};
-use rush_ml::codec;
 use rush_ml::model::{Classifier, ModelKind};
 use rush_ml::select::{compare_models, select_best};
 use rush_sched::audit::{AuditConfig, AuditPolicy};
@@ -240,10 +239,7 @@ fn required_file(args: &mut Args, key: &'static str) -> Result<String, Failure> 
 
 fn load_campaign(path: &str) -> Result<CampaignData, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // The file carries its own run data; the attached config only matters
-    // for provenance, so reuse the default with the recorded day count
-    // unknowable — decode requires *a* config.
-    campaign_io::decode(&text, &CampaignConfig::default())
+    persist::decode_campaign(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_collect(mut args: Args) -> Result<(), Failure> {
@@ -259,7 +255,7 @@ fn cmd_collect(mut args: Args) -> Result<(), Failure> {
     };
     eprintln!("collecting {days}-day campaign (seed {seed:#x})...");
     let data = run_campaign(&config);
-    std::fs::write(&out, campaign_io::encode(&data))
+    std::fs::write(&out, persist::encode_campaign(&data))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {} control runs to {out}", data.runs.len());
     let stats = data.runtime_stats();
@@ -321,7 +317,8 @@ fn cmd_train(mut args: Args) -> Result<(), Failure> {
         campaign.runs.len()
     );
     let model = train_final_with_scheme(&campaign, None, kind, scheme, seed);
-    std::fs::write(&out, codec::encode(&model)).map_err(|e| format!("cannot write {out}: {e}"))?;
+    std::fs::write(&out, persist::encode_model(&model))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "wrote {} model ({} features, {} classes) to {out}",
         model.kind(),
@@ -335,7 +332,7 @@ fn cmd_info(mut args: Args) -> Result<(), Failure> {
     let path = required_file(&mut args, "model")?;
     args.finish()?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let model = codec::decode(&text).map_err(|e| e.to_string())?;
+    let model = persist::decode_model(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("kind:       {}", model.kind());
     println!("features:   {}", model.n_features());
     println!("classes:    {}", model.n_classes());
@@ -686,8 +683,11 @@ fn cmd_train_policy(mut args: Args) -> Result<(), Failure> {
         config.env.seed
     );
     let (artifact, outcome) = train_policy(&config);
-    write_atomic(Path::new(&out), codec::encode_policy(&artifact).as_bytes())
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_atomic(
+        Path::new(&out),
+        persist::encode_policy(&artifact).as_bytes(),
+    )
+    .map_err(|e| format!("cannot write {out}: {e}"))?;
 
     let mut table = TextTable::new(["round", "best_bsld", "elite_bsld"]);
     for r in &outcome.rounds {
@@ -739,7 +739,7 @@ fn cmd_policy_eval(mut args: Args) -> Result<(), Failure> {
     let assert_beats_fcfs = args.flag("assert-learned-beats-fcfs")?;
     args.finish()?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let artifact = codec::decode_policy(&text).map_err(|e| format!("{path}: {e}"))?;
+    let artifact = persist::decode_policy(&text).map_err(|e| format!("{path}: {e}"))?;
     let weights: [f64; SORT_FACTORS] = artifact.weights.as_slice().try_into().map_err(|_| {
         format!(
             "{path}: artifact holds {} weights; this build scores {SORT_FACTORS} features",

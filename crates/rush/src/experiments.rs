@@ -350,7 +350,7 @@ pub fn build_trial_engine(
                 settings.base_seed,
             );
             if online {
-                initial_artifact = Some(rush_ml::codec::encode(&model));
+                initial_artifact = Some(crate::persist::encode_model(&model));
             }
             Box::new(
                 MlPredictor::new((*model).clone(), settings.label_scheme, None)

@@ -30,7 +30,6 @@
 
 pub mod args;
 pub mod campaign;
-pub mod campaign_io;
 pub mod checkpoint;
 pub mod collect;
 pub mod config;

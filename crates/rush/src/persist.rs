@@ -580,105 +580,4 @@ mod tests {
             ))
         );
     }
-
-    /// The new documents hold exactly what the v1 line codecs held: for
-    /// every artifact, v1-decode(v1-encode(x)) equals
-    /// decode(encode(x)), and decode(encode(x)) is x itself. v1 stored
-    /// tree importances normalized, so its trees compare against the new
-    /// trees with their importances normalized.
-    mod v1_equivalence {
-        use super::*;
-        use crate::labels::LabelScheme;
-        use crate::pipeline::train_final_with_scheme;
-        use rush_ml::codec;
-
-        fn normalized(trees: &[DecisionTree]) -> Vec<DecisionTree> {
-            trees
-                .iter()
-                .map(|t| {
-                    DecisionTree::from_parts(
-                        t.nodes().to_vec(),
-                        t.n_classes(),
-                        t.n_features(),
-                        t.feature_importances(),
-                    )
-                    .unwrap()
-                })
-                .collect()
-        }
-
-        /// `model` as the v1 codec stored it.
-        fn as_v1(model: &TrainedModel) -> TrainedModel {
-            match model {
-                TrainedModel::Forest(f) => TrainedModel::Forest(
-                    Forest::from_parts(
-                        normalized(f.trees()),
-                        *f.config(),
-                        f.n_classes(),
-                        f.n_features(),
-                    )
-                    .unwrap(),
-                ),
-                TrainedModel::AdaBoost(a) => {
-                    let (trees, alphas) = a.parts();
-                    TrainedModel::AdaBoost(
-                        AdaBoost::from_parts(
-                            normalized(trees),
-                            alphas.to_vec(),
-                            *a.config(),
-                            a.n_classes(),
-                            a.n_features(),
-                        )
-                        .unwrap(),
-                    )
-                }
-                other => other.clone(),
-            }
-        }
-
-        fn assert_model_equivalent(model: &TrainedModel) {
-            let new = decode_model(&encode_model(model)).unwrap();
-            let old = codec::decode(&codec::encode(model)).unwrap();
-            assert_eq!(&new, model, "{}", model.kind());
-            assert_eq!(old, as_v1(&new), "{}", model.kind());
-        }
-
-        #[test]
-        fn models_hold_the_same_content() {
-            let data = toy_dataset();
-            for kind in ModelKind::EXTENDED {
-                assert_model_equivalent(&kind.train(&data, 11));
-            }
-            let campaign = crate::collect::run_campaign(&CampaignConfig::test_sized());
-            let adaboost = train_final_with_scheme(
-                &campaign,
-                None,
-                ModelKind::AdaBoost,
-                LabelScheme::ThreeClass,
-                7,
-            );
-            assert_model_equivalent(&adaboost);
-        }
-
-        #[test]
-        fn campaign_holds_the_same_content() {
-            let config = CampaignConfig::test_sized();
-            let data = crate::collect::run_campaign(&config);
-            let new = decode_campaign(&encode_campaign(&data)).unwrap();
-            let old = crate::campaign_io::decode(&crate::campaign_io::encode(&data), &config);
-            assert_eq!(Ok(&new), old.as_ref());
-            assert_eq!(new, data);
-        }
-
-        #[test]
-        fn committed_policy_holds_the_same_content() {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/policy.txt");
-            let text = std::fs::read_to_string(path).unwrap();
-            let policy = codec::decode_policy(&text).unwrap();
-            let new = decode_policy(&encode_policy(&policy)).unwrap();
-            let old = codec::decode_policy(&codec::encode_policy(&policy)).unwrap();
-            assert_eq!(new, old);
-            assert_eq!(new, policy);
-        }
-    }
 }

@@ -8,7 +8,6 @@
 use crate::collect::{run_campaign, CampaignData};
 use crate::config::CampaignConfig;
 use crate::labels::{build_dataset, LabelScheme, NodeScope};
-use rush_ml::codec;
 use rush_ml::model::{ModelKind, TrainedModel};
 use rush_ml::rfe::{rfe, RfeConfig};
 use rush_ml::select::{compare_models, select_best, ModelScore};
@@ -53,7 +52,8 @@ pub struct PipelineOutput {
     pub kept_features: Option<Vec<usize>>,
     /// The final three-class model (job-node scope, all campaign data).
     pub final_model: TrainedModel,
-    /// The exported model text (the pickle stand-in).
+    /// The exported model document (the pickle stand-in; see
+    /// [`crate::persist`]).
     pub exported: String,
     /// Per-application run-time reference for variation accounting.
     pub reference: RuntimeReference,
@@ -89,7 +89,7 @@ impl Pipeline {
             kept_features.as_deref(),
             self.seed,
         );
-        let exported = codec::encode(&final_model);
+        let exported = crate::persist::encode_model(&final_model);
         let reference = build_reference(&campaign);
 
         PipelineOutput {
@@ -292,14 +292,14 @@ mod tests {
         assert!(!out.campaign.runs.is_empty());
         assert_eq!(out.final_model.n_features(), 282);
         assert!(out.final_model.n_classes() >= 2);
-        assert!(out.exported.starts_with("RUSHMODEL v1"));
+        assert!(out.exported.starts_with("{\"format\":\"rush-model/2\""));
         assert!(!out.reference.is_empty());
     }
 
     #[test]
     fn exported_model_round_trips() {
         let out = small_pipeline();
-        let decoded = rush_ml::codec::decode(&out.exported).expect("valid export");
+        let decoded = crate::persist::decode_model(&out.exported).expect("valid export");
         let row = vec![0.0; 282];
         assert_eq!(decoded.predict(&row), out.final_model.predict(&row));
     }

@@ -94,8 +94,8 @@ impl MlPredictor {
 
 /// The scheduler service's bridge to the real ML stack: Table-I feature
 /// assembly through [`MlPredictor`], window retraining through
-/// [`rush_ml::online::retrain_window`], and the `RUSHMODEL v1` text codec
-/// as the portable artifact format. The scheduler engine only ever sees
+/// [`rush_ml::online::retrain_window`], and the `rush-model/2` document
+/// ([`crate::persist`]) as the portable artifact format. The scheduler engine only ever sees
 /// feature rows and artifact strings, which is what lets the service's
 /// snapshot carry its models as plain text.
 pub struct OnlineMlHost {
@@ -185,11 +185,11 @@ impl rush_sched::service::OnlineModelHost for OnlineMlHost {
         let groups: Vec<u32> = samples.iter().map(|s| s.app).collect();
         let model =
             rush_ml::online::retrain_window(&self.names, &rows, &labels, &groups, self.kind, seed)?;
-        Ok(rush_ml::codec::encode(&model))
+        Ok(crate::persist::encode_model(&model))
     }
 
     fn load(&self, artifact: &str) -> Result<Box<dyn rush_sched::service::LoadedModel>, String> {
-        let model = rush_ml::codec::decode(artifact).map_err(|e| e.to_string())?;
+        let model = crate::persist::decode_model(artifact).map_err(|e| e.to_string())?;
         Ok(Box::new(OnlineLoadedModel {
             model,
             scheme: self.scheme,

@@ -27,7 +27,7 @@ fn campaign_file() -> &'static PathBuf {
             days: 2,
             ..rush_core::config::CampaignConfig::test_sized()
         });
-        std::fs::write(&path, rush_core::campaign_io::encode(&data)).expect("write campaign");
+        std::fs::write(&path, rush_core::persist::encode_campaign(&data)).expect("write campaign");
         path
     })
 }
@@ -90,7 +90,7 @@ fn full_cli_workflow() {
     );
     assert!(model.exists());
     let text = std::fs::read_to_string(&model).unwrap();
-    assert!(text.starts_with("RUSHMODEL v1"));
+    assert!(text.starts_with("{\"format\":\"rush-model/2\""));
 
     // info
     let out = rush()

@@ -36,8 +36,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rush_cluster::machine::{Machine, MachineConfig};
 use rush_cluster::topology::FatTreeConfig;
+use rush_ml::cem::PolicyArtifact;
 use rush_ml::cem::{self, CemConfig, CemOutcome};
-use rush_ml::codec::PolicyArtifact;
 use rush_obs::json::{escape_str, fmt_f64, JsonObject};
 use rush_simkit::rng::RngStreams;
 use rush_simkit::time::{SimDuration, SimTime};

@@ -37,7 +37,7 @@ fn pipeline_exports_a_usable_model() {
     .run_on(campaign().clone());
 
     // The export is parseable and predicts identically.
-    let decoded = rush_repro::ml::codec::decode(&out.exported).expect("export decodes");
+    let decoded = rush_repro::core::persist::decode_model(&out.exported).expect("export decodes");
     let ds = build_dataset(&out.campaign, NodeScope::JobNodes, LabelScheme::ThreeClass);
     for row in ds.features.iter().take(20) {
         assert_eq!(decoded.predict(row), out.final_model.predict(row));
