@@ -189,8 +189,8 @@ impl AdaBoost {
         &self.config
     }
 
-    /// Rebuilds an ensemble from its parts: one vote per learner, every
-    /// learner of width `n_classes` × `n_features`.
+    /// Rebuilds an ensemble from its parts: at least one learner, one vote
+    /// per learner, every learner of width `n_classes` × `n_features`.
     pub fn from_parts(
         learners: Vec<DecisionTree>,
         alphas: Vec<f64>,
@@ -198,7 +198,7 @@ impl AdaBoost {
         n_classes: usize,
         n_features: usize,
     ) -> Result<Self, String> {
-        if learners.len() != alphas.len() {
+        if learners.is_empty() || learners.len() != alphas.len() {
             return Err(format!(
                 "{} learners but {} votes",
                 learners.len(),

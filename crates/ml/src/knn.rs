@@ -76,15 +76,17 @@ impl Knn {
         nearest.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
 
         // Majority vote; ties resolved toward the class of the nearest
-        // member among the tied classes.
-        let mut votes = vec![0usize; self.n_classes];
-        for &(_, l) in nearest.iter() {
-            votes[l as usize] += 1;
-        }
-        let best_count = *votes.iter().max().expect("non-empty votes");
+        // member among the tied classes. Only classes among the k nearest
+        // can win, so they are the only ones counted.
+        let votes = |class: u32| nearest.iter().filter(|&&(_, l)| l == class).count();
+        let best_count = nearest
+            .iter()
+            .map(|&(_, l)| votes(l))
+            .max()
+            .expect("at least one neighbor");
         nearest
             .iter()
-            .find(|&&(_, l)| votes[l as usize] == best_count)
+            .find(|&&(_, l)| votes(l) == best_count)
             .map(|&(_, l)| l)
             .expect("at least one neighbor")
     }
@@ -246,5 +248,20 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn empty_fit_rejected() {
         Knn::fit(&[], &[], 2, &KnnConfig::default());
+    }
+
+    #[test]
+    fn from_parts_rejects_broken_models() {
+        let scaler = || Standardizer::from_parts(vec![0.0], vec![1.0]).unwrap();
+        let build = |rows: Vec<Vec<f64>>, labels: Vec<u32>, k| {
+            Knn::from_parts(scaler(), rows, labels, KnnConfig { k }, 2)
+        };
+        assert!(build(vec![vec![1.0]], vec![1], 3).is_ok());
+        assert!(build(vec![vec![1.0]], vec![1], 0).is_err());
+        assert!(build(vec![], vec![], 1).is_err());
+        assert!(build(vec![vec![1.0]], vec![2], 1).is_err());
+        assert!(build(vec![vec![1.0, 2.0]], vec![0], 1).is_err());
+        assert!(build(vec![vec![f64::NAN]], vec![0], 1).is_err());
+        assert!(build(vec![vec![1.0]], vec![0, 1], 1).is_err());
     }
 }

@@ -152,4 +152,13 @@ mod tests {
         let s = Standardizer::fit(&[vec![1.0, 2.0]]);
         s.transform(&[1.0]);
     }
+
+    #[test]
+    fn from_parts_rejects_unusable_statistics() {
+        assert!(Standardizer::from_parts(vec![0.0], vec![2.0]).is_ok());
+        assert!(Standardizer::from_parts(vec![0.0, 1.0], vec![2.0]).is_err());
+        assert!(Standardizer::from_parts(vec![f64::INFINITY], vec![1.0]).is_err());
+        assert!(Standardizer::from_parts(vec![0.0], vec![0.0]).is_err());
+        assert!(Standardizer::from_parts(vec![0.0], vec![f64::NAN]).is_err());
+    }
 }

@@ -677,6 +677,34 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_rejects_broken_trees() {
+        let leaf = || Node::Leaf {
+            probs: vec![1.0, 0.0],
+        };
+        let split = |feature, left, right| Node::Split {
+            feature,
+            threshold: 0.5,
+            left,
+            right,
+        };
+        let build = |nodes| DecisionTree::from_parts(nodes, 2, 1, vec![0.0]);
+        assert!(build(vec![split(0, 1, 2), leaf(), leaf()]).is_ok());
+        for broken in [
+            vec![],
+            vec![split(0, 0, 0)],                   // points at itself
+            vec![leaf(), split(0, 0, 2), leaf()],   // points backward
+            vec![split(0, 1, 7), leaf()],           // past the arena
+            vec![split(999, 1, 2), leaf(), leaf()], // feature out of range
+            vec![Node::Leaf { probs: vec![1.0] }],  // leaf too narrow
+        ] {
+            assert!(build(broken.clone()).is_err(), "{broken:?}");
+        }
+        assert!(DecisionTree::from_parts(vec![leaf()], 2, 2, vec![0.0]).is_err());
+        let no_classes = Node::Leaf { probs: vec![] };
+        assert!(DecisionTree::from_parts(vec![no_classes], 0, 1, vec![0.0]).is_err());
+    }
+
+    #[test]
     fn argmax_ties_go_low() {
         assert_eq!(argmax(&[0.5, 0.5]), 0);
         assert_eq!(argmax(&[0.1, 0.8, 0.1]), 1);

@@ -339,7 +339,7 @@ fn cmd_info(mut args: Args) -> Result<(), Failure> {
     if let Some(imp) = model.feature_importances() {
         let schema = rush_telemetry::schema::FeatureSchema::table_one();
         let mut ranked: Vec<(usize, f64)> = imp.iter().copied().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importances"));
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         println!("top features by importance:");
         for (idx, value) in ranked.into_iter().take(10) {
             let name = if model.n_features() == schema.len() {

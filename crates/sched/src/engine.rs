@@ -409,40 +409,43 @@ impl Ev {
                 .ok_or_else(|| SnapshotError::Schema("short event".to_string()))?
                 .as_u64()
         };
+        let small = |i: usize| -> Result<u32, SnapshotError> {
+            let x = arg(i)?;
+            u32::try_from(x)
+                .map_err(|_| SnapshotError::Schema(format!("event field {i} = {x} exceeds u32")))
+        };
         Ok(match arg(0)? {
             0 => Ev::Submit(arg(1)? as usize),
             1 => Ev::Finish(JobId(arg(1)?), arg(2)?),
             2 => Ev::Tick,
             3 => Ev::Fault(match arg(1)? {
-                0 => FaultKind::NodeDown(arg(2)? as u32),
-                1 => FaultKind::NodeUp(arg(2)? as u32),
+                0 => FaultKind::NodeDown(small(2)?),
+                1 => FaultKind::NodeUp(small(2)?),
                 2 => FaultKind::BlackoutStart,
                 3 => FaultKind::BlackoutEnd,
                 4 => FaultKind::CorruptionStart,
                 5 => FaultKind::CorruptionEnd,
                 6 => FaultKind::NodeDegrade {
-                    node: arg(2)? as u32,
-                    factor_milli: arg(3)? as u32,
+                    node: small(2)?,
+                    factor_milli: small(3)?,
                 },
-                7 => FaultKind::NodeRestore(arg(2)? as u32),
+                7 => FaultKind::NodeRestore(small(2)?),
                 8 => FaultKind::CongestionStorm {
-                    region: arg(2)? as u32,
-                    intensity_milli: arg(3)? as u32,
+                    region: small(2)?,
+                    intensity_milli: small(3)?,
                 },
-                9 => FaultKind::StormEnd {
-                    region: arg(2)? as u32,
-                },
+                9 => FaultKind::StormEnd { region: small(2)? },
                 10 => FaultKind::NodeFlap {
-                    node: arg(2)? as u32,
+                    node: small(2)?,
                     period: SimDuration::from_micros(arg(3)?),
-                    count: arg(4)? as u32,
+                    count: small(4)?,
                 },
                 other => {
                     return Err(SnapshotError::Schema(format!("bad fault code {other}")));
                 }
             }),
             4 => Ev::Retry(JobId(arg(1)?)),
-            5 => Ev::Trust(arg(1)? as u32),
+            5 => Ev::Trust(small(1)?),
             other => return Err(SnapshotError::Schema(format!("bad event tag {other}"))),
         })
     }
@@ -3896,6 +3899,27 @@ mod tests {
                 "{bad:?} must be a schema error, got {got:?}"
             );
         }
+
+        // A pending node-down event for node 2^32 + 1 once resumed as
+        // node 1; it is a schema error now.
+        let mut body = entries.clone();
+        let Some((_, Val::Map(events))) = body.iter_mut().find(|(k, _)| k == "events") else {
+            panic!("the body has an events map")
+        };
+        let Some((_, Val::List(pending))) = events.iter_mut().find(|(k, _)| k == "entries") else {
+            panic!("the events map has an entries list")
+        };
+        pending.push(Val::List(vec![
+            Val::U64(0),
+            Val::U64(u64::MAX),
+            Val::List(vec![Val::U64(3), Val::U64(0), Val::U64((1 << 32) + 1)]),
+        ]));
+        assert_eq!(
+            resume(body),
+            Err(SnapshotError::Schema(
+                "event field 2 = 4294967297 exceeds u32".to_string()
+            ))
+        );
 
         // The untouched body still restores.
         resume(entries.clone()).expect("pristine body restores");

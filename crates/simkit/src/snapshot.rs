@@ -35,6 +35,12 @@ pub const MAGIC: [u8; 8] = *b"RUSHSNAP";
 /// not).
 pub const FORMAT_VERSION: u32 = 1;
 
+/// The deepest list/map nesting [`Val::parse`] accepts; deeper input is a
+/// [`SnapshotError::Parse`] error rather than a stack overflow. The deepest
+/// real document, an engine snapshot of an online-service run, nests 7
+/// levels.
+pub const MAX_DEPTH: usize = 32;
+
 /// Why a snapshot failed to decode or restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -248,7 +254,7 @@ impl Val {
     pub fn parse(text: &str) -> Result<Val, SnapshotError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let val = parse_val(bytes, &mut pos)?;
+        let val = parse_val(bytes, &mut pos, 0)?;
         if pos != bytes.len() {
             return Err(SnapshotError::Parse(format!(
                 "trailing bytes at offset {pos}"
@@ -278,7 +284,11 @@ fn parse_err(pos: usize, what: &str) -> SnapshotError {
     SnapshotError::Parse(format!("{what} at offset {pos}"))
 }
 
-fn parse_val(bytes: &[u8], pos: &mut usize) -> Result<Val, SnapshotError> {
+/// Parses one value nested `depth` lists/maps deep.
+fn parse_val(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Val, SnapshotError> {
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(parse_err(*pos, &format!("nesting deeper than {MAX_DEPTH}")));
+    }
     match bytes.get(*pos) {
         Some(b'u') => {
             *pos += 1;
@@ -312,7 +322,7 @@ fn parse_val(bytes: &[u8], pos: &mut usize) -> Result<Val, SnapshotError> {
                 return Ok(Val::List(items));
             }
             loop {
-                items.push(parse_val(bytes, pos)?);
+                items.push(parse_val(bytes, pos, depth + 1)?);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
@@ -336,7 +346,7 @@ fn parse_val(bytes: &[u8], pos: &mut usize) -> Result<Val, SnapshotError> {
                     return Err(parse_err(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                let value = parse_val(bytes, pos)?;
+                let value = parse_val(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -463,8 +473,10 @@ pub fn encode(master_seed: u64, sim_clock_us: u64, fingerprint: u64, body: &Val)
     out
 }
 
-/// Decodes and validates a snapshot envelope (magic, version, length, CRC).
-pub fn decode(bytes: &[u8]) -> Result<SnapshotEnvelope, SnapshotError> {
+/// Checks a snapshot's framing — magic, version, declared length and CRC —
+/// and returns its header fields `[master_seed, sim_clock_us, fingerprint]`
+/// and its body bytes.
+fn frame(bytes: &[u8]) -> Result<([u64; 3], &[u8]), SnapshotError> {
     if bytes.len() < 8 {
         return Err(SnapshotError::Truncated);
     }
@@ -480,68 +492,35 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotEnvelope, SnapshotError> {
     if version != FORMAT_VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
-    let master_seed = le64(12);
-    let sim_clock_us = le64(20);
-    let fingerprint = le64(28);
-    let body_len = le64(36) as usize;
-    let total = HEADER_LEN
-        .checked_add(body_len)
-        .and_then(|n| n.checked_add(4))
+    let end = usize::try_from(le64(36))
+        .ok()
+        .and_then(|body_len| HEADER_LEN.checked_add(body_len))
+        .filter(|&end| end.checked_add(4).is_some_and(|total| bytes.len() >= total))
         .ok_or(SnapshotError::Truncated)?;
-    if bytes.len() < total {
-        return Err(SnapshotError::Truncated);
-    }
-    let payload = &bytes[..HEADER_LEN + body_len];
-    let stored_crc = le32(HEADER_LEN + body_len);
-    if crc32(payload) != stored_crc {
+    if crc32(&bytes[..end]) != le32(end) {
         return Err(SnapshotError::CrcMismatch);
     }
-    let text = std::str::from_utf8(&bytes[HEADER_LEN..HEADER_LEN + body_len])
+    Ok(([le64(12), le64(20), le64(28)], &bytes[HEADER_LEN..end]))
+}
+
+/// Decodes and validates a snapshot envelope (magic, version, length, CRC).
+pub fn decode(bytes: &[u8]) -> Result<SnapshotEnvelope, SnapshotError> {
+    let ([master_seed, sim_clock_us, fingerprint], body) = frame(bytes)?;
+    let text = std::str::from_utf8(body)
         .map_err(|_| SnapshotError::Parse("body is not utf-8".to_string()))?;
-    let body = Val::parse(text)?;
     Ok(SnapshotEnvelope {
-        version,
+        version: FORMAT_VERSION,
         master_seed,
         sim_clock_us,
         fingerprint,
-        body,
+        body: Val::parse(text)?,
     })
 }
 
 /// Validates a snapshot's envelope without parsing the body. Used by
 /// checkpoint retention scans to find the newest *intact* file cheaply.
 pub fn validate(bytes: &[u8]) -> Result<(), SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[0..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN + 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let body_len = u64::from_le_bytes(bytes[36..44].try_into().expect("8 bytes")) as usize;
-    let total = HEADER_LEN
-        .checked_add(body_len)
-        .and_then(|n| n.checked_add(4))
-        .ok_or(SnapshotError::Truncated)?;
-    if bytes.len() < total {
-        return Err(SnapshotError::Truncated);
-    }
-    let payload = &bytes[..HEADER_LEN + body_len];
-    let stored_crc = u32::from_le_bytes(
-        bytes[HEADER_LEN + body_len..HEADER_LEN + body_len + 4]
-            .try_into()
-            .expect("4 bytes"),
-    );
-    if crc32(payload) != stored_crc {
-        return Err(SnapshotError::CrcMismatch);
-    }
-    Ok(())
+    frame(bytes).map(|_| ())
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
@@ -705,6 +684,24 @@ mod tests {
             Val::parse(&val.render()).unwrap().as_u64().unwrap(),
             u64::MAX
         );
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        // 100,000 nested lists once overflowed the stack and aborted the
+        // process; past MAX_DEPTH the parser now returns an error.
+        let deep = "[".repeat(100_000);
+        assert_eq!(
+            Val::parse(&deep),
+            Err(SnapshotError::Parse(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}"
+            )))
+        );
+        assert!(Val::parse(&"{\"k\":".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Val::parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(Val::parse(&past_limit).is_err());
     }
 
     #[test]

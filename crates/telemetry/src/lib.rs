@@ -19,11 +19,9 @@
 //!   and reduces to min/max/mean, producing the 270 counter features.
 //! * [`schema::FeatureSchema`] — the full 282-feature layout of Table I
 //!   (270 counter aggregates + 9 MPI probe features + 3 intensity one-hots).
-//! * [`export`] — a small CSV writer for datasets and result tables.
 
 pub mod aggregate;
 pub mod collector;
-pub mod export;
 pub mod schema;
 pub mod store;
 
