@@ -162,7 +162,8 @@ impl CampaignConfig {
     }
 }
 
-fn to_u32(v: &Val) -> Result<u32, SnapshotError> {
+/// The value as `u32`; a larger integer is a [`SnapshotError::Schema`] error.
+pub(crate) fn to_u32(v: &Val) -> Result<u32, SnapshotError> {
     let x = v.as_u64()?;
     u32::try_from(x).map_err(|_| SnapshotError::Schema(format!("{x} exceeds u32")))
 }

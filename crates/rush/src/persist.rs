@@ -32,7 +32,7 @@
 //! ```
 
 use crate::collect::{CampaignData, ControlRun};
-use crate::config::{app_named, CampaignConfig};
+use crate::config::{app_named, to_u32, CampaignConfig};
 use rush_ml::adaboost::{AdaBoost, AdaBoostConfig};
 use rush_ml::cem::PolicyArtifact;
 use rush_ml::forest::{Forest, ForestConfig};
@@ -125,7 +125,7 @@ pub fn decode_model(text: &str) -> Result<TrainedModel, SnapshotError> {
                 bootstrap: match doc.u("bootstrap")? {
                     0 => false,
                     1 => true,
-                    other => return Err(schema(format!("bootstrap flag {other}"))),
+                    other => return Err(SnapshotError::Schema(format!("bootstrap flag {other}"))),
                 },
                 tree: tree_config_of(doc.get("tree_config")?)?,
             };
@@ -185,7 +185,9 @@ pub fn decode_model(text: &str) -> Result<TrainedModel, SnapshotError> {
                 .map(TrainedModel::Logistic)
                 .map_err(SnapshotError::Schema)
         }
-        other => Err(schema(format!("unknown model kind '{other}'"))),
+        other => Err(SnapshotError::Schema(format!(
+            "unknown model kind '{other}'"
+        ))),
     }
 }
 
@@ -222,7 +224,9 @@ pub fn decode_policy(text: &str) -> Result<PolicyArtifact, SnapshotError> {
     let doc = open(text, POLICY_FORMAT)?;
     let weights = floats_of(doc.get("weights")?)?;
     if weights.is_empty() {
-        return Err(schema("policy artifact has no weights".into()));
+        return Err(SnapshotError::Schema(
+            "policy artifact has no weights".into(),
+        ));
     }
     Ok(PolicyArtifact {
         weights,
@@ -264,7 +268,7 @@ pub fn decode_campaign(text: &str) -> Result<CampaignData, SnapshotError> {
     let sized = |v: &Val, key: &str, want: usize| -> Result<Vec<f64>, SnapshotError> {
         let values = floats_of(v.get(key)?)?;
         if values.len() != want {
-            return Err(schema(format!(
+            return Err(SnapshotError::Schema(format!(
                 "{key} holds {} values, want {want}",
                 values.len()
             )));
@@ -304,12 +308,10 @@ fn open(text: &str, format: &str) -> Result<Val, SnapshotError> {
     let doc = Val::parse(text.strip_suffix('\n').unwrap_or(text))?;
     match doc.s("format")? {
         found if found == format => Ok(doc),
-        found => Err(schema(format!("a '{found}' document, want '{format}'"))),
+        found => Err(SnapshotError::Schema(format!(
+            "a '{found}' document, want '{format}'"
+        ))),
     }
-}
-
-fn schema(message: String) -> SnapshotError {
-    SnapshotError::Schema(message)
 }
 
 fn size(n: usize) -> Val {
@@ -318,16 +320,11 @@ fn size(n: usize) -> Val {
 
 fn to_usize(v: &Val) -> Result<usize, SnapshotError> {
     let x = v.as_u64()?;
-    usize::try_from(x).map_err(|_| schema(format!("{x} exceeds usize")))
+    usize::try_from(x).map_err(|_| SnapshotError::Schema(format!("{x} exceeds usize")))
 }
 
 fn usize_at(v: &Val, key: &str) -> Result<usize, SnapshotError> {
     to_usize(v.get(key)?)
-}
-
-fn to_u32(v: &Val) -> Result<u32, SnapshotError> {
-    let x = v.as_u64()?;
-    u32::try_from(x).map_err(|_| schema(format!("{x} exceeds u32")))
 }
 
 fn floats(values: &[f64]) -> Val {
@@ -376,7 +373,7 @@ fn tree_config_of(v: &Val) -> Result<TreeConfig, SnapshotError> {
     let split_mode = match v.s("split_mode")? {
         "best" => SplitMode::Best,
         "random" => SplitMode::RandomThreshold,
-        other => return Err(schema(format!("split mode '{other}'"))),
+        other => return Err(SnapshotError::Schema(format!("split mode '{other}'"))),
     };
     Ok(TreeConfig {
         max_depth: usize_at(v, "max_depth")?,
@@ -436,7 +433,7 @@ fn trees_of(
 
 fn node_of(v: &Val) -> Result<Node, SnapshotError> {
     let Val::Map(entries) = v else {
-        return Err(schema(format!("tree node {v:?}")));
+        return Err(SnapshotError::Schema(format!("tree node {v:?}")));
     };
     match entries.as_slice() {
         [(tag, probs)] if tag == "leaf" => Ok(Node::Leaf {
@@ -449,12 +446,14 @@ fn node_of(v: &Val) -> Result<Node, SnapshotError> {
                 left: to_usize(left)?,
                 right: to_usize(right)?,
             }),
-            other => Err(schema(format!(
+            other => Err(SnapshotError::Schema(format!(
                 "split holds {} values, want 4",
                 other.len()
             ))),
         },
-        _ => Err(schema("tree node is neither a leaf nor a split".into())),
+        _ => Err(SnapshotError::Schema(
+            "tree node is neither a leaf nor a split".into(),
+        )),
     }
 }
 
