@@ -506,14 +506,56 @@ mod tests {
     }
 
     #[test]
-    fn malformed_models_are_rejected() {
-        let data = toy_dataset();
-        let text = encode_model(&ModelKind::AdaBoost.train(&data, 2));
-        assert!(decode_model(&text[..text.len() / 2]).is_err());
+    fn knn_round_trip_is_structurally_exact() {
+        let model = ModelKind::Knn.train(&toy_dataset(), 1);
+        assert_eq!(decode_model(&encode_model(&model)), Ok(model));
+    }
+
+    #[test]
+    fn logistic_round_trip_is_structurally_exact() {
+        let model = ModelKind::Logistic.train(&toy_dataset(), 1);
+        assert_eq!(decode_model(&encode_model(&model)), Ok(model));
+    }
+
+    #[test]
+    fn float_precision_survives() {
+        let data = toy_dataset(); // has 0.125 offsets — exact in binary
+        let model = ModelKind::Knn.train(&data, 5);
+        let back = decode_model(&encode_model(&model)).unwrap();
+        let (TrainedModel::Knn(a), TrainedModel::Knn(b)) = (&model, &back) else {
+            panic!("expected knn")
+        };
+        let (_, rows_a, _) = a.parts();
+        let (_, rows_b, _) = b.parts();
+        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(rows_a),
+            bits(rows_b),
+            "floats must round-trip bit-exactly"
+        );
+    }
+
+    #[test]
+    fn header_is_validated() {
+        let text = encode_model(&ModelKind::AdaBoost.train(&toy_dataset(), 2));
         assert!(decode_model("").is_err());
+        assert!(decode_model("BOGUS\n").is_err());
         assert!(decode_model("RUSHMODEL v1\nkind knn\n").is_err());
         let martian = text.replace("\"kind\":\"adaboost\"", "\"kind\":\"martian\"");
+        assert_ne!(martian, text);
         assert!(decode_model(&martian).is_err());
+    }
+
+    #[test]
+    fn truncated_input_fails_cleanly() {
+        let text = encode_model(&ModelKind::AdaBoost.train(&toy_dataset(), 2));
+        let truncated = &text[..text.len() / 2];
+        assert!(
+            matches!(decode_model(truncated), Err(SnapshotError::Parse(_))),
+            "{truncated}"
+        );
     }
 
     #[test]
@@ -553,12 +595,17 @@ mod tests {
     #[test]
     fn campaign_round_trips_with_its_config() {
         let data = crate::collect::run_campaign(&CampaignConfig::test_sized());
-        let text = encode_campaign(&data);
-        assert_eq!(decode_campaign(&text), Ok(data));
+        assert_eq!(decode_campaign(&encode_campaign(&data)), Ok(data));
+    }
+
+    #[test]
+    fn corrupt_campaign_input_rejected() {
+        assert!(decode_campaign("garbage").is_err());
         assert!(decode_campaign("RUSHCAMPAIGN v1\nruns 0\nend\n").is_err());
 
         // A run one probe short fails on its width, not on its syntax.
-        let mut doc = Val::parse(text.trim_end()).unwrap();
+        let data = crate::collect::run_campaign(&CampaignConfig::test_sized());
+        let mut doc = Val::parse(encode_campaign(&data).trim_end()).unwrap();
         let Val::Map(entries) = &mut doc else {
             panic!("a campaign is a map")
         };
