@@ -10,9 +10,13 @@
 //! drives the application slowdown model (wide stripes see the pool);
 //! per-OST loads expose the hotspots a narrow-striped stream would feel,
 //! via [`LustreState::stream_delivered_fraction`].
+//!
+//! Streams are kept in id order and their summed demand is cached, so
+//! [`LustreState::saturation`] is O(1) and its value does not depend on the
+//! order streams were registered in.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Configuration of the filesystem pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,7 +78,10 @@ impl IoDemand {
 #[derive(Debug, Clone)]
 pub struct LustreState {
     config: LustreConfig,
-    demands: HashMap<u64, IoDemand>,
+    demands: BTreeMap<u64, IoDemand>,
+    /// Effective demand of all streams, summed in id order. Recomputed on
+    /// every stream change, so it is always the fresh sum, bit for bit.
+    stream_gbps: f64,
     /// Background demand (GB/s) from the rest of the machine, regime-driven.
     background_gbps: f64,
 }
@@ -86,7 +93,8 @@ impl LustreState {
         assert!(config.ost_count > 0, "filesystem needs OSTs");
         LustreState {
             config,
-            demands: HashMap::new(),
+            demands: BTreeMap::new(),
+            stream_gbps: 0.0,
             background_gbps: 0.0,
         }
     }
@@ -159,11 +167,23 @@ impl LustreState {
     /// Registers (or replaces) demand stream `id`.
     pub fn add_demand(&mut self, id: u64, demand: IoDemand) {
         self.demands.insert(id, demand);
+        self.stream_gbps = self.sum_streams();
     }
 
     /// Removes stream `id`; ignores unknown ids.
     pub fn remove_demand(&mut self, id: u64) {
-        self.demands.remove(&id);
+        if self.demands.remove(&id).is_some() {
+            self.stream_gbps = self.sum_streams();
+        }
+    }
+
+    /// The streams' effective demand, summed in id order.
+    fn sum_streams(&self) -> f64 {
+        let w = self.config.metadata_weight;
+        self.demands
+            .values()
+            .map(|d| d.effective_gbps(w))
+            .sum::<f64>()
     }
 
     /// Sets the background demand in GB/s.
@@ -176,15 +196,10 @@ impl LustreState {
         self.background_gbps
     }
 
-    /// Total demand currently placed on the pool, GB/s.
+    /// Total demand currently placed on the pool, GB/s. O(1): the stream
+    /// sum is cached.
     pub fn total_demand_gbps(&self) -> f64 {
-        let w = self.config.metadata_weight;
-        self.background_gbps
-            + self
-                .demands
-                .values()
-                .map(|d| d.effective_gbps(w))
-                .sum::<f64>()
+        self.background_gbps + self.stream_gbps
     }
 
     /// Saturation: demand / capacity. Values ≥ 1 mean clients are throttled.
@@ -414,5 +429,39 @@ mod tests {
     fn unknown_stream_sees_pool_fraction() {
         let fs = fs();
         assert_eq!(fs.stream_delivered_fraction(999), 1.0);
+    }
+
+    #[test]
+    fn cached_demand_sum_matches_a_fresh_sum_through_churn() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut fs = fs();
+        fs.set_background_gbps(3.7);
+        for _ in 0..2000 {
+            // Ids from a small range, so adds often replace a live stream
+            // and removes often hit one.
+            let id = rng.gen_range(0..48u64);
+            if rng.gen_bool(0.4) {
+                fs.remove_demand(id);
+            } else {
+                fs.add_demand(
+                    id,
+                    IoDemand {
+                        read_gbps: rng.gen::<f64>() * 7.0,
+                        write_gbps: rng.gen::<f64>() * 3.0,
+                        metadata_kops: rng.gen::<f64>() * 90.0,
+                    },
+                );
+            }
+            let w = fs.config().metadata_weight;
+            let fresh = fs.background_gbps()
+                + fs.demands
+                    .values()
+                    .map(|d| d.effective_gbps(w))
+                    .sum::<f64>();
+            assert_eq!(fs.total_demand_gbps().to_bits(), fresh.to_bits());
+        }
+        assert!(fs.stream_count() > 0, "churn should leave live streams");
     }
 }

@@ -1322,6 +1322,72 @@ mod tests {
         }
     }
 
+    /// Link loads and filesystem demand are summed in id order, so two
+    /// machines fed the same loads agree bit for bit even when their maps
+    /// grew differently (one first saw a batch of transient loads come and
+    /// go).
+    #[test]
+    fn same_loads_give_bit_identical_sums_however_the_maps_grew() {
+        let loads: Vec<(SourceId, Vec<NodeId>, WorkloadIntensity)> = (0..64u32)
+            .map(|i| {
+                // Overlapping allocations over twelve edge switches of pod 0
+                // plus a few nodes of pod 1, so every link sums many loads.
+                let width = 4 + i % 13;
+                let nodes = (0..width)
+                    .map(|k| NodeId((i * 7 + k * 13) % 96 + if k % 3 == 0 { 512 } else { 0 }))
+                    .collect();
+                // Intensities spread over three decades, so a sum's
+                // rounding depends on its order.
+                let f = f64::from(i);
+                let intensity = WorkloadIntensity::new(
+                    (f * 0.37).fract(),
+                    10f64.powf(-3.0 * (f * 0.61).fract()),
+                    10f64.powf(-3.0 * (f * 0.83).fract()),
+                );
+                // Registered in descending id order.
+                (SourceId(u64::from(1000 - i)), nodes, intensity)
+            })
+            .collect();
+        let feed = |m: &mut Machine| {
+            for (id, nodes, intensity) in &loads {
+                m.register_load(*id, nodes.clone(), *intensity);
+            }
+            for (id, _, _) in loads.iter().step_by(5) {
+                m.remove_load(*id);
+            }
+            m.advance_to(SimTime::from_mins(7));
+        };
+        let mut a = Machine::new(MachineConfig::quartz_like(3));
+        feed(&mut a);
+        let mut b = Machine::new(MachineConfig::quartz_like(3));
+        for i in 0..200u32 {
+            let nodes = (0..6).map(|k| NodeId((i * 13 + k * 512) % 3072)).collect();
+            b.register_load(
+                SourceId(5000 + u64::from(i)),
+                nodes,
+                WorkloadIntensity::new(0.3, 0.9, 0.8),
+            );
+        }
+        for i in 0..200u64 {
+            b.remove_load(SourceId(5000 + i));
+        }
+        feed(&mut b);
+
+        assert!(a.fs_saturation() > 0.0);
+        assert_eq!(a.fs_saturation().to_bits(), b.fs_saturation().to_bits());
+        for (_, nodes, _) in &loads {
+            assert_eq!(a.congestion(nodes).to_bits(), b.congestion(nodes).to_bits());
+        }
+        let (mut ca, mut cb) = (Vec::new(), Vec::new());
+        for n in (0..96).chain(512..608) {
+            a.sample_counters_into(NodeId(n), &mut ca);
+            b.sample_counters_into(NodeId(n), &mut cb);
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&ca), bits(&cb), "counters of node {n}");
+        }
+        assert_eq!(a.snapshot_state().render(), b.snapshot_state().render());
+    }
+
     #[test]
     fn allocation_speed_tracks_slowest_member() {
         let mut m = Machine::new(MachineConfig::tiny(7));

@@ -14,7 +14,7 @@
 
 use crate::topology::{FatTree, LinkId, NodeId, SwitchId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which links the regime-driven background utilization applies to.
 ///
@@ -57,9 +57,14 @@ pub struct TrafficSource {
 
 /// Mutable network state: the set of active sources and the lazily rebuilt
 /// per-link load map.
+///
+/// Sources are kept in id order and each source's switches and pods are
+/// visited in index order, so every link load is summed in one fixed order:
+/// two states holding the same sources agree bit for bit, however their
+/// maps grew.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
-    sources: HashMap<u64, TrafficSource>,
+    sources: BTreeMap<u64, TrafficSource>,
     loads: HashMap<LinkId, f64>,
     /// Background utilization added to uplinks per the scope (regime-driven
     /// traffic from the rest of the machine; see [`crate::noise`]).
@@ -80,7 +85,7 @@ impl NetworkState {
     /// An empty network.
     pub fn new() -> Self {
         NetworkState {
-            sources: HashMap::new(),
+            sources: BTreeMap::new(),
             loads: HashMap::new(),
             background_util: 0.0,
             background_scope: BackgroundScope::AllLinks,
@@ -315,8 +320,8 @@ fn accumulate_source(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap
     }
 
     // Count source nodes per edge switch and per pod.
-    let mut per_edge: HashMap<SwitchId, usize> = HashMap::new();
-    let mut per_pod: HashMap<u32, usize> = HashMap::new();
+    let mut per_edge: BTreeMap<SwitchId, usize> = BTreeMap::new();
+    let mut per_pod: BTreeMap<u32, usize> = BTreeMap::new();
     for &node in &source.nodes {
         *per_edge.entry(tree.edge_of(node)).or_insert(0) += 1;
         *per_pod.entry(tree.pod_of(node)).or_insert(0) += 1;

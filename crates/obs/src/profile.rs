@@ -1,12 +1,12 @@
 //! Lightweight scoped profiling.
 //!
 //! A fixed set of [`ProfileScope`]s covers the hot paths (engine ticks,
-//! the scheduling pass, predictor evaluation, featurization, forest
-//! training, telemetry sampling). The profiler is process-global and
-//! disabled by default: entering a scope costs one relaxed atomic load.
-//! When enabled (`--profile` on the CLI), each scope accumulates call
-//! count and total wall nanoseconds into atomics, summarized by
-//! [`report`].
+//! the scheduling pass, the running-speed refresh, predictor evaluation,
+//! featurization, forest training, telemetry sampling). The profiler is
+//! process-global and disabled by default: entering a scope costs one
+//! relaxed atomic load. When enabled (`--profile` on the CLI), each scope
+//! accumulates call count and total wall nanoseconds into atomics,
+//! summarized by [`report`].
 //!
 //! Wall-clock numbers are inherently nondeterministic, so profiling data
 //! is **never** written into traces or metric exports — [`report`]
@@ -30,9 +30,11 @@ pub enum ProfileScope {
     Train,
     /// Telemetry sampler advance.
     TelemetrySample,
+    /// The engine's once-per-step refresh of running jobs' speeds.
+    SpeedRefresh,
 }
 
-const SCOPE_COUNT: usize = 6;
+const SCOPE_COUNT: usize = 7;
 
 const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::EngineTick,
@@ -41,6 +43,7 @@ const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::Featurize,
     ProfileScope::Train,
     ProfileScope::TelemetrySample,
+    ProfileScope::SpeedRefresh,
 ];
 
 impl ProfileScope {
@@ -52,6 +55,7 @@ impl ProfileScope {
             ProfileScope::Featurize => 3,
             ProfileScope::Train => 4,
             ProfileScope::TelemetrySample => 5,
+            ProfileScope::SpeedRefresh => 6,
         }
     }
 
@@ -64,6 +68,7 @@ impl ProfileScope {
             ProfileScope::Featurize => "featurize",
             ProfileScope::Train => "train",
             ProfileScope::TelemetrySample => "telemetry_sample",
+            ProfileScope::SpeedRefresh => "speed_refresh",
         }
     }
 }
@@ -347,5 +352,6 @@ mod tests {
         assert_eq!(ProfileScope::SchedulePass.label(), "schedule_pass");
         assert_eq!(ProfileScope::PredictorEval.label(), "predictor_eval");
         assert_eq!(ProfileScope::TelemetrySample.label(), "telemetry_sample");
+        assert_eq!(ProfileScope::SpeedRefresh.label(), "speed_refresh");
     }
 }

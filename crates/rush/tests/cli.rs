@@ -249,7 +249,13 @@ fn profile_flag_prints_scope_table_to_stderr() {
         err.contains("profile (wall time per scope):"),
         "missing profile header in stderr: {err}"
     );
-    for scope in ["engine_tick", "schedule_pass", "predictor_eval", "train"] {
+    for scope in [
+        "engine_tick",
+        "schedule_pass",
+        "speed_refresh",
+        "predictor_eval",
+        "train",
+    ] {
         assert!(
             err.contains(scope),
             "profile table must list {scope}: {err}"

@@ -2,16 +2,18 @@
 //!
 //! Runs a job stream against a [`Machine`] under Algorithm 1 (queue policy
 //! R1 + EASY backfill with R2) with the RUSH `Start()` of Algorithm 2. Job
-//! progress is integrated piecewise: every state change (job start/finish,
-//! periodic tick) re-evaluates each running job's slowdown from the
-//! machine's *current* congestion and filesystem saturation, converts
-//! elapsed time into completed work, and reschedules its finish event. A
-//! job that runs through a congestion storm therefore takes longer even if
-//! the storm began mid-run — the mechanism behind the paper's variability.
+//! progress is integrated piecewise: a step that changes what running jobs
+//! contend for (a start, finish or kill, a performance fault, the periodic
+//! tick) marks speeds dirty, and at its end one refresh re-evaluates each
+//! running job's slowdown from the machine's *current* congestion and
+//! filesystem saturation, converts elapsed time into completed work, and
+//! reschedules its finish event. A job that runs through a congestion storm
+//! therefore takes longer even if the storm began mid-run — the mechanism
+//! behind the paper's variability.
 //!
-//! Event cancellation uses generation counters: each progress update bumps
-//! the job's generation, and finish events carry the generation they were
-//! scheduled under; stale events are ignored.
+//! Event cancellation uses generation counters: each rescheduled finish
+//! bumps the job's generation, and finish events carry the generation they
+//! were scheduled under; stale events are ignored.
 
 use crate::audit::{AuditConfig, AuditPolicy, Invariant, Violation};
 use crate::easy::{backfill_allowed, compute_reservation, RunningSnapshot};
@@ -41,7 +43,7 @@ use rush_telemetry::aggregate::window_quality;
 use rush_telemetry::collector::Sampler;
 use rush_telemetry::store::MetricStore;
 use rush_workloads::jobgen::JobRequest;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Which backfilling discipline fills holes around blocked jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -299,13 +301,16 @@ struct RunningJob {
     total_work: f64,
     /// Remaining nominal work, in seconds at speed 1.
     remaining_work: f64,
-    /// Current execution speed (1 / slowdown).
+    /// Current execution speed (1 / slowdown); 0 until the refresh that
+    /// ends the job's start step.
     speed: f64,
     last_update: SimTime,
     generation: u64,
     skips: u32,
-    /// Cancellation handle for the currently pending finish event.
-    finish_key: EventKey,
+    /// Cancellation handle for the currently pending finish event. `None`
+    /// only between the job's start and the refresh that ends that step,
+    /// which schedules the first one.
+    finish_key: Option<EventKey>,
     /// When that pending finish event fires. A refresh that recomputes the
     /// identical microsecond skips rescheduling.
     finish_at: SimTime,
@@ -614,7 +619,12 @@ pub struct SchedulerEngine {
     config: SchedulerConfig,
     predictor: Box<dyn VariabilityPredictor>,
     queue: Vec<Job>,
-    running: HashMap<JobId, RunningJob>,
+    /// Running jobs in id order, the order the speed refresh visits them.
+    running: BTreeMap<JobId, RunningJob>,
+    /// Set by whatever changes running jobs' speeds within a step; the step
+    /// then ends with one [`refresh_running_speeds`](Self::refresh_running_speeds).
+    /// Always clear between steps.
+    speeds_dirty: bool,
     skip_table: HashMap<JobId, u32>,
     delayed_until: HashMap<JobId, SimTime>,
     /// Kill count per job (node-failure retries).
@@ -703,7 +713,8 @@ impl SchedulerEngine {
             config,
             predictor,
             queue: Vec::new(),
-            running: HashMap::new(),
+            running: BTreeMap::new(),
+            speeds_dirty: false,
             skip_table: HashMap::new(),
             delayed_until: HashMap::new(),
             attempts: HashMap::new(),
@@ -1062,11 +1073,6 @@ impl SchedulerEngine {
                 if valid {
                     self.advance_world(now);
                     self.finish_job(id, now);
-                    // The finished job's released load changes contention
-                    // for every survivor; refresh their speeds *now* rather
-                    // than letting them coast at stale contended speeds
-                    // until the next tick.
-                    self.refresh_running_speeds(now, None);
                     self.schedule_pass(now);
                 }
                 // else: stale generation. Superseded finish events are
@@ -1081,7 +1087,9 @@ impl SchedulerEngine {
                     self.store
                         .retain_from(now.saturating_sub(self.config.retention));
                 }
-                self.refresh_running_speeds(now, None);
+                // Background load drifts between ticks: re-speed every
+                // running job even if nothing starts or finishes.
+                self.speeds_dirty = true;
                 self.schedule_pass(now);
                 let work_remains =
                     !self.queue.is_empty() || !self.running.is_empty() || self.pending_submits > 0;
@@ -1115,6 +1123,12 @@ impl SchedulerEngine {
                     self.schedule_pass(now);
                 }
             }
+        }
+        // One refresh settles every speed change of this step. Running it
+        // after the pass is safe: the pass plans with estimates, never with
+        // speeds.
+        if self.speeds_dirty {
+            self.refresh_running_speeds(now);
         }
         if self.config.audit.enabled() && self.config.audit.every_event {
             self.audit_now(now);
@@ -1225,13 +1239,8 @@ impl SchedulerEngine {
                     .filter(|(_, r)| r.nodes.contains(&node))
                     .map(|(&id, _)| id)
                     .collect();
-                let any_killed = !victims.is_empty();
                 for id in victims {
                     self.kill_job(id, now);
-                }
-                if any_killed {
-                    // Killed jobs released load: survivors speed up now.
-                    self.refresh_running_speeds(now, None);
                 }
                 // Freed survivor-side capacity may admit queued work.
                 self.schedule_pass(now);
@@ -1263,13 +1272,13 @@ impl SchedulerEngine {
                 self.registry.inc(self.counters.node_degrades);
                 self.emit(now, ObsEvent::NodeDegraded { node, factor_milli });
                 // The straggler slows every job sharing it from this instant.
-                self.refresh_running_speeds(now, None);
+                self.speeds_dirty = true;
             }
             FaultKind::NodeRestore(node) => {
                 self.machine.restore_node_speed(NodeId(node));
                 self.registry.inc(self.counters.node_restores);
                 self.emit(now, ObsEvent::NodeRestored { node });
-                self.refresh_running_speeds(now, None);
+                self.speeds_dirty = true;
             }
             FaultKind::CongestionStorm {
                 region,
@@ -1286,12 +1295,12 @@ impl SchedulerEngine {
                 );
                 // Injected contention raises congestion for everything whose
                 // links cross the stormed pod.
-                self.refresh_running_speeds(now, None);
+                self.speeds_dirty = true;
             }
             FaultKind::StormEnd { region } => {
                 self.machine.end_storm(region);
                 self.emit(now, ObsEvent::StormEnded { region });
-                self.refresh_running_speeds(now, None);
+                self.speeds_dirty = true;
             }
             FaultKind::NodeFlap {
                 node,
@@ -1339,8 +1348,12 @@ impl SchedulerEngine {
     /// it failed. Either way the job is accounted for — never lost.
     fn kill_job(&mut self, id: JobId, now: SimTime) {
         let r = self.running.remove(&id).expect("killing unknown job");
-        self.events.cancel(r.finish_key);
+        if let Some(key) = r.finish_key {
+            self.events.cancel(key);
+        }
         self.machine.remove_load(SourceId(id.0));
+        // The released load speeds the survivors up.
+        self.speeds_dirty = true;
         // Release returns healthy nodes to the pool; the crashed node stays
         // quarantined (Down with its pending-release flag cleared).
         self.pool.release(&r.nodes);
@@ -1454,58 +1467,51 @@ impl SchedulerEngine {
     }
 
     /// Settles each running job's work at its previous speed over the
-    /// elapsed interval, recomputes speeds from current machine state, and
-    /// reschedules finish events. `except` skips a job that was already
-    /// evaluated at `now` (the one that just started).
+    /// elapsed interval, recomputes its speed from current machine state,
+    /// and reschedules its finish event. [`step`](Self::step) calls this
+    /// once, at the end of a step that set `speeds_dirty`, so a pass that
+    /// starts k jobs among N running costs O(N + k), not O(k·N).
     ///
-    /// Ids are visited in sorted order: per-job refreshes are independent,
-    /// but a fixed order keeps event seq numbers (and thus exact-time tie
-    /// breaks) reproducible across processes.
-    fn refresh_running_speeds(&mut self, now: SimTime, except: Option<JobId>) {
-        let mut ids: Vec<JobId> = self
-            .running
-            .keys()
-            .copied()
-            .filter(|&id| Some(id) != except)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
+    /// Jobs are visited in id order: per-job refreshes are independent, but
+    /// a fixed order keeps event seq numbers (and thus exact-time tie
+    /// breaks) reproducible across processes. A job started this step gets
+    /// its first speed and finish event here, under the step's final load.
+    fn refresh_running_speeds(&mut self, now: SimTime) {
+        let _scope = obs_profile::scope(ProfileScope::SpeedRefresh);
+        self.speeds_dirty = false;
+        // Starts, finishes and faults are done for this step, so the
+        // saturation is one value for every job.
+        let fs = self.machine.fs_saturation();
+        for (&id, r) in self.running.iter_mut() {
             // Settle elapsed work.
-            let (nodes, app) = {
-                let r = self.running.get_mut(&id).expect("running job");
-                let elapsed = now.since(r.last_update).as_secs_f64();
-                r.remaining_work = (r.remaining_work - elapsed * r.speed).max(0.0);
-                r.last_update = now;
-                (r.nodes.clone(), r.job.app)
-            };
+            let elapsed = now.since(r.last_update).as_secs_f64();
+            r.remaining_work = (r.remaining_work - elapsed * r.speed).max(0.0);
+            r.last_update = now;
             // Recompute speed under current contention, at the job's
             // current phase. Straggler nodes gate the whole allocation.
-            let congestion = self.machine.congestion_cached(SourceId(id.0), &nodes);
-            let fs = self.machine.fs_saturation();
-            let node_factor = self.machine.allocation_speed_factor(&nodes);
-            let (finish_at, old_key, unchanged) = {
-                let r = self.running.get_mut(&id).expect("running job");
-                let progress = 1.0 - r.remaining_work / r.total_work.max(1e-9);
-                let slowdown = app.descriptor().slowdown_at(progress, congestion, fs);
-                r.speed = node_factor / slowdown;
-                let finish_in = SimDuration::from_secs_f64(r.remaining_work / r.speed);
-                let finish_at = now + finish_in;
-                // If the recomputed finish lands on the identical
-                // microsecond, the pending event is already correct — skip
-                // the cancel + reschedule churn entirely.
-                let unchanged = finish_at == r.finish_at;
-                (finish_at, r.finish_key, unchanged)
-            };
-            if unchanged {
-                continue;
+            let congestion = self.machine.congestion_cached(SourceId(id.0), &r.nodes);
+            let node_factor = self.machine.allocation_speed_factor(&r.nodes);
+            let progress = 1.0 - r.remaining_work / r.total_work.max(1e-9);
+            let slowdown = r.job.app.descriptor().slowdown_at(progress, congestion, fs);
+            r.speed = node_factor / slowdown;
+            let finish_at = now + SimDuration::from_secs_f64(r.remaining_work / r.speed);
+            match r.finish_key {
+                // The recomputed finish lands on the identical microsecond:
+                // the pending event is already correct, so skip the cancel
+                // + reschedule churn entirely.
+                Some(_) if finish_at == r.finish_at => continue,
+                Some(key) => {
+                    self.events.cancel(key);
+                }
+                // Started this step: its first finish event.
+                None => {}
             }
-            let gen = self.next_gen;
+            r.generation = self.next_gen;
             self.next_gen += 1;
-            self.events.cancel(old_key);
-            let key = self.events.schedule(finish_at, Ev::Finish(id, gen));
-            let r = self.running.get_mut(&id).expect("running job");
-            r.generation = gen;
-            r.finish_key = key;
+            r.finish_key = Some(
+                self.events
+                    .schedule(finish_at, Ev::Finish(id, r.generation)),
+            );
             r.finish_at = finish_at;
         }
     }
@@ -1522,6 +1528,8 @@ impl SchedulerEngine {
             r.remaining_work
         );
         self.machine.remove_load(SourceId(id.0));
+        // The released load speeds the survivors up.
+        self.speeds_dirty = true;
         self.pool.release(&r.nodes);
         self.registry.inc(self.counters.jobs_finished);
         self.registry
@@ -1977,12 +1985,6 @@ impl SchedulerEngine {
         let base = job.base_runtime().as_secs_f64();
         let work = base * os * intrinsic;
 
-        let congestion = self.machine.congestion_cached(SourceId(job.id.0), &nodes);
-        let fs = self.machine.fs_saturation();
-        // Straggler nodes gate the whole allocation's speed.
-        let node_factor = self.machine.allocation_speed_factor(&nodes);
-        let speed = node_factor / app.slowdown_at(0.0, congestion, fs);
-
         let id = job.id;
         let skips = self.skip_table.get(&id).copied().unwrap_or(0);
         self.registry.inc(self.counters.jobs_started);
@@ -1996,11 +1998,6 @@ impl SchedulerEngine {
                 skips,
             },
         );
-        let generation = self.next_gen;
-        self.next_gen += 1;
-        let finish_in = SimDuration::from_secs_f64(work / speed);
-        let finish_at = now + finish_in;
-        let finish_key = self.events.schedule(finish_at, Ev::Finish(id, generation));
         self.running.insert(
             id,
             RunningJob {
@@ -2010,16 +2007,17 @@ impl SchedulerEngine {
                 launch_prediction,
                 total_work: work,
                 remaining_work: work,
-                speed,
+                speed: 0.0,
                 last_update: now,
-                generation,
+                generation: 0,
                 skips: self.skip_table.get(&id).copied().unwrap_or(0),
-                finish_key,
-                finish_at,
+                finish_key: None,
+                finish_at: now,
             },
         );
-        // A job starting changes contention for everyone else.
-        self.refresh_running_speeds(now, Some(id));
+        // The step's refresh gives this job its speed and finish event, and
+        // re-speeds everyone else under the load it adds.
+        self.speeds_dirty = true;
         true
     }
 
@@ -2072,12 +2070,10 @@ impl SchedulerEngine {
         let class_val =
             |c: Option<VariabilityClass>| Val::I64(c.map(|c| c.index() as i64).unwrap_or(-1));
 
-        let mut run_ids: Vec<JobId> = self.running.keys().copied().collect();
-        run_ids.sort_unstable();
-        let running: Vec<Val> = run_ids
-            .iter()
-            .map(|id| {
-                let r = &self.running[id];
+        let running: Vec<Val> = self
+            .running
+            .values()
+            .map(|r| {
                 Val::List(vec![
                     Val::U64(r.job.id.0),
                     nodes_val(&r.nodes),
@@ -2089,7 +2085,11 @@ impl SchedulerEngine {
                     t(r.last_update),
                     Val::U64(r.generation),
                     Val::U64(r.skips as u64),
-                    Val::U64(r.finish_key.raw()),
+                    Val::U64(
+                        r.finish_key
+                            .expect("every step ends with finish events scheduled")
+                            .raw(),
+                    ),
                     t(r.finish_at),
                 ])
             })
@@ -2287,7 +2287,7 @@ impl SchedulerEngine {
             queue.push(job_of(id.as_u64()?)?);
         }
 
-        let mut running = HashMap::new();
+        let mut running = BTreeMap::new();
         for rv in b.l("running")? {
             let l = rv.as_list()?;
             if l.len() != 12 {
@@ -2308,7 +2308,7 @@ impl SchedulerEngine {
                     last_update: SimTime::from_micros(l[7].as_u64()?),
                     generation: l[8].as_u64()?,
                     skips: l[9].as_u64()? as u32,
-                    finish_key: EventKey::from_raw(l[10].as_u64()?),
+                    finish_key: Some(EventKey::from_raw(l[10].as_u64()?)),
                     finish_at: SimTime::from_micros(l[11].as_u64()?),
                 },
             );
@@ -3466,6 +3466,108 @@ mod tests {
             "survivor must speed up at its neighbor's finish: \
              fine-tick end {fine}, coarse-tick end {coarse} ({gap:.1}s apart)"
         );
+    }
+
+    fn request(id: u64, app: AppId, nodes: u32, submit_us: u64) -> JobRequest {
+        JobRequest {
+            id,
+            app,
+            nodes,
+            submit_at: SimTime::from_micros(submit_us),
+            scaling: ScalingMode::Reference,
+            user_est_secs: None,
+        }
+    }
+
+    /// Cost shape of the once-per-step refresh: a pass that starts k jobs
+    /// among N running schedules at most N + k finish events, one per job
+    /// at most. Refreshing everyone after each start costs about k·N.
+    #[test]
+    fn a_pass_starting_k_jobs_schedules_at_most_n_plus_k_finish_events() {
+        // Six long one-node jobs and a 10-node blocker fill the 16 nodes;
+        // four 2-node jobs queue behind them and all start in the pass at
+        // the blocker's finish.
+        let mut reqs: Vec<JobRequest> = (0..6)
+            .map(|i| request(i, AppId::Lbann, 1, i * 1_000_000))
+            .collect();
+        reqs.push(request(6, AppId::Swfft, 10, 6_000_000));
+        reqs.extend((7..11).map(|i| request(i, AppId::Amg, 2, i * 1_000_000)));
+        let mut eng = engine(Box::new(NeverVaries));
+        eng.prepare(&reqs);
+        let started = |e: &SchedulerEngine| e.registry.counter(e.counters.jobs_started);
+        loop {
+            let (scheduled_before, started_before) = (eng.events.stats().scheduled, started(&eng));
+            eng.step().expect("the burst comes before the run ends");
+            let k = started(&eng) - started_before;
+            if k < 2 {
+                continue;
+            }
+            let n = eng.running.len() as u64 - k;
+            assert_eq!((n, k), (6, 4), "the blocker's finish starts the queue");
+            let scheduled = eng.events.stats().scheduled - scheduled_before;
+            assert!(
+                scheduled <= n + k,
+                "{scheduled} events scheduled for {k} starts among {n} running jobs"
+            );
+            break;
+        }
+    }
+
+    /// A step that starts, finishes, kills and degrades nothing moves no
+    /// running job's speed, so it must not settle any job's work either:
+    /// settling at an extra instant re-rounds `remaining_work`.
+    #[test]
+    fn steps_that_change_no_load_settle_no_work() {
+        // Three 4-node jobs run; a 16-node job cannot start beside them.
+        let mut reqs: Vec<JobRequest> = (0..3)
+            .map(|i| request(i, AppId::Lbann, 4, i * 1_000_000))
+            .collect();
+        reqs.push(request(3, AppId::Amg, 16, 3_500_000));
+        let mut eng = engine(Box::new(NeverVaries));
+        eng.prepare(&reqs);
+        // Delivers the one event at `at` (off the 30 s tick grid) and
+        // checks it left every running job's `last_update` alone.
+        let deliver = |eng: &mut SchedulerEngine, at_us: u64| {
+            let at = SimTime::from_micros(at_us);
+            while eng.events.peek_time().expect("event pending") < at {
+                eng.step();
+            }
+            let updates = |e: &SchedulerEngine| -> Vec<(JobId, SimTime)> {
+                e.running
+                    .iter()
+                    .map(|(&id, r)| (id, r.last_update))
+                    .collect()
+            };
+            let before = updates(eng);
+            assert_eq!(eng.step(), Some(at));
+            assert!(eng.events.peek_time().is_some_and(|t| t > at));
+            assert_eq!(before.len(), 3, "all three jobs still run at {at}");
+            assert_eq!(updates(eng), before, "the step at {at} settled work");
+        };
+        // A submit that cannot start.
+        deliver(&mut eng, 3_500_000);
+        assert_eq!(eng.queue.len(), 1);
+        // An idle node crashes, is repaired, and crashes again while on
+        // probation, so its trust event finds it down and does nothing.
+        let idle = (0..16)
+            .map(NodeId)
+            .find(|n| eng.running.values().all(|r| !r.nodes.contains(n)))
+            .expect("four nodes are idle");
+        for (at_us, fault) in [
+            (10_250_000, FaultKind::NodeDown(idle.0)),
+            (20_250_000, FaultKind::NodeUp(idle.0)),
+            (25_250_000, FaultKind::NodeDown(idle.0)),
+        ] {
+            eng.events
+                .schedule(SimTime::from_micros(at_us), Ev::Fault(fault));
+        }
+        deliver(&mut eng, 10_250_000);
+        deliver(&mut eng, 20_250_000);
+        assert_eq!(eng.machine().node_health(idle), NodeHealth::Suspect);
+        deliver(&mut eng, 25_250_000);
+        let probation = SchedulerConfig::default().faults.suspect_probation;
+        deliver(&mut eng, 20_250_000 + probation.as_micros());
+        assert_eq!(eng.machine().node_health(idle), NodeHealth::Down);
     }
 
     /// Bugfix regression: one EASY backfill pass must debit the
