@@ -12,9 +12,21 @@
 //! it (transmit rates, `xmit_wait`-style congestion signals, error counts,
 //! I/O call volumes), each corrupted by multiplicative lognormal noise. This
 //! keeps the learning problem honest.
+//!
+//! Noise comes from one stream per machine ([`counter_stream`]), drawn in
+//! the order rows are synthesized. Every row takes the same number of
+//! draws whatever the observation ([`draws_per_row`]), so a row that is
+//! never synthesized can be passed over by discarding that many draws.
 
 use rand::{Rng, RngCore};
+use rush_simkit::rng::{CountedRng, RngStreams};
 use serde::{Deserialize, Serialize};
+
+/// Counters per node across the three tables (22 + 34 + 34).
+pub const COUNTER_COUNT: usize = 90;
+
+/// Uniform draws summed into one noisy counter's approximate normal.
+const IRWIN_HALL_TERMS: u64 = 12;
 
 /// What one node can observe about the machine at a sampling instant.
 ///
@@ -38,6 +50,36 @@ pub struct NodeObservation {
     pub meta_kops: f64,
     /// Global filesystem saturation (demand / capacity).
     pub fs_saturation: f64,
+}
+
+impl NodeObservation {
+    /// The fields in declaration order.
+    pub fn to_array(&self) -> [f64; 8] {
+        [
+            self.xmit_gbps,
+            self.recv_gbps,
+            self.edge_uplink_util,
+            self.pod_uplink_util,
+            self.read_gbps,
+            self.write_gbps,
+            self.meta_kops,
+            self.fs_saturation,
+        ]
+    }
+
+    /// Inverse of [`NodeObservation::to_array`].
+    pub fn from_array(a: [f64; 8]) -> Self {
+        NodeObservation {
+            xmit_gbps: a[0],
+            recv_gbps: a[1],
+            edge_uplink_util: a[2],
+            pod_uplink_util: a[3],
+            read_gbps: a[4],
+            write_gbps: a[5],
+            meta_kops: a[6],
+            fs_saturation: a[7],
+        }
+    }
 }
 
 /// The three counter tables of Table I.
@@ -308,7 +350,7 @@ pub fn synthesize_counter<R: RngCore>(
     // Box–Muller-free lognormal: exp(sigma * approx-normal) via sum of
     // uniforms (Irwin–Hall with n=12 has unit variance).
     let mut acc = 0.0;
-    for _ in 0..12 {
+    for _ in 0..IRWIN_HALL_TERMS {
         acc += rng.gen::<f64>();
     }
     let z = acc - 6.0;
@@ -326,6 +368,34 @@ pub fn synthesize_table_into<R: RngCore>(
     for spec in table.counters() {
         out.push(synthesize_counter(spec, obs, rng));
     }
+}
+
+/// Appends all [`COUNTER_COUNT`] counters for one node observation to
+/// `out`, the three tables in Table-I order (`sysclassib`, `opa_info`,
+/// `lustre_client`).
+pub fn synthesize_row_into<R: RngCore>(obs: &NodeObservation, rng: &mut R, out: &mut Vec<f64>) {
+    for table in CounterTable::ALL {
+        synthesize_table_into(table, obs, rng, out);
+    }
+}
+
+/// The `u64` draws [`synthesize_row_into`] takes from its RNG, derived
+/// from the counter specs: 12 (the Irwin–Hall terms) per noisy counter, none
+/// for a noise-free one. The same for every observation.
+pub fn draws_per_row() -> u64 {
+    let noisy = CounterTable::ALL
+        .iter()
+        .flat_map(|table| table.counters())
+        .filter(|spec| spec.noise != 0.0)
+        .count();
+    noisy as u64 * IRWIN_HALL_TERMS
+}
+
+/// The noise stream of the machine seeded with `machine_seed`. Counter
+/// values are a function of the observations and of this stream's
+/// position, so whoever synthesizes a machine's rows owns it.
+pub fn counter_stream(machine_seed: u64) -> CountedRng {
+    RngStreams::new(machine_seed).counted_stream("machine/counters")
 }
 
 #[cfg(test)]
@@ -467,11 +537,34 @@ mod tests {
     }
 
     #[test]
+    fn draws_per_row_is_derived_from_the_specs() {
+        // 88 of the 90 counters are noisy (`link_rate` and
+        // `opa_link_qual_indicator` are not), at 12 draws each.
+        assert_eq!(draws_per_row(), 88 * 12);
+        for obs in [
+            NodeObservation::default(),
+            NodeObservation::from_array([3.0, 2.5, 0.9, 0.4, 1.0, 0.5, 2.0, 1.3]),
+        ] {
+            let mut rng = counter_stream(9);
+            let mut row = Vec::new();
+            synthesize_row_into(&obs, &mut rng, &mut row);
+            assert_eq!(row.len(), COUNTER_COUNT);
+            assert_eq!(rng.draws(), draws_per_row());
+        }
+    }
+
+    #[test]
+    fn observation_array_round_trips() {
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        assert_eq!(NodeObservation::from_array(a).to_array(), a);
+    }
+
+    #[test]
     fn total_feature_budget_matches_paper() {
         // 22 + 34 + 34 counters, each expanded to min/max/mean = 270
         // features, plus 9 MPI benchmark features and 3 one-hots = 282.
         let counters: usize = CounterTable::ALL.iter().map(|t| t.counter_count()).sum();
-        assert_eq!(counters, 90);
+        assert_eq!(counters, COUNTER_COUNT);
         assert_eq!(counters * 3 + 9 + 3, 282);
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! A [`Machine`] is advanced explicitly (`advance_to`) and queried for the
 //! state jobs experience: network congestion over a node set, filesystem
-//! saturation, OS-noise draws, and per-node synthesized monitoring counters.
+//! saturation, OS-noise draws, and what each node can observe
+//! ([`NodeObservation`], the input to counter synthesis in
+//! [`crate::counters`]).
 //! Schedulers and workload models register the load of running jobs as
 //! sources; the experiment noise job and the background regime process are
 //! managed internally.
 
-use crate::counters::{synthesize_table_into, CounterTable, NodeObservation};
+use crate::counters::NodeObservation;
 use crate::lustre::{IoDemand, LustreConfig, LustreState};
 use crate::network::{
     traversed_links, BackgroundScope, NetworkState, TrafficPattern, TrafficSource,
@@ -285,7 +287,6 @@ pub struct Machine {
     os_noise: OsNoise,
     rng_regime: CountedRng,
     rng_noise_job: CountedRng,
-    rng_counters: CountedRng,
     rng_os: CountedRng,
     now: SimTime,
     last_noise_update: SimTime,
@@ -319,7 +320,6 @@ impl Machine {
             node_speed_milli: vec![1000; tree_nodes as usize],
             rng_regime,
             rng_noise_job: streams.counted_stream("machine/noise-job"),
-            rng_counters: streams.counted_stream("machine/counters"),
             rng_os: streams.counted_stream("machine/os-noise"),
             now: SimTime::ZERO,
             last_noise_update: SimTime::ZERO,
@@ -616,29 +616,6 @@ impl Machine {
         )
     }
 
-    /// Synthesizes the three counter tables for `node` into `out` (cleared
-    /// first), flattened in Table-I order (`sysclassib` 22, `opa_info` 34,
-    /// `lustre_client` 34), so one buffer can be reused across calls.
-    pub fn sample_counters_into(&mut self, node: NodeId, out: &mut Vec<f64>) {
-        let obs = self.observe(node);
-        self.synthesize_counters(&obs, out);
-    }
-
-    /// [`Machine::sample_counters_into`] over [`Machine::observe_swept`]:
-    /// the path for a sampling round over every node.
-    pub fn sample_counters_swept_into(&mut self, node: NodeId, out: &mut Vec<f64>) {
-        let obs = self.observe_swept(node);
-        self.synthesize_counters(&obs, out);
-    }
-
-    fn synthesize_counters(&mut self, obs: &NodeObservation, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(90);
-        for table in CounterTable::ALL {
-            synthesize_table_into(table, obs, &mut self.rng_counters, out);
-        }
-    }
-
     /// Current noise-job injection level in GB/s per node (0 when disabled).
     pub fn noise_level_gbps(&self) -> f64 {
         self.noise_job
@@ -849,7 +826,6 @@ impl Machine {
             .with("storms", storms)
             .with("rng_regime", rng_val(&self.rng_regime))
             .with("rng_noise_job", rng_val(&self.rng_noise_job))
-            .with("rng_counters", rng_val(&self.rng_counters))
             .with("rng_os", rng_val(&self.rng_os))
     }
 
@@ -870,7 +846,6 @@ impl Machine {
         }
         self.rng_regime = restore_rng(v.get("rng_regime")?)?;
         self.rng_noise_job = restore_rng(v.get("rng_noise_job")?)?;
-        self.rng_counters = restore_rng(v.get("rng_counters")?)?;
         self.rng_os = restore_rng(v.get("rng_os")?)?;
         self.regime
             .restore_state(v.u("regime_index")?, v.f("regime_wobble")?);
@@ -997,6 +972,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{counter_stream, synthesize_row_into, COUNTER_COUNT};
 
     fn nodes(r: std::ops::Range<u32>) -> Vec<NodeId> {
         r.map(NodeId).collect()
@@ -1238,9 +1214,15 @@ mod tests {
     #[test]
     fn sample_counters_has_ninety_values() {
         let mut m = Machine::new(MachineConfig::tiny(6));
-        let mut v = vec![f64::NAN; 3];
-        m.sample_counters_into(NodeId(0), &mut v);
-        assert_eq!(v.len(), 90, "buffer is cleared before filling");
+        m.register_load(
+            SourceId(1),
+            nodes(0..4),
+            WorkloadIntensity::new(0.2, 0.7, 0.6),
+        );
+        let mut v = Vec::new();
+        let obs = m.observe(NodeId(0));
+        synthesize_row_into(&obs, &mut counter_stream(m.config().seed), &mut v);
+        assert_eq!(v.len(), COUNTER_COUNT);
         assert!(v.iter().all(|x| x.is_finite()));
     }
 
@@ -1270,7 +1252,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_identically() {
-        // Drive a machine through noise, loads, health churn and counter
+        // Drive a machine through noise, loads, health churn and OS-noise
         // draws; snapshot mid-flight; restore into a fresh machine; the two
         // must then produce bit-identical trajectories.
         let mut m = Machine::new(MachineConfig::tiny(42));
@@ -1290,8 +1272,6 @@ mod tests {
         m.degrade_node(NodeId(5), 400);
         m.start_storm(0, 650);
         m.advance_to(SimTime::from_mins(17));
-        let mut buf = Vec::new();
-        m.sample_counters_into(NodeId(0), &mut buf);
         let _ = m.draw_os_noise();
 
         let snap = m.snapshot_state();
@@ -1314,10 +1294,7 @@ mod tests {
             r.advance_to(SimTime::from_mins(minute));
             assert_eq!(r.background_util(), m.background_util());
             assert_eq!(r.noise_level_gbps(), m.noise_level_gbps());
-            let mut restored = Vec::new();
-            r.sample_counters_into(NodeId(1), &mut restored);
-            m.sample_counters_into(NodeId(1), &mut buf);
-            assert_eq!(restored, buf);
+            assert_eq!(r.observe(NodeId(1)), m.observe(NodeId(1)));
             assert_eq!(r.draw_os_noise(), m.draw_os_noise());
         }
     }
@@ -1378,12 +1355,13 @@ mod tests {
         for (_, nodes, _) in &loads {
             assert_eq!(a.congestion(nodes).to_bits(), b.congestion(nodes).to_bits());
         }
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
         for n in (0..96).chain(512..608) {
-            a.sample_counters_into(NodeId(n), &mut ca);
-            b.sample_counters_into(NodeId(n), &mut cb);
-            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&ca), bits(&cb), "counters of node {n}");
+            let bits = |o: NodeObservation| o.to_array().map(f64::to_bits);
+            assert_eq!(
+                bits(a.observe(NodeId(n))),
+                bits(b.observe(NodeId(n))),
+                "observation of node {n}"
+            );
         }
         assert_eq!(a.snapshot_state().render(), b.snapshot_state().render());
     }

@@ -19,6 +19,7 @@
 use crate::config::CampaignConfig;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use rush_cluster::counters::{counter_stream, synthesize_row_into, COUNTER_COUNT};
 use rush_cluster::machine::{Machine, SourceId};
 use rush_cluster::noise::{Regime, RegimeOverride};
 use rush_cluster::placement::{NodePool, PlacementPolicy};
@@ -230,8 +231,11 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
     // through `Machine::observe`, not the full-machine sweep: a round reads
     // a few dozen nodes of a full system, and background utilization
     // changes the network on almost every advance, so a sweep would be
-    // rebuilt for nearly every round.
-    let mut counters: Vec<f64> = Vec::with_capacity(90);
+    // rebuilt for nearly every round. Every sample is read, so counters
+    // are synthesized as they are observed, from the machine's counter
+    // stream.
+    let mut counters: Vec<f64> = Vec::with_capacity(COUNTER_COUNT);
+    let mut rng_counters = counter_stream(machine.config().seed);
 
     while let Some(entry) = events.pop() {
         let now = entry.time;
@@ -257,12 +261,22 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
                 if let Some(run) = runs[i].as_mut() {
                     // Job-exclusive scope.
                     for &node in &run.nodes {
-                        machine.sample_counters_into(node, &mut counters);
+                        counters.clear();
+                        synthesize_row_into(
+                            &machine.observe(node),
+                            &mut rng_counters,
+                            &mut counters,
+                        );
                         run.job_accum.absorb(&counters);
                     }
                     // Machine-wide monitor scope.
                     for &node in &monitor_nodes {
-                        machine.sample_counters_into(node, &mut counters);
+                        counters.clear();
+                        synthesize_row_into(
+                            &machine.observe(node),
+                            &mut rng_counters,
+                            &mut counters,
+                        );
                         run.all_accum.absorb(&counters);
                     }
                 }

@@ -279,11 +279,11 @@ mod tests {
         let model = toy_model(2);
         let predictor = MlPredictor::new(model, LabelScheme::Binary, None);
         let mut machine = Machine::new(MachineConfig::tiny(1));
-        let store = MetricStore::new(16, 90);
+        let mut store = MetricStore::new(16, 1);
         let mut rng = CountedRng::seeded(1);
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now: SimTime::from_mins(10),
             rng: &mut rng,
         };
@@ -301,11 +301,11 @@ mod tests {
         let model = toy_model(2);
         let mut predictor = MlPredictor::new(model, LabelScheme::Binary, None);
         let mut machine = Machine::new(MachineConfig::tiny(2));
-        let store = MetricStore::new(16, 90);
+        let mut store = MetricStore::new(16, 1);
         let mut rng = CountedRng::seeded(2);
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now: SimTime::from_mins(10),
             rng: &mut rng,
         };
@@ -322,11 +322,11 @@ mod tests {
         let model = toy_model(3);
         let mut predictor = MlPredictor::new(model, LabelScheme::ThreeClass, None);
         let mut machine = Machine::new(MachineConfig::tiny(3));
-        let store = MetricStore::new(16, 90);
+        let mut store = MetricStore::new(16, 1);
         let mut rng = CountedRng::seeded(3);
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now: SimTime::from_mins(10),
             rng: &mut rng,
         };
@@ -348,11 +348,11 @@ mod tests {
         let model = ModelKind::DecisionForest.train(&d, 1);
         let predictor = MlPredictor::new(model, LabelScheme::Binary, Some(vec![0, 281]));
         let mut machine = Machine::new(MachineConfig::tiny(4));
-        let store = MetricStore::new(16, 90);
+        let mut store = MetricStore::new(16, 1);
         let mut rng = CountedRng::seeded(4);
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now: SimTime::from_mins(10),
             rng: &mut rng,
         };

@@ -706,7 +706,7 @@ impl SchedulerEngine {
         let counters = SchedCounters::register(&mut registry);
         SchedulerEngine {
             pool: NodePool::with_topology(node_count, nodes_per_edge, config.placement),
-            store: MetricStore::new(node_count, 90),
+            store: MetricStore::new(node_count, machine.config().seed),
             sampler: Sampler::new(nodes, config.sampling_interval)
                 .with_corruption_prob(config.faults.corruption_prob),
             machine,
@@ -1794,7 +1794,7 @@ impl SchedulerEngine {
         let outcome = {
             let mut ctx = PredictorCtx {
                 machine: &mut self.machine,
-                store: &self.store,
+                store: &mut self.store,
                 now,
                 rng: &mut self.rng_pred,
             };
@@ -3852,6 +3852,87 @@ mod tests {
         let restored = fresh.finalize();
 
         assert_eq!(run_fingerprint(&baseline), run_fingerprint(&restored));
+    }
+
+    /// An ML-style predictor: pools the five-minute counter window over
+    /// the candidate nodes with `aggregate_counters`, as `MlPredictor` does,
+    /// and lets every bit of every aggregate decide the verdict: flipping
+    /// any one bit of any aggregate flips the hash's parity, and with it
+    /// the verdict.
+    struct CounterHash;
+
+    impl VariabilityPredictor for CounterHash {
+        fn predict(
+            &mut self,
+            _job: &Job,
+            nodes: &[NodeId],
+            ctx: &mut PredictorCtx<'_>,
+        ) -> Result<VariabilityClass, crate::predictor::PredictError> {
+            let from = ctx.now.saturating_sub(SimDuration::from_mins(5));
+            let aggs =
+                rush_telemetry::aggregate::aggregate_counters(ctx.store, nodes, from, ctx.now);
+            let hash = aggs.iter().fold(0u64, |h, a| {
+                (h ^ a.min.to_bits() ^ a.max.to_bits().rotate_left(21) ^ a.mean.to_bits())
+                    .rotate_left(7)
+            });
+            Ok(if hash.count_ones() % 2 == 0 {
+                VariabilityClass::Variation
+            } else {
+                VariabilityClass::NoVariation
+            })
+        }
+        fn name(&self) -> &str {
+            "counter-hash"
+        }
+    }
+
+    /// A snapshot taken while the store holds pending rows (sampled since
+    /// the last counter read) and skipped ones (pruned before any read)
+    /// resumes to the uninterrupted schedule: the pending observations,
+    /// the skip count and the counter stream's cursor all round-trip.
+    #[test]
+    fn resume_with_pending_and_skipped_telemetry_rows_matches_uninterrupted_run() {
+        // Jobs 30 minutes apart: every start reads the counters, and the
+        // 10-minute retention prunes rows sampled since the last read
+        // before the next one.
+        let reqs: Vec<JobRequest> = (0..5)
+            .map(|i| request(i, AppId::Laghos, 4, i * 1_800_000_000))
+            .collect();
+        let build = || {
+            let machine = Machine::new(MachineConfig::tiny(7));
+            SchedulerEngine::new(
+                machine,
+                SchedulerConfig::default(),
+                Box::new(CounterHash),
+                42,
+            )
+        };
+        let mut base = build();
+        base.prepare(&reqs);
+        while base.step().is_some() {}
+        let baseline = base.finalize();
+        // Delay verdicts skip a job; go verdicts launch it.
+        assert!(baseline.completed.iter().any(|c| c.skips == 0));
+        assert!(baseline.total_skips > 0, "fixture must delay a job");
+
+        let mut victim = build();
+        victim.prepare(&reqs);
+        while victim.now() < SimTime::from_mins(55) && victim.step().is_some() {}
+        let bytes = victim.snapshot();
+        drop(victim);
+        let body = snapshot::decode(&bytes).unwrap().body;
+        let store = body.get("store").unwrap();
+        assert!(!store.l("pending").unwrap().is_empty(), "pending rows");
+        assert!(store.u("skipped").unwrap() > 0, "skipped rows");
+
+        let mut fresh = build();
+        fresh.prepare(&reqs);
+        fresh.resume(&bytes).expect("snapshot must restore");
+        while fresh.step().is_some() {}
+        assert_eq!(
+            run_fingerprint(&baseline),
+            run_fingerprint(&fresh.finalize())
+        );
     }
 
     #[test]

@@ -91,8 +91,10 @@ impl std::error::Error for PredictError {}
 pub struct PredictorCtx<'a> {
     /// The machine (mutable: probes inject traffic and consume RNG).
     pub machine: &'a mut Machine,
-    /// The telemetry store with counter history.
-    pub store: &'a MetricStore,
+    /// The telemetry store with counter history. Mutable because the
+    /// first value read synthesizes the pending counters
+    /// ([`MetricStore::settle`]).
+    pub store: &'a mut MetricStore,
     /// Current time.
     pub now: SimTime,
     /// Decision-local randomness. Draw-counted so checkpoint/resume can
@@ -272,7 +274,7 @@ mod tests {
 
     fn ctx_parts() -> (Machine, MetricStore, CountedRng) {
         let machine = Machine::new(MachineConfig::tiny(1));
-        let store = MetricStore::new(machine.tree().node_count(), 90);
+        let store = MetricStore::new(machine.tree().node_count(), machine.config().seed);
         (machine, store, CountedRng::seeded(4))
     }
 
@@ -296,10 +298,10 @@ mod tests {
 
     #[test]
     fn never_varies_is_constant() {
-        let (mut m, store, mut rng) = ctx_parts();
+        let (mut m, mut store, mut rng) = ctx_parts();
         let mut ctx = PredictorCtx {
             machine: &mut m,
-            store: &store,
+            store: &mut store,
             now: SimTime::ZERO,
             rng: &mut rng,
         };
@@ -314,10 +316,10 @@ mod tests {
 
     #[test]
     fn always_fails_errors_every_call() {
-        let (mut m, store, mut rng) = ctx_parts();
+        let (mut m, mut store, mut rng) = ctx_parts();
         let mut ctx = PredictorCtx {
             machine: &mut m,
-            store: &store,
+            store: &mut store,
             now: SimTime::ZERO,
             rng: &mut rng,
         };
@@ -338,13 +340,13 @@ mod tests {
 
     #[test]
     fn oracle_reacts_to_congestion() {
-        let (mut m, store, mut rng) = ctx_parts();
+        let (mut m, mut store, mut rng) = ctx_parts();
         let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
         let mut p = CongestionOracle::default();
         {
             let mut ctx = PredictorCtx {
                 machine: &mut m,
-                store: &store,
+                store: &mut store,
                 now: SimTime::ZERO,
                 rng: &mut rng,
             };
@@ -365,7 +367,7 @@ mod tests {
         }
         let mut ctx = PredictorCtx {
             machine: &mut m,
-            store: &store,
+            store: &mut store,
             now: SimTime::ZERO,
             rng: &mut rng,
         };
@@ -377,10 +379,10 @@ mod tests {
 
     #[test]
     fn scripted_replays_then_defaults() {
-        let (mut m, store, mut rng) = ctx_parts();
+        let (mut m, mut store, mut rng) = ctx_parts();
         let mut ctx = PredictorCtx {
             machine: &mut m,
-            store: &store,
+            store: &mut store,
             now: SimTime::ZERO,
             rng: &mut rng,
         };

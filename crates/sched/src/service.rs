@@ -1076,7 +1076,7 @@ mod tests {
 
     fn ctx_parts() -> (Machine, MetricStore, CountedRng) {
         let machine = Machine::new(MachineConfig::tiny(1));
-        let store = MetricStore::new(machine.tree().node_count(), 90);
+        let store = MetricStore::new(machine.tree().node_count(), machine.config().seed);
         (machine, store, CountedRng::seeded(4))
     }
 
@@ -1175,10 +1175,10 @@ mod tests {
         let mut j = job(rush_workloads::apps::AppId::Amg);
         j.id = JobId(job_id);
         j.nodes_requested = 4;
-        let (mut machine, store, mut rng) = ctx_parts();
+        let (mut machine, mut store, mut rng) = ctx_parts();
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now,
             rng: &mut rng,
         };
@@ -1330,10 +1330,10 @@ mod tests {
         let mut j = job(rush_workloads::apps::AppId::Amg);
         j.id = JobId(50);
         j.nodes_requested = 4;
-        let (mut machine, store, mut rng) = ctx_parts();
+        let (mut machine, mut store, mut rng) = ctx_parts();
         let mut ctx = PredictorCtx {
             machine: &mut machine,
-            store: &store,
+            store: &mut store,
             now: SimTime::from_secs(110),
             rng: &mut rng,
         };

@@ -89,11 +89,17 @@ impl CountedRng {
     /// Reconstructs the stream at position `draws`.
     pub fn restore(seed: u64, draws: u64) -> Self {
         let mut rng = CountedRng::seeded(seed);
-        for _ in 0..draws {
-            rng.inner.next_u64();
-        }
-        rng.draws = draws;
+        rng.advance(draws);
         rng
+    }
+
+    /// Discards the next `n` draws, one at a time: the stream lands where
+    /// `n` draws of any kind would have left it.
+    pub fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            self.inner.next_u64();
+        }
+        self.draws += n;
     }
 
     /// The seed this stream was created from.
@@ -205,6 +211,20 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn advance_matches_drawing_mid_stream() {
+        let mut drawn = CountedRng::seeded(5);
+        let mut advanced = CountedRng::seeded(5);
+        let _: f64 = drawn.gen();
+        let _: f64 = advanced.gen();
+        for _ in 0..40 {
+            let _: f64 = drawn.gen();
+        }
+        advanced.advance(40);
+        assert_eq!(advanced.draws(), drawn.draws());
+        assert_eq!(advanced.gen::<u64>(), drawn.gen::<u64>());
     }
 
     #[test]

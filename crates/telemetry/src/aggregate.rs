@@ -43,12 +43,17 @@ impl CounterAggregate {
 /// Pools every counter's samples over `[from, to)` across `nodes` and
 /// reduces each to min/max/mean. Returns one aggregate per counter, in
 /// store order.
+///
+/// This is the store's one value reader, so it settles the store first
+/// ([`MetricStore::settle`]): every pending row is synthesized, not only
+/// those of `nodes` in the window.
 pub fn aggregate_counters(
-    store: &MetricStore,
+    store: &mut MetricStore,
     nodes: &[NodeId],
     from: SimTime,
     to: SimTime,
 ) -> Vec<CounterAggregate> {
+    store.settle();
     let width = store.counter_count();
     // The store is walked a node block at a time; each counter sees its
     // samples with nodes in caller order, time ascending within a node.
@@ -103,7 +108,8 @@ impl WindowQuality {
     }
 }
 
-/// Measures coverage and staleness of `[from, to)` across `nodes`.
+/// Measures coverage and staleness of `[from, to)` across `nodes`. Reads
+/// timestamps and gaps only, so it never settles the store.
 pub fn window_quality(
     store: &MetricStore,
     nodes: &[NodeId],
@@ -136,22 +142,30 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// A settled row whose first two counters are `c0` and `c1`.
+    fn row(c0: f64, c1: f64) -> Vec<f64> {
+        let mut row = vec![0.0; 90];
+        row[0] = c0;
+        row[1] = c1;
+        row
+    }
+
     fn store_with_data() -> MetricStore {
-        let mut store = MetricStore::new(3, 2);
+        let mut store = MetricStore::new(3, 0);
         // node 0: counter0 = 1, 2, 3 at t=0,10,20 ; counter1 = 10x
         for (i, s) in [0u64, 10, 20].iter().enumerate() {
             let v = (i + 1) as f64;
-            store.record(NodeId(0), t(*s), &[v, v * 10.0]);
+            store.push_settled(NodeId(0), t(*s), &row(v, v * 10.0));
         }
         // node 1: counter0 = 100 at t=10
-        store.record(NodeId(1), t(10), &[100.0, 0.5]);
+        store.push_settled(NodeId(1), t(10), &row(100.0, 0.5));
         store
     }
 
     #[test]
     fn pools_across_time_and_nodes() {
-        let store = store_with_data();
-        let aggs = aggregate_counters(&store, &[NodeId(0), NodeId(1)], t(0), t(30));
+        let mut store = store_with_data();
+        let aggs = aggregate_counters(&mut store, &[NodeId(0), NodeId(1)], t(0), t(30));
         assert_eq!(aggs[0].count, 4);
         assert_eq!(aggs[0].min, 1.0);
         assert_eq!(aggs[0].max, 100.0);
@@ -163,36 +177,36 @@ mod tests {
 
     #[test]
     fn node_subset_changes_the_answer() {
-        let store = store_with_data();
-        let only0 = aggregate_counters(&store, &[NodeId(0)], t(0), t(30));
+        let mut store = store_with_data();
+        let only0 = aggregate_counters(&mut store, &[NodeId(0)], t(0), t(30));
         assert_eq!(only0[0].max, 3.0);
-        let only1 = aggregate_counters(&store, &[NodeId(1)], t(0), t(30));
+        let only1 = aggregate_counters(&mut store, &[NodeId(1)], t(0), t(30));
         assert_eq!(only1[0].min, 100.0);
         assert_eq!(only1[0].count, 1);
     }
 
     #[test]
     fn window_bounds_apply() {
-        let store = store_with_data();
-        let aggs = aggregate_counters(&store, &[NodeId(0)], t(5), t(15));
+        let mut store = store_with_data();
+        let aggs = aggregate_counters(&mut store, &[NodeId(0)], t(5), t(15));
         assert_eq!(aggs[0].count, 1);
         assert_eq!(aggs[0].mean, 2.0);
     }
 
     #[test]
     fn empty_pool_is_zeroed() {
-        let store = store_with_data();
-        let aggs = aggregate_counters(&store, &[NodeId(2)], t(0), t(30));
+        let mut store = store_with_data();
+        let aggs = aggregate_counters(&mut store, &[NodeId(2)], t(0), t(30));
         assert_eq!(aggs[0], CounterAggregate::EMPTY);
-        let none = aggregate_counters(&store, &[], t(0), t(30));
+        let none = aggregate_counters(&mut store, &[], t(0), t(30));
         assert_eq!(none[1], CounterAggregate::EMPTY);
     }
 
     #[test]
     fn window_quality_reports_coverage_and_staleness() {
-        let mut store = MetricStore::new(2, 1);
-        store.record(NodeId(0), t(0), &[1.0]);
-        store.record(NodeId(0), t(10), &[1.0]);
+        let mut store = MetricStore::new(2, 0);
+        store.record(NodeId(0), t(0), Default::default());
+        store.record(NodeId(0), t(10), Default::default());
         store.record_gap(NodeId(0), t(20), crate::store::GapReason::Blackout);
         store.record_gap(NodeId(0), t(30), crate::store::GapReason::Blackout);
         let q = window_quality(&store, &[NodeId(0)], t(0), t(40));
@@ -210,8 +224,29 @@ mod tests {
     }
 
     #[test]
+    fn only_the_value_read_settles() {
+        use rush_cluster::counters::{counter_stream, synthesize_row_into, NodeObservation};
+        let obs = NodeObservation::from_array([2.0, 2.0, 0.7, 0.2, 0.3, 0.1, 1.5, 0.9]);
+        let mut store = MetricStore::new(2, 11);
+        store.record(NodeId(0), t(0), obs);
+        store.record(NodeId(1), t(0), obs);
+        let quality = window_quality(&store, &[NodeId(1)], t(0), t(10));
+        assert_eq!(quality.coverage, 1.0);
+        assert_eq!(store.pending_count(), 2, "quality reads leave rows pending");
+        let aggs = aggregate_counters(&mut store, &[NodeId(1)], t(0), t(10));
+        assert_eq!(store.pending_count(), 0, "a value read settles every node");
+        // Node 1's row is the second one synthesized from the stream.
+        let mut rows = Vec::new();
+        let mut rng = counter_stream(11);
+        synthesize_row_into(&obs, &mut rng, &mut rows);
+        synthesize_row_into(&obs, &mut rng, &mut rows);
+        let node1: Vec<f64> = aggs.iter().map(|a| a.mean).collect();
+        assert_eq!(node1, &rows[90..]);
+    }
+
+    #[test]
     fn window_quality_with_no_samples_is_maximally_stale() {
-        let store = MetricStore::new(1, 1);
+        let store = MetricStore::new(1, 0);
         let q = window_quality(&store, &[NodeId(0)], t(0), t(300));
         assert_eq!(q.coverage, 1.0, "nothing scheduled, nothing lost");
         assert_eq!(q.staleness, None);

@@ -1,13 +1,14 @@
 //! Periodic counter sampling (the LDMS daemon stand-in).
 //!
 //! A [`Sampler`] walks a node list on a fixed interval, asks the
-//! [`Machine`] to synthesize each node's counter tables, and records the
-//! vectors into a [`MetricStore`]. Drivers call [`Sampler::advance_to`]
-//! whenever simulation time moves; the sampler catches up on every interval
-//! boundary it crossed, so sampling cadence is independent of the caller's
-//! event granularity. Rounds read the machine through
-//! [`Machine::sample_counters_swept_into`], so one network sweep serves a
-//! whole round over every node.
+//! [`Machine`] what each node observes, and records the observations into
+//! a [`MetricStore`], which synthesizes the counters only when a reader
+//! first needs them (see [`crate::store`]). Drivers call
+//! [`Sampler::advance_to`] whenever simulation time moves; the sampler
+//! catches up on every interval boundary it crossed, so sampling cadence is
+//! independent of the caller's event granularity. Rounds read the machine
+//! through [`Machine::observe_swept`], so one network sweep serves a whole
+//! round over every node.
 
 use crate::store::{GapReason, MetricStore};
 use rand::Rng;
@@ -44,9 +45,6 @@ pub struct Sampler {
     /// Per-node samples lost because the node was down.
     gaps_node_down: u64,
     rng: CountedRng,
-    /// One counter buffer reused across every round. Scratch space, not
-    /// state: excluded from snapshots.
-    buf: Vec<f64>,
 }
 
 impl Sampler {
@@ -67,7 +65,6 @@ impl Sampler {
             gaps_blackout: 0,
             gaps_node_down: 0,
             rng: CountedRng::seeded(0),
-            buf: Vec::new(),
         }
     }
 
@@ -206,8 +203,8 @@ impl Sampler {
     }
 
     /// Advances to `t`, taking every sampling round due in `(prev, t]`.
-    /// The machine is advanced to each round's timestamp first so counters
-    /// reflect the machine state *at* the sample time.
+    /// The machine is advanced to each round's timestamp first so the
+    /// observations reflect the machine state *at* the sample time.
     pub fn advance_to(&mut self, t: SimTime, machine: &mut Machine, store: &mut MetricStore) {
         if self.next_due > t {
             return;
@@ -240,8 +237,7 @@ impl Sampler {
                     store.record_gap(node, at, GapReason::Corrupt);
                     continue;
                 }
-                machine.sample_counters_swept_into(node, &mut self.buf);
-                store.record(node, at, &self.buf);
+                store.record(node, at, machine.observe_swept(node));
             }
             self.samples_taken += 1;
             self.next_due = at + self.interval;
@@ -252,13 +248,16 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rush_cluster::counters::{counter_stream, synthesize_row_into};
     use rush_cluster::machine::MachineConfig;
     use rush_simkit::snapshot::{Restorable, Snapshot};
+    use std::collections::BTreeMap;
 
     fn setup() -> (Machine, MetricStore, Sampler) {
         let machine = Machine::new(MachineConfig::tiny(11));
         let node_count = machine.tree().node_count();
-        let store = MetricStore::new(node_count, 90);
+        let store = MetricStore::new(node_count, machine.config().seed);
         let nodes: Vec<NodeId> = (0..node_count).map(NodeId).collect();
         let sampler = Sampler::new(nodes, SimDuration::from_secs(30));
         (machine, store, sampler)
@@ -270,12 +269,10 @@ mod tests {
         sampler.advance_to(SimTime::from_secs(95), &mut machine, &mut store);
         // rounds at t = 0, 30, 60, 90
         assert_eq!(sampler.samples_taken(), 4);
-        assert_eq!(
-            store
-                .window(NodeId(0), 0, SimTime::ZERO, SimTime::from_secs(100))
-                .len(),
-            4
-        );
+        let to = SimTime::from_secs(100);
+        assert_eq!(store.rows_in(NodeId(0), SimTime::ZERO, to), 4);
+        store.settle();
+        assert_eq!(store.window(NodeId(0), 0, SimTime::ZERO, to).len(), 4);
         assert_eq!(sampler.next_due(), SimTime::from_secs(120));
     }
 
@@ -293,15 +290,16 @@ mod tests {
     fn no_duplicate_samples_on_repeat_calls() {
         let (mut machine, mut store, mut sampler) = setup();
         sampler.advance_to(SimTime::from_secs(60), &mut machine, &mut store);
-        let n = store.point_count();
+        let n = store.row_count();
         sampler.advance_to(SimTime::from_secs(60), &mut machine, &mut store);
-        assert_eq!(store.point_count(), n);
+        assert_eq!(store.row_count(), n);
     }
 
     #[test]
     fn samples_have_store_width() {
         let (mut machine, mut store, mut sampler) = setup();
         sampler.advance_to(SimTime::ZERO, &mut machine, &mut store);
+        store.settle();
         assert_eq!(
             store
                 .window(NodeId(3), 89, SimTime::ZERO, SimTime::from_secs(1))
@@ -326,13 +324,13 @@ mod tests {
         let expected_full = 11 * node_count as u64; // rounds t=0..300
         assert!(sampler.dropped() > 0, "30% dropout must lose something");
         assert_eq!(
-            store.point_count() as u64 / 90 + sampler.dropped(),
+            store.row_count() as u64 + sampler.dropped(),
             expected_full,
             "kept + dropped = scheduled"
         );
         // Aggregation still answers over the gappy data.
-        let aggs = rush_cluster::topology::NodeId(0);
-        let window = store.window(aggs, 0, SimTime::ZERO, SimTime::from_mins(5));
+        store.settle();
+        let window = store.window(NodeId(0), 0, SimTime::ZERO, SimTime::from_mins(5));
         assert!(window.len() < 11, "node 0 should have gaps");
     }
 
@@ -344,7 +342,7 @@ mod tests {
             let mut sampler =
                 Sampler::new(nodes, SimDuration::from_secs(30)).with_dropout(0.2, seed);
             sampler.advance_to(SimTime::from_mins(3), &mut machine, &mut store);
-            (sampler.dropped(), store.point_count())
+            (sampler.dropped(), store.row_count())
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
@@ -382,17 +380,17 @@ mod tests {
         let (mut machine, mut store, mut sampler) = setup();
         let nodes: Vec<NodeId> = (0..machine.tree().node_count()).map(NodeId).collect();
         sampler.advance_to(SimTime::from_secs(30), &mut machine, &mut store);
-        let before = store.point_count();
+        let before = store.row_count();
         sampler.set_blackout(true);
         assert!(sampler.blackout_active());
         sampler.advance_to(SimTime::from_secs(90), &mut machine, &mut store);
-        assert_eq!(store.point_count(), before, "no data during blackout");
+        assert_eq!(store.row_count(), before, "no data during blackout");
         // Rounds at t=60 and t=90 missed for every node.
         assert_eq!(store.gap_count(), 2 * nodes.len());
         sampler.set_blackout(false);
         sampler.advance_to(SimTime::from_secs(120), &mut machine, &mut store);
         assert!(
-            store.point_count() > before,
+            store.row_count() > before,
             "sampling resumes after blackout"
         );
         // Coverage over the blackout stretch is zero.
@@ -409,7 +407,7 @@ mod tests {
             .with_corruption_prob(1.0);
         sampler.set_corruption(true);
         sampler.advance_to(SimTime::from_secs(60), &mut machine, &mut store);
-        assert_eq!(store.point_count(), 0, "prob 1.0 corrupts everything");
+        assert_eq!(store.row_count(), 0, "prob 1.0 corrupts everything");
         assert!(sampler.corrupted() > 0);
         assert!(store
             .gaps(NodeId(0))
@@ -417,7 +415,7 @@ mod tests {
             .all(|g| g.reason == crate::store::GapReason::Corrupt));
         sampler.set_corruption(false);
         sampler.advance_to(SimTime::from_secs(120), &mut machine, &mut store);
-        assert!(store.point_count() > 0, "clean samples after the window");
+        assert!(store.row_count() > 0, "clean samples after the window");
     }
 
     #[test]
@@ -453,41 +451,169 @@ mod tests {
         assert_eq!(reg.counter_by_name("telemetry.sampling_rounds"), Some(4));
     }
 
+    /// A sampler with 25% dropout over every node of `machine`.
+    fn dropout_sampler(machine: &Machine) -> Sampler {
+        let nodes: Vec<NodeId> = (0..machine.tree().node_count()).map(NodeId).collect();
+        Sampler::new(nodes, SimDuration::from_secs(30)).with_dropout(0.25, 9)
+    }
+
+    /// Step `k` of the resume scenario: sample to `90k` s, then prune
+    /// everything older than 120 s. Only step 1 reads (settles), so later
+    /// prunes drop pending rows.
+    fn resume_step(k: u64, machine: &mut Machine, store: &mut MetricStore, sampler: &mut Sampler) {
+        let now = SimTime::from_secs(90 * k);
+        sampler.advance_to(now, machine, store);
+        if k == 1 {
+            store.settle();
+        }
+        store.retain_from(now.saturating_sub(SimDuration::from_secs(120)));
+    }
+
     #[test]
     fn sampler_snapshot_restore_resumes_identically() {
-        let run_to = |t_secs: u64| {
-            let (mut machine, mut store, _) = setup();
-            let nodes: Vec<NodeId> = (0..machine.tree().node_count()).map(NodeId).collect();
-            let mut sampler = Sampler::new(nodes, SimDuration::from_secs(30)).with_dropout(0.25, 9);
-            sampler.advance_to(SimTime::from_secs(t_secs), &mut machine, &mut store);
-            (machine, store, sampler)
-        };
-        // Uninterrupted run to t=600.
-        let (_, store_a, sampler_a) = run_to(600);
-        // Run to t=240, snapshot everything, restore into fresh objects,
-        // continue to t=600.
-        let (machine_b, store_b, sampler_b) = run_to(240);
+        // Uninterrupted run to t=630.
+        let (mut machine_a, mut store_a, _) = setup();
+        let mut sampler_a = dropout_sampler(&machine_a);
+        for k in 1..=7 {
+            resume_step(k, &mut machine_a, &mut store_a, &mut sampler_a);
+        }
+        // Run to t=270, snapshot everything, restore into fresh objects,
+        // continue to t=630.
+        let (mut machine_b, mut store_b, _) = setup();
+        let mut sampler_b = dropout_sampler(&machine_b);
+        for k in 1..=3 {
+            resume_step(k, &mut machine_b, &mut store_b, &mut sampler_b);
+        }
+        assert!(store_b.pending_count() > 0, "the cut holds pending rows");
+        assert!(store_b.skipped() > 0, "the cut holds skipped rows");
         let m_snap = machine_b.snapshot_state();
         let s_snap = sampler_b.snapshot_state();
         let st_snap = store_b.to_val();
         let mut machine_c = Machine::new(MachineConfig::tiny(11));
         machine_c.restore_state(&m_snap).unwrap();
-        let nodes: Vec<NodeId> = (0..machine_c.tree().node_count()).map(NodeId).collect();
-        let mut sampler_c = Sampler::new(nodes, SimDuration::from_secs(30)).with_dropout(0.25, 9);
+        let mut sampler_c = dropout_sampler(&machine_c);
         sampler_c.restore_state(&s_snap).unwrap();
         let mut store_c = MetricStore::from_val(&st_snap).unwrap();
-        sampler_c.advance_to(SimTime::from_secs(600), &mut machine_c, &mut store_c);
+        for k in 4..=7 {
+            resume_step(k, &mut machine_c, &mut store_c, &mut sampler_c);
+        }
 
         assert_eq!(sampler_c.samples_taken(), sampler_a.samples_taken());
         assert_eq!(sampler_c.dropped(), sampler_a.dropped());
-        assert_eq!(store_c.point_count(), store_a.point_count());
+        assert_eq!(store_c.row_count(), store_a.row_count());
         assert_eq!(store_c.gap_count(), store_a.gap_count());
-        for &node in &[NodeId(0), NodeId(7)] {
-            assert_eq!(
-                store_c.window(node, 3, SimTime::ZERO, SimTime::from_secs(601)),
-                store_a.window(node, 3, SimTime::ZERO, SimTime::from_secs(601)),
-                "resumed samples must be bit-identical"
-            );
+        store_a.settle();
+        store_c.settle();
+        assert!(store_a.row_count() > 0);
+        assert_eq!(
+            store_c.to_val(),
+            store_a.to_val(),
+            "resumed samples must be bit-identical"
+        );
+    }
+
+    /// One step of the lazy-versus-eager interleaving.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Advance the sampler by this many seconds.
+        Advance(u64),
+        /// Drop every row older than this many seconds before now.
+        Prune(u64),
+        Settle,
+        /// Replace the store by its snapshot's decoding.
+        Snapshot,
+        Blackout(bool),
+        Corruption(bool),
+        Fail(u32),
+        Recover(u32),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1u64..150).prop_map(Op::Advance),
+            (1u64..150).prop_map(Op::Advance),
+            (0u64..200).prop_map(Op::Prune),
+            Just(Op::Settle),
+            Just(Op::Snapshot),
+            any::<bool>().prop_map(Op::Blackout),
+            any::<bool>().prop_map(Op::Corruption),
+            (0u32..16).prop_map(Op::Fail),
+            (0u32..16).prop_map(Op::Recover),
+        ]
+    }
+
+    /// Every settled row of `store` equals the eager row recorded for it.
+    fn check_settled(
+        store: &MetricStore,
+        eager: &BTreeMap<(NodeId, SimTime), Vec<f64>>,
+    ) -> Result<(), String> {
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for (node, at, row) in store.settled_rows() {
+            let want = eager.get(&(node, at));
+            prop_assert!(want.is_some(), "no eager row for {node:?} at {at}");
+            prop_assert_eq!(bits(row), bits(want.unwrap()));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Lazy synthesis is invisible: under any interleaving of sampling
+        /// rounds (with dropout, blackouts, corruption and down nodes),
+        /// retention prunes, settles and snapshot round trips, every
+        /// settled row is bit-equal to the row an eager sampler would have
+        /// synthesized at record time, in record order, from one stream.
+        #[test]
+        fn lazy_settle_equals_eager_synthesis(
+            seed in 0u64..10_000,
+            dropout in prop_oneof![Just(0.0), Just(0.3)],
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let mut machine = Machine::new(MachineConfig::tiny(seed));
+            machine.enable_noise_job((12..16).map(NodeId).collect(), 8.0);
+            let mut store = MetricStore::new(16, seed);
+            let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
+            let mut sampler = Sampler::new(nodes, SimDuration::from_secs(30))
+                .with_dropout(dropout, seed)
+                .with_corruption_prob(0.4);
+            let mut reference = counter_stream(seed);
+            let mut eager = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    Op::Advance(secs) => {
+                        let before = store.pending_count();
+                        now += SimDuration::from_secs(secs);
+                        sampler.advance_to(now, &mut machine, &mut store);
+                        // A sampling round records its nodes in ascending
+                        // order, rounds in time order.
+                        let mut recorded: Vec<_> =
+                            store.pending_rows().skip(before).collect();
+                        recorded.sort_by_key(|&(node, at, _)| (at, node));
+                        for (node, at, obs) in recorded {
+                            let mut row = Vec::new();
+                            synthesize_row_into(&obs, &mut reference, &mut row);
+                            eager.insert((node, at), row);
+                        }
+                    }
+                    Op::Prune(keep) => {
+                        store.retain_from(now.saturating_sub(SimDuration::from_secs(keep)));
+                    }
+                    Op::Settle => {
+                        store.settle();
+                        prop_assert_eq!(store.pending_count(), 0);
+                        check_settled(&store, &eager)?;
+                    }
+                    Op::Snapshot => store = MetricStore::from_val(&store.to_val()).unwrap(),
+                    Op::Blackout(on) => sampler.set_blackout(on),
+                    Op::Corruption(on) => sampler.set_corruption(on),
+                    Op::Fail(n) => machine.fail_node(NodeId(n)),
+                    Op::Recover(n) => machine.recover_node(NodeId(n)),
+                }
+            }
+            store.settle();
+            check_settled(&store, &eager)?;
         }
     }
 
@@ -504,14 +630,13 @@ mod tests {
         // Healthy nodes unaffected.
         assert!(store.gaps(NodeId(0)).is_empty());
         assert_eq!(
-            store
-                .window(NodeId(0), 0, SimTime::ZERO, SimTime::from_secs(31))
-                .len(),
+            store.rows_in(NodeId(0), SimTime::ZERO, SimTime::from_secs(31)),
             2
         );
         // A recovered (Suspect) node is monitored again.
         machine.recover_node(NodeId(2));
         sampler.advance_to(SimTime::from_secs(60), &mut machine, &mut store);
+        store.settle();
         assert_eq!(
             store
                 .window(NodeId(2), 0, SimTime::ZERO, SimTime::from_secs(61))

@@ -11,10 +11,11 @@
 //! *job-exclusive* nodes (Section III-A). This crate reproduces exactly that
 //! query surface:
 //!
-//! * [`store::MetricStore`] — per-`(node, counter)` time series with
-//!   windowed queries and retention.
-//! * [`collector::Sampler`] — samples a [`rush_cluster::Machine`] on a fixed
-//!   interval into the store.
+//! * [`store::MetricStore`] — per-node rows with windowed queries and
+//!   retention. Rows arrive as 8-float observations and their counters are
+//!   synthesized on the first value read, bit-identical to eager synthesis.
+//! * [`collector::Sampler`] — samples a [`rush_cluster::Machine`]'s
+//!   observations on a fixed interval into the store.
 //! * [`aggregate`] — pools a counter's samples over `(window × node set)`
 //!   and reduces to min/max/mean, producing the 270 counter features.
 //! * [`schema::FeatureSchema`] — the full 282-feature layout of Table I

@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release --example custom_cluster`.
 
+use rush_repro::cluster::counters::{counter_stream, synthesize_row_into};
 use rush_repro::cluster::machine::{Machine, MachineConfig, SourceId, WorkloadIntensity};
 use rush_repro::cluster::topology::{FatTreeConfig, NodeId};
 use rush_repro::simkit::time::SimTime;
@@ -62,7 +63,8 @@ fn main() {
 
     // Counters a monitoring daemon would scrape from one node.
     let mut counters = Vec::new();
-    machine.sample_counters_into(NodeId(0), &mut counters);
+    let mut noise = counter_stream(machine.config().seed);
+    synthesize_row_into(&machine.observe(NodeId(0)), &mut noise, &mut counters);
     println!("\nnode 0 counters (first of each table):");
     println!("   sysclassib/port_xmit_data  = {:.3e}", counters[0]);
     println!("   sysclassib/port_xmit_wait  = {:.3e}", counters[8]);
