@@ -13,25 +13,29 @@
 //! I/O call volumes), each corrupted by multiplicative lognormal noise. This
 //! keeps the learning problem honest.
 //!
-//! Noise comes from one stream per machine ([`counter_stream`]), drawn in
-//! the order rows are synthesized. Every row takes the same number of
-//! draws whatever the observation ([`draws_per_row`]), so a row that is
-//! never synthesized can be passed over by discarding that many draws.
+//! A counter's noise is a pure function of the machine seed, the node, the
+//! sample time in microseconds and the counter's index ([`noise_seed`],
+//! [`row_key`], [`noise_z`]). No stream is drawn from, so a value does not
+//! depend on which other rows or counters were synthesized before it, and a
+//! reader can synthesize just the counters it needs.
 
-use rand::{Rng, RngCore};
-use rush_simkit::rng::{CountedRng, RngStreams};
+use rush_simkit::rng::{splitmix64, RngStreams};
 use serde::{Deserialize, Serialize};
 
 /// Counters per node across the three tables (22 + 34 + 34).
 pub const COUNTER_COUNT: usize = 90;
 
-/// Uniform draws summed into one noisy counter's approximate normal.
-const IRWIN_HALL_TERMS: u64 = 12;
+/// The golden-ratio increment of the splitmix64 stream.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64 outputs per noisy counter; their twelve 16-bit lanes are the
+/// twelve uniforms of the Irwin–Hall sum.
+const HASH_WORDS: u64 = 3;
 
 /// What one node can observe about the machine at a sampling instant.
 ///
 /// Produced by [`crate::machine::Machine::observe`]; consumed by
-/// [`synthesize_table_into`].
+/// [`counter_value`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeObservation {
     /// Traffic injected by this node onto its access link, GB/s.
@@ -337,84 +341,80 @@ pub fn basis_value(basis: Basis, obs: &NodeObservation) -> f64 {
     }
 }
 
-/// Synthesizes one counter value: `scale * basis * lognormal_noise`.
-pub fn synthesize_counter<R: RngCore>(
-    spec: &CounterSpec,
-    obs: &NodeObservation,
-    rng: &mut R,
-) -> f64 {
+/// The spec of counter `index` in row order: the three tables in Table-I
+/// order (`sysclassib`, `opa_info`, `lustre_client`).
+///
+/// # Panics
+/// Panics if `index >= COUNTER_COUNT`.
+pub fn counter_spec(index: usize) -> &'static CounterSpec {
+    let ib = SYSCLASSIB.len();
+    let opa = ib + OPA_INFO.len();
+    match index {
+        i if i < ib => &SYSCLASSIB[i],
+        i if i < opa => &OPA_INFO[i - ib],
+        i => &LUSTRE_CLIENT[i - opa],
+    }
+}
+
+/// The seed all counter noise of the machine seeded with `machine_seed`
+/// derives from.
+pub fn noise_seed(machine_seed: u64) -> u64 {
+    RngStreams::new(machine_seed).stream_seed("machine/counters")
+}
+
+/// The noise key of the row `node` sampled at `at_us` microseconds, under
+/// the [`noise_seed`] `noise_seed`.
+#[inline]
+pub fn row_key(noise_seed: u64, node: u32, at_us: u64) -> u64 {
+    splitmix64(splitmix64(noise_seed ^ u64::from(node)) ^ at_us)
+}
+
+/// An approximate standard normal for counter `counter` of the row keyed
+/// `row_key`: the Irwin–Hall sum of twelve uniforms, minus 6.
+///
+/// The uniforms are the 16-bit lanes of outputs `3c + 1 ..= 3c + 3` of the
+/// splitmix64 stream seeded with `row_key`, so every counter of a row reads
+/// its own words of one stream. Lane `l` stands for the uniform
+/// `(l + 0.5) / 65536`, which has mean exactly 1/2.
+#[inline]
+pub fn noise_z(row_key: u64, counter: usize) -> f64 {
+    let base = row_key.wrapping_add((counter as u64 * HASH_WORDS).wrapping_mul(SPLITMIX_GAMMA));
+    let mut lanes = 0u32;
+    for w in 0..HASH_WORDS {
+        let h = splitmix64(base.wrapping_add(w.wrapping_mul(SPLITMIX_GAMMA)));
+        // Four 16-bit lanes summed in two steps: pairs, then halves.
+        let pairs = (h & 0x0000_ffff_0000_ffff) + ((h >> 16) & 0x0000_ffff_0000_ffff);
+        lanes += (pairs as u32) + ((pairs >> 32) as u32);
+    }
+    (f64::from(lanes) + 6.0) / 65536.0 - 6.0
+}
+
+/// Counter `counter` of the row keyed `row_key` that observed `obs`:
+/// `scale * basis * exp(noise * z)`, with `z` from [`noise_z`].
+#[inline]
+pub fn counter_value(counter: usize, obs: &NodeObservation, row_key: u64) -> f64 {
+    let spec = counter_spec(counter);
     let base = basis_value(spec.basis, obs) * spec.scale;
     if spec.noise == 0.0 {
         return base;
     }
-    // Box–Muller-free lognormal: exp(sigma * approx-normal) via sum of
-    // uniforms (Irwin–Hall with n=12 has unit variance).
-    let mut acc = 0.0;
-    for _ in 0..IRWIN_HALL_TERMS {
-        acc += rng.gen::<f64>();
-    }
-    let z = acc - 6.0;
-    base * (spec.noise * z).exp()
+    base * (spec.noise * noise_z(row_key, counter)).exp()
 }
 
-/// Appends all counters of `table` for one node observation to `out`, in
-/// schema order, so callers can reuse one buffer across a sampling round.
-pub fn synthesize_table_into<R: RngCore>(
-    table: CounterTable,
-    obs: &NodeObservation,
-    rng: &mut R,
-    out: &mut Vec<f64>,
-) {
-    for spec in table.counters() {
-        out.push(synthesize_counter(spec, obs, rng));
-    }
-}
-
-/// Appends all [`COUNTER_COUNT`] counters for one node observation to
-/// `out`, the three tables in Table-I order (`sysclassib`, `opa_info`,
-/// `lustre_client`).
-pub fn synthesize_row_into<R: RngCore>(obs: &NodeObservation, rng: &mut R, out: &mut Vec<f64>) {
-    for table in CounterTable::ALL {
-        synthesize_table_into(table, obs, rng, out);
-    }
-}
-
-/// The `u64` draws [`synthesize_row_into`] takes from its RNG, derived
-/// from the counter specs: 12 (the Irwin–Hall terms) per noisy counter, none
-/// for a noise-free one. The same for every observation.
-pub fn draws_per_row() -> u64 {
-    let noisy = CounterTable::ALL
-        .iter()
-        .flat_map(|table| table.counters())
-        .filter(|spec| spec.noise != 0.0)
-        .count();
-    noisy as u64 * IRWIN_HALL_TERMS
-}
-
-/// The noise stream of the machine seeded with `machine_seed`. Counter
-/// values are a function of the observations and of this stream's
-/// position, so whoever synthesizes a machine's rows owns it.
-pub fn counter_stream(machine_seed: u64) -> CountedRng {
-    RngStreams::new(machine_seed).counted_stream("machine/counters")
+/// Appends all [`COUNTER_COUNT`] counters of the row keyed `row_key` that
+/// observed `obs` to `out`, in row order (see [`counter_spec`]).
+pub fn synthesize_row_into(obs: &NodeObservation, row_key: u64, out: &mut Vec<f64>) {
+    out.extend((0..COUNTER_COUNT).map(|c| counter_value(c, obs, row_key)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(7)
-    }
-
-    fn synthesize_table(
-        table: CounterTable,
-        obs: &NodeObservation,
-        rng: &mut SmallRng,
-    ) -> Vec<f64> {
+    /// All counters of the row keyed `key` that observed `obs`.
+    fn row(obs: &NodeObservation, key: u64) -> Vec<f64> {
         let mut out = Vec::new();
-        synthesize_table_into(table, obs, rng, &mut out);
+        synthesize_row_into(obs, key, &mut out);
         out
     }
 
@@ -437,13 +437,23 @@ mod tests {
     }
 
     #[test]
+    fn counter_specs_follow_table_one_order() {
+        let flat: Vec<&CounterSpec> = CounterTable::ALL
+            .iter()
+            .flat_map(|t| t.counters())
+            .collect();
+        assert_eq!(flat.len(), COUNTER_COUNT);
+        for (i, spec) in flat.into_iter().enumerate() {
+            assert_eq!(counter_spec(i), spec, "counter {i}");
+        }
+    }
+
+    #[test]
     fn idle_node_produces_near_zero_traffic_counters() {
-        let obs = NodeObservation::default();
-        let mut r = rng();
-        let vals = synthesize_table(CounterTable::SysClassIb, &obs, &mut r);
+        let vals = row(&NodeObservation::default(), 7);
         // port_xmit_data is index 0
         assert_eq!(vals[0], 0.0);
-        // link_rate constant is last
+        // link_rate constant is last of sysclassib
         assert_eq!(vals[21], 100.0);
     }
 
@@ -454,8 +464,7 @@ mod tests {
             recv_gbps: 4.0,
             ..Default::default()
         };
-        let mut r = rng();
-        let vals = synthesize_table(CounterTable::SysClassIb, &obs, &mut r);
+        let vals = row(&obs, 7);
         assert!(vals[0] > 1.0e9, "xmit_data should scale with bandwidth");
         assert!(vals[1] > 1.0e9);
         assert!(vals[2] > 1.0e5, "packet counters scale too");
@@ -510,14 +519,14 @@ mod tests {
 
     #[test]
     fn noise_is_multiplicative_and_centered() {
-        let spec = c("test", Basis::XmitBytes, 1.0, 0.1);
+        // port_xmit_data: scale 1e9, log-std 0.05.
         let obs = NodeObservation {
             xmit_gbps: 10.0,
             ..Default::default()
         };
-        let mut r = rng();
+        let seed = noise_seed(3);
         let vals: Vec<f64> = (0..2000)
-            .map(|_| synthesize_counter(&spec, &obs, &mut r))
+            .map(|t| counter_value(0, &obs, row_key(seed, 1, t * 30_000_000)) / 1.0e9)
             .collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((mean - 10.0).abs() < 0.5, "noisy mean {mean} should be ~10");
@@ -529,28 +538,63 @@ mod tests {
 
     #[test]
     fn zero_noise_is_deterministic() {
-        let spec = c("det", Basis::Constant, 42.0, 0.0);
+        // link_rate (21) and opa_link_qual_indicator (37) are noise-free.
         let obs = NodeObservation::default();
-        let mut r = rng();
-        assert_eq!(synthesize_counter(&spec, &obs, &mut r), 42.0);
-        assert_eq!(synthesize_counter(&spec, &obs, &mut r), 42.0);
+        for key in [0, 1, u64::MAX] {
+            assert_eq!(counter_value(21, &obs, key), 100.0);
+            assert_eq!(counter_value(37, &obs, key), 5.0);
+        }
     }
 
     #[test]
-    fn draws_per_row_is_derived_from_the_specs() {
-        // 88 of the 90 counters are noisy (`link_rate` and
-        // `opa_link_qual_indicator` are not), at 12 draws each.
-        assert_eq!(draws_per_row(), 88 * 12);
-        for obs in [
-            NodeObservation::default(),
-            NodeObservation::from_array([3.0, 2.5, 0.9, 0.4, 1.0, 0.5, 2.0, 1.3]),
-        ] {
-            let mut rng = counter_stream(9);
-            let mut row = Vec::new();
-            synthesize_row_into(&obs, &mut rng, &mut row);
-            assert_eq!(row.len(), COUNTER_COUNT);
-            assert_eq!(rng.draws(), draws_per_row());
+    fn z_has_zero_mean_and_unit_variance_over_many_keys() {
+        let seed = noise_seed(11);
+        let mut stats = rush_simkit::stats::OnlineStats::new();
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for node in 0..64u32 {
+            for round in 0..250u64 {
+                let key = row_key(seed, node, round * 30_000_000);
+                for counter in [0, 8, 45, 89] {
+                    let z = noise_z(key, counter);
+                    lo = lo.min(z);
+                    hi = hi.max(z);
+                    stats.push(z);
+                }
+            }
         }
+        // 64 000 draws: the mean's standard error is 0.004, the variance's
+        // about 0.0055 (Irwin–Hall excess kurtosis -0.1).
+        assert!(stats.mean().abs() < 0.02, "mean {}", stats.mean());
+        assert!(
+            (stats.variance() - 1.0).abs() < 0.03,
+            "variance {}",
+            stats.variance()
+        );
+        assert!(lo > -6.0 && hi < 6.0, "Irwin–Hall support, got {lo}..{hi}");
+    }
+
+    #[test]
+    fn noise_depends_on_every_key_part_only() {
+        let obs = NodeObservation::from_array([3.0, 2.5, 0.9, 0.4, 1.0, 0.5, 2.0, 1.3]);
+        let seed = noise_seed(9);
+        let key = row_key(seed, 4, 600_000_000);
+        let base = row(&obs, key);
+        // The same key gives the same bits however often it is read, and
+        // one counter alone equals its place in the row.
+        assert_eq!(row(&obs, key), base);
+        for (c, &v) in base.iter().enumerate() {
+            assert_eq!(counter_value(c, &obs, key).to_bits(), v.to_bits());
+        }
+        // Machine seed, node and time each move the noise.
+        for other in [
+            row_key(noise_seed(10), 4, 600_000_000),
+            row_key(seed, 5, 600_000_000),
+            row_key(seed, 4, 600_000_001),
+        ] {
+            assert_ne!(row(&obs, other)[0], base[0]);
+        }
+        // Counters of one row draw different noise.
+        assert_ne!(noise_z(key, 0), noise_z(key, 1));
     }
 
     #[test]

@@ -507,11 +507,6 @@ impl Machine {
         self.fs.saturation()
     }
 
-    /// Fraction of requested filesystem bandwidth actually delivered.
-    pub fn fs_delivered_fraction(&self) -> f64 {
-        self.fs.delivered_fraction()
-    }
-
     /// Draws a per-run OS-noise slowdown factor (≥ 1).
     pub fn draw_os_noise(&mut self) -> f64 {
         self.os_noise.draw(&mut self.rng_os)
@@ -972,7 +967,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{counter_stream, synthesize_row_into, COUNTER_COUNT};
+    use crate::counters::{synthesize_row_into, COUNTER_COUNT};
 
     fn nodes(r: std::ops::Range<u32>) -> Vec<NodeId> {
         r.map(NodeId).collect()
@@ -1221,7 +1216,7 @@ mod tests {
         );
         let mut v = Vec::new();
         let obs = m.observe(NodeId(0));
-        synthesize_row_into(&obs, &mut counter_stream(m.config().seed), &mut v);
+        synthesize_row_into(&obs, 0, &mut v);
         assert_eq!(v.len(), COUNTER_COUNT);
         assert!(v.iter().all(|x| x.is_finite()));
     }

@@ -13,6 +13,7 @@ use crate::dataset::Dataset;
 use crate::forest::{Forest, ForestConfig};
 use crate::knn::{Knn, KnnConfig};
 use crate::logistic::{Logistic, LogisticConfig};
+use crate::tree::Node;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -175,6 +176,29 @@ impl TrainedModel {
             TrainedModel::Logistic(l) => Some(l.coefficient_magnitudes()),
             TrainedModel::Knn(_) => None,
         }
+    }
+
+    /// The feature columns [`Classifier::predict`] can read, ascending:
+    /// the split features of every tree for forests and AdaBoost, every
+    /// column for KNN and logistic regression. A prediction depends on
+    /// these columns only, so a caller may leave the others unfilled.
+    pub fn read_features(&self) -> Vec<usize> {
+        let trees = match self {
+            TrainedModel::Forest(f) => f.trees(),
+            TrainedModel::AdaBoost(a) => a.parts().0,
+            TrainedModel::Knn(_) | TrainedModel::Logistic(_) => {
+                return (0..self.n_features()).collect();
+            }
+        };
+        let mut read = vec![false; self.n_features()];
+        for tree in trees {
+            for node in tree.nodes() {
+                if let Node::Split { feature, .. } = node {
+                    read[*feature] = true;
+                }
+            }
+        }
+        (0..read.len()).filter(|&f| read[f]).collect()
     }
 }
 

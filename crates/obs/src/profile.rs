@@ -157,16 +157,6 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Adds one externally-timed sample to `scope`. This bridges layers that
-/// cannot depend on this crate (e.g. `rush_simkit::engine`'s generic step
-/// observer) into the profiler. No-op when profiling is off.
-pub fn record_external(scope: ProfileScope, nanos: u64) {
-    if !is_enabled() {
-        return;
-    }
-    record_sample(scope, nanos);
-}
-
 fn record_sample(scope: ProfileScope, nanos: u64) {
     let cell = &CELLS[scope.index()];
     cell.calls.fetch_add(1, Ordering::Relaxed);
@@ -313,9 +303,9 @@ mod tests {
         reset();
         // 99 fast samples (~1 µs) and one slow outlier (~1 ms).
         for _ in 0..99 {
-            record_external(ProfileScope::SchedulePass, 1_000);
+            record_sample(ProfileScope::SchedulePass, 1_000);
         }
-        record_external(ProfileScope::SchedulePass, 1_000_000);
+        record_sample(ProfileScope::SchedulePass, 1_000_000);
         let p50 = percentile_nanos(ProfileScope::SchedulePass, 50.0).unwrap();
         let p99 = percentile_nanos(ProfileScope::SchedulePass, 99.0).unwrap();
         let p100 = percentile_nanos(ProfileScope::SchedulePass, 100.0).unwrap();

@@ -19,7 +19,7 @@
 use crate::config::CampaignConfig;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rush_cluster::counters::{counter_stream, synthesize_row_into, COUNTER_COUNT};
+use rush_cluster::counters::{noise_seed, row_key, synthesize_row_into, COUNTER_COUNT};
 use rush_cluster::machine::{Machine, SourceId};
 use rush_cluster::noise::{Regime, RegimeOverride};
 use rush_cluster::placement::{NodePool, PlacementPolicy};
@@ -231,11 +231,11 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
     // through `Machine::observe`, not the full-machine sweep: a round reads
     // a few dozen nodes of a full system, and background utilization
     // changes the network on almost every advance, so a sweep would be
-    // rebuilt for nearly every round. Every sample is read, so counters
-    // are synthesized as they are observed, from the machine's counter
-    // stream.
+    // rebuilt for nearly every round. Every sample is read, so all its
+    // counters are synthesized as they are observed, keyed like the
+    // telemetry store's.
     let mut counters: Vec<f64> = Vec::with_capacity(COUNTER_COUNT);
-    let mut rng_counters = counter_stream(machine.config().seed);
+    let noise = noise_seed(machine.config().seed);
 
     while let Some(entry) = events.pop() {
         let now = entry.time;
@@ -259,25 +259,19 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
             Ev::Sample(i) => {
                 machine.advance_to(now);
                 if let Some(run) = runs[i].as_mut() {
+                    let mut sample = |node: NodeId, accum: &mut WindowAccum| {
+                        counters.clear();
+                        let key = row_key(noise, node.0, now.as_micros());
+                        synthesize_row_into(&machine.observe(node), key, &mut counters);
+                        accum.absorb(&counters);
+                    };
                     // Job-exclusive scope.
                     for &node in &run.nodes {
-                        counters.clear();
-                        synthesize_row_into(
-                            &machine.observe(node),
-                            &mut rng_counters,
-                            &mut counters,
-                        );
-                        run.job_accum.absorb(&counters);
+                        sample(node, &mut run.job_accum);
                     }
                     // Machine-wide monitor scope.
                     for &node in &monitor_nodes {
-                        counters.clear();
-                        synthesize_row_into(
-                            &machine.observe(node),
-                            &mut rng_counters,
-                            &mut counters,
-                        );
-                        run.all_accum.absorb(&counters);
+                        sample(node, &mut run.all_accum);
                     }
                 }
             }
@@ -487,15 +481,15 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Pins the test-sized campaign's encoded bytes: counter synthesis,
-    /// probes and run timing must keep drawing the same RNG sequences and
-    /// observing the same machine state.
+    /// Pins the test-sized campaign's encoded bytes: counter noise must keep
+    /// its keys, and probes and run timing must keep drawing the same RNG
+    /// sequences and observing the same machine state.
     #[test]
     fn test_sized_campaign_encoding_is_pinned() {
         let text = crate::persist::encode_campaign(&small_campaign());
         assert_eq!(
             format!("{:016x}", rush_simkit::snapshot::fingerprint_str(&text)),
-            "9f999554fa2a561b"
+            "30506b4ac54db9c9"
         );
     }
 

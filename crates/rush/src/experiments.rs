@@ -323,6 +323,19 @@ pub fn build_trial_engine(
     settings: &ExperimentSettings,
     trial: usize,
 ) -> (SchedulerEngine, Vec<rush_workloads::jobgen::JobRequest>) {
+    trial_engine(experiment, policy, campaign, settings, trial, |p| p)
+}
+
+/// [`build_trial_engine`] with `adjust` applied to a RUSH trial's static
+/// predictor.
+fn trial_engine(
+    experiment: Experiment,
+    policy: PolicyKind,
+    campaign: &CampaignData,
+    settings: &ExperimentSettings,
+    trial: usize,
+    adjust: impl FnOnce(MlPredictor) -> MlPredictor,
+) -> (SchedulerEngine, Vec<rush_workloads::jobgen::JobRequest>) {
     let seed = settings.base_seed + trial as u64;
     let machine = trial_machine(seed);
     let noise = noise_nodes(&machine);
@@ -352,10 +365,10 @@ pub fn build_trial_engine(
             if online {
                 initial_artifact = Some(crate::persist::encode_model(&model));
             }
-            Box::new(
+            Box::new(adjust(
                 MlPredictor::new((*model).clone(), settings.label_scheme, None)
                     .with_window(settings.predictor_window),
-            )
+            ))
         }
     };
 
@@ -550,5 +563,57 @@ mod tests {
         assert_eq!(comparison.fcfs[0].total_skips, 0);
         let (f_mk, r_mk) = comparison.mean_makespan();
         assert!(f_mk > 0.0 && r_mk > 0.0);
+    }
+
+    /// The deployed predictor aggregates only the counters its model
+    /// reads; on a seeded trial it gives every verdict, and so the whole
+    /// schedule, that it gives when it aggregates all 90. (The test-sized
+    /// campaign's AdaBoost splits on probe features only, so a forest
+    /// stands in: it reads 42 of the 90 counters here.)
+    #[test]
+    fn model_counter_subset_gives_the_verdicts_of_all_counters() {
+        let campaign = crate::collect::run_campaign(&CampaignConfig::test_sized());
+        let settings = ExperimentSettings {
+            trials: 1,
+            base_seed: 3,
+            job_count_override: Some(40),
+            model_kind: ModelKind::DecisionForest,
+            ..ExperimentSettings::default()
+        };
+        let run = |all: bool| {
+            let mut counters = 0;
+            let (mut engine, requests) = trial_engine(
+                Experiment::Adpa,
+                PolicyKind::Rush,
+                &campaign,
+                &settings,
+                0,
+                |p| {
+                    let p = if all { p.with_all_counters() } else { p };
+                    counters = p.counters().len();
+                    p
+                },
+            );
+            (engine.run(&requests), counters)
+        };
+        let (subset, read) = run(false);
+        let (full, all) = run(true);
+        assert!(
+            0 < read && read < all,
+            "the model reads {read} of {all} counters"
+        );
+        let verdicts = subset
+            .metrics
+            .counter_by_name("sched.predictor_verdicts")
+            .unwrap_or(0);
+        assert!(verdicts > 0, "the predictor was consulted");
+        assert!(subset.total_skips > 0, "some verdicts delay a job");
+        assert_eq!(subset.total_skips, full.total_skips);
+        assert_eq!(subset.fallback_decisions, full.fallback_decisions);
+        assert_eq!(subset.events, full.events);
+        assert_eq!(
+            format!("{:?}", subset.completed),
+            format!("{:?}", full.completed)
+        );
     }
 }

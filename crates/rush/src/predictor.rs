@@ -7,8 +7,14 @@
 //! the last five minutes of counters over the job's prospective nodes,
 //! times the MPI probes against the current fabric, assembles the Table-I
 //! feature vector, and asks the exported model for a class.
+//!
+//! Only the counters the model reads are aggregated
+//! ([`TrainedModel::read_features`]), so the telemetry store synthesizes
+//! only those; the other counter columns of the row hold 0, and the model
+//! never looks at them.
 
 use crate::labels::LabelScheme;
+use rush_cluster::counters::COUNTER_COUNT;
 use rush_cluster::topology::NodeId;
 use rush_ml::model::{Classifier, ModelKind, TrainedModel};
 use rush_obs::profile as obs_profile;
@@ -16,7 +22,7 @@ use rush_obs::ProfileScope;
 use rush_sched::job::Job;
 use rush_sched::predictor::{PredictError, PredictorCtx, VariabilityClass, VariabilityPredictor};
 use rush_simkit::time::SimDuration;
-use rush_telemetry::aggregate::{aggregate_counters, flatten_features};
+use rush_telemetry::aggregate::aggregate_counter_subset;
 use rush_telemetry::schema::FeatureSchema;
 use rush_workloads::probes::{run_probes, ProbeConfig};
 
@@ -27,6 +33,8 @@ pub struct MlPredictor {
     schema: FeatureSchema,
     /// RFE-selected feature columns, if feature selection ran.
     kept: Option<Vec<usize>>,
+    /// The counters whose aggregates the model reads, ascending.
+    counters: Vec<usize>,
     /// Counter aggregation window (paper: 5 minutes).
     window: SimDuration,
     probe_config: ProbeConfig,
@@ -45,11 +53,13 @@ impl MlPredictor {
             "model expects {} features but the predictor will assemble {expected}",
             model.n_features()
         );
+        let counters = read_counters(&model, kept.as_deref(), schema.counter_range());
         MlPredictor {
             model,
             scheme,
             schema,
             kept,
+            counters,
             window: SimDuration::from_mins(5),
             probe_config: ProbeConfig::default(),
             calls: 0,
@@ -63,13 +73,26 @@ impl MlPredictor {
         self
     }
 
+    /// Aggregates all [`COUNTER_COUNT`] counters, not only those the model
+    /// reads, so every column of an assembled row holds its value.
+    pub fn with_all_counters(mut self) -> Self {
+        self.counters = (0..COUNTER_COUNT).collect();
+        self
+    }
+
+    /// The counters whose aggregates feed the model, ascending.
+    pub fn counters(&self) -> &[usize] {
+        &self.counters
+    }
+
     /// Number of predictions served.
     pub fn calls(&self) -> u64 {
         self.calls
     }
 
     /// Assembles the feature row for a decision (public for tests and the
-    /// bench harness).
+    /// bench harness). The features of counters outside
+    /// [`counters`](Self::counters) are 0.
     pub fn assemble_features(
         &self,
         job: &Job,
@@ -78,8 +101,11 @@ impl MlPredictor {
     ) -> Vec<f64> {
         let _scope = obs_profile::scope(ProfileScope::Featurize);
         let from = ctx.now.saturating_sub(self.window);
-        let aggs = aggregate_counters(ctx.store, nodes, from, ctx.now);
-        let counter_features = flatten_features(&aggs);
+        let aggs = aggregate_counter_subset(ctx.store, nodes, from, ctx.now, &self.counters);
+        let mut counter_features = vec![0.0; self.schema.counter_range().len()];
+        for (&c, agg) in self.counters.iter().zip(&aggs) {
+            counter_features[3 * c..3 * c + 3].copy_from_slice(&agg.features());
+        }
         let probes = run_probes(ctx.machine, nodes, &self.probe_config, ctx.rng);
         let one_hot = job.app.descriptor().one_hot();
         let row = self
@@ -90,6 +116,26 @@ impl MlPredictor {
             None => row,
         }
     }
+}
+
+/// The counters behind the row columns `model` reads: column `f` of the
+/// model is row column `kept[f]` (or `f` without selection), and row column
+/// `3c + k` of `counter_columns` is aggregate `k` of counter `c`.
+fn read_counters(
+    model: &TrainedModel,
+    kept: Option<&[usize]>,
+    counter_columns: std::ops::Range<usize>,
+) -> Vec<usize> {
+    let mut counters: Vec<usize> = model
+        .read_features()
+        .into_iter()
+        .map(|f| kept.map_or(f, |kept| kept[f]))
+        .filter(|col| counter_columns.contains(col))
+        .map(|col| col / 3)
+        .collect();
+    counters.sort_unstable();
+    counters.dedup();
+    counters
 }
 
 /// The scheduler service's bridge to the real ML stack: Table-I feature
@@ -114,7 +160,8 @@ impl OnlineMlHost {
     pub fn new(assembly_model: TrainedModel, scheme: LabelScheme, kind: ModelKind) -> Self {
         let names = FeatureSchema::table_one().names().to_vec();
         OnlineMlHost {
-            assembler: MlPredictor::new(assembly_model, scheme, None),
+            // Retraining may pick any column, so rows carry every counter.
+            assembler: MlPredictor::new(assembly_model, scheme, None).with_all_counters(),
             scheme,
             kind,
             names,
@@ -359,6 +406,94 @@ mod tests {
         let nodes = vec![NodeId(0)];
         let row = predictor.assemble_features(&job(), &nodes, &mut ctx);
         assert_eq!(row.len(), 2);
+    }
+
+    /// An AdaBoost of one depth-1 stump per entry of `features`, each
+    /// splitting on that feature, over `width` features.
+    fn stumps(features: &[usize], width: usize) -> TrainedModel {
+        use rush_ml::adaboost::{AdaBoost, AdaBoostConfig};
+        use rush_ml::tree::{DecisionTree, Node};
+        let leaf = |class: usize| Node::Leaf {
+            probs: (0..2).map(|c| f64::from(u8::from(c == class))).collect(),
+        };
+        let learners: Vec<DecisionTree> = features
+            .iter()
+            .map(|&feature| {
+                let split = Node::Split {
+                    feature,
+                    threshold: 0.5,
+                    left: 1,
+                    right: 2,
+                };
+                DecisionTree::from_parts(vec![split, leaf(0), leaf(1)], 2, width, vec![0.0; width])
+                    .unwrap()
+            })
+            .collect();
+        let alphas = vec![1.0; learners.len()];
+        TrainedModel::AdaBoost(
+            AdaBoost::from_parts(learners, alphas, AdaBoostConfig::default(), 2, width).unwrap(),
+        )
+    }
+
+    #[test]
+    fn stump_model_reads_exactly_its_split_counters() {
+        // Features 4 (max of counter 1), 100 and 101 (min and max of
+        // counter 33) and 275 (a probe feature).
+        let model = stumps(&[100, 4, 275, 101], 282);
+        assert_eq!(model.read_features(), vec![4, 100, 101, 275]);
+        let predictor = MlPredictor::new(model, LabelScheme::Binary, None);
+        assert_eq!(predictor.counters(), &[1, 33]);
+        // Under feature selection, model column 1 is row column 31: the
+        // max of counter 10; column 2 is a one-hot.
+        let kept = MlPredictor::new(
+            stumps(&[1, 2], 3),
+            LabelScheme::Binary,
+            Some(vec![280, 31, 281]),
+        );
+        assert_eq!(kept.counters(), &[10]);
+        // A model without trees reads every column.
+        let mut d = Dataset::new(FeatureSchema::table_one().names().to_vec());
+        for i in 0..10 {
+            d.push(vec![i as f64; 282], u32::from(i >= 5), 0);
+        }
+        let knn = MlPredictor::new(ModelKind::Knn.train(&d, 1), LabelScheme::Binary, None);
+        assert_eq!(knn.counters().len(), COUNTER_COUNT);
+    }
+
+    #[test]
+    fn unread_counters_assemble_as_zero_and_read_ones_as_in_the_full_row() {
+        use rush_telemetry::collector::Sampler;
+        let mut machine = Machine::new(MachineConfig::tiny(5));
+        machine.enable_noise_job((8..16).map(NodeId).collect(), 8.0);
+        let mut store = MetricStore::new(16, machine.config().seed);
+        let all: Vec<NodeId> = (0..16).map(NodeId).collect();
+        let mut sampler = Sampler::new(all, SimDuration::from_secs(30));
+        sampler.advance_to(SimTime::from_mins(10), &mut machine, &mut store);
+        let nodes: Vec<NodeId> = (6..10).map(NodeId).collect();
+        let row_of = |predictor: &MlPredictor, machine: &mut Machine, store: &mut MetricStore| {
+            let mut rng = CountedRng::seeded(9);
+            let mut ctx = PredictorCtx {
+                machine,
+                store,
+                now: SimTime::from_mins(10),
+                rng: &mut rng,
+            };
+            predictor.assemble_features(&job(), &nodes, &mut ctx)
+        };
+        let subset = MlPredictor::new(stumps(&[100, 4], 282), LabelScheme::Binary, None);
+        let full =
+            MlPredictor::new(stumps(&[100, 4], 282), LabelScheme::Binary, None).with_all_counters();
+        let some = row_of(&subset, &mut machine, &mut store);
+        let every = row_of(&full, &mut machine, &mut store);
+        for col in 0..270 {
+            let c = col / 3;
+            if c == 1 || c == 33 {
+                assert_eq!(some[col].to_bits(), every[col].to_bits(), "column {col}");
+            } else {
+                assert_eq!(some[col], 0.0, "column {col}");
+            }
+        }
+        assert!(some[4] > 0.0, "the noise job's nodes receive traffic");
     }
 
     #[test]

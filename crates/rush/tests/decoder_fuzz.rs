@@ -2,17 +2,20 @@
 //! valid documents, fed to every decoder of persisted input.
 //!
 //! The valid documents are models of all four families (both forest
-//! flavours, AdaBoost, KNN, logistic), a policy artifact and a test-sized
-//! campaign. Each mutation — truncate, flip a bit, splice in a slice of
-//! another document, duplicate a list item, set an integer to `u64::MAX` —
-//! goes through the model, policy and campaign decoders and `Val::parse`.
-//! A decoder may accept a mutant (a duplicated campaign run is still a
-//! campaign) but must never panic, and any model it accepts must predict
-//! on random finite rows of its width. The SWF readers get arbitrary bytes
+//! flavours, AdaBoost, KNN, logistic), a policy artifact, a test-sized
+//! campaign and a telemetry store body. Each mutation — truncate, flip a
+//! bit, splice in a slice of another document, duplicate a list item, set
+//! an integer to `u64::MAX` — goes through the model, policy, campaign and
+//! store decoders and `Val::parse`. A decoder may accept a mutant (a
+//! duplicated campaign run is still a campaign) but must never panic, any
+//! model it accepts must predict on random finite rows of its width, and
+//! any store it accepts must serve every counter of every row. The SWF readers get arbitrary bytes
 //! and lines of hostile numeric fields.
 
 use proptest::collection;
 use proptest::prelude::*;
+use rush_cluster::machine::{Machine, MachineConfig};
+use rush_cluster::topology::NodeId;
 use rush_core::collect::run_campaign;
 use rush_core::config::CampaignConfig;
 use rush_core::persist::{
@@ -21,7 +24,11 @@ use rush_core::persist::{
 use rush_ml::cem::PolicyArtifact;
 use rush_ml::dataset::Dataset;
 use rush_ml::model::{Classifier, ModelKind, TrainedModel};
-use rush_simkit::snapshot::{SnapshotError, Val};
+use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
+use rush_simkit::time::{SimDuration, SimTime};
+use rush_telemetry::aggregate::aggregate_counters;
+use rush_telemetry::collector::Sampler;
+use rush_telemetry::store::{GapReason, MetricStore};
 use rush_workloads::swf::{self, SwfReader};
 use std::sync::OnceLock;
 
@@ -48,22 +55,50 @@ fn seeds() -> &'static [String] {
         docs.push(encode_campaign(
             &run_campaign(&CampaignConfig::test_sized()),
         ));
+        docs.push(store_body().render());
         docs
     })
 }
 
+/// A four-node store body: two sampling rounds of a loaded machine and a
+/// gap.
+fn store_body() -> Val {
+    let mut machine = Machine::new(MachineConfig::tiny(3));
+    machine.enable_noise_job((0..4).map(NodeId).collect(), 8.0);
+    let mut store = MetricStore::new(4, machine.config().seed);
+    let mut sampler = Sampler::new((0..4).map(NodeId).collect(), SimDuration::from_secs(30));
+    sampler.advance_to(SimTime::from_secs(30), &mut machine, &mut store);
+    store.record_gap(NodeId(2), SimTime::from_secs(60), GapReason::Dropout);
+    store.to_val()
+}
+
+/// Number of seed documents.
+const SEEDS: usize = 8;
+
 /// Feeds `text` to every decoder. A model that decodes must predict on
-/// random finite rows of its width, huge magnitudes included.
-fn decode_all(text: &str, noise: u64) -> [bool; 4] {
+/// random finite rows of its width, huge magnitudes included; a store that
+/// decodes must aggregate every counter over all its rows.
+fn decode_all(text: &str, noise: u64) -> [bool; 5] {
     let model = decode_model(text);
     if let Ok(model) = &model {
         predict_random_rows(model, noise);
     }
+    let val = Val::parse(text);
+    let store = val
+        .as_ref()
+        .ok()
+        .and_then(|v| MetricStore::from_val(v).ok());
+    let store_ok = store.is_some();
+    if let Some(mut store) = store {
+        let nodes: Vec<NodeId> = (0..store.node_count()).map(NodeId).collect();
+        aggregate_counters(&mut store, &nodes, SimTime::ZERO, SimTime::MAX);
+    }
     [
-        Val::parse(text).is_ok(),
+        val.is_ok(),
         model.is_ok(),
         decode_policy(text).is_ok(),
         decode_campaign(text).is_ok(),
+        store_ok,
     ]
 }
 
@@ -155,16 +190,16 @@ proptest! {
     }
 
     #[test]
-    fn truncated_documents_are_errors(seed in 0usize..7, cut in any::<u64>(), noise in any::<u64>()) {
+    fn truncated_documents_are_errors(seed in 0usize..SEEDS, cut in any::<u64>(), noise in any::<u64>()) {
         let text = &seeds()[seed];
         // Cutting at least the closing brace and newline always breaks the
         // one top-level map.
         let cut = (cut % (text.len() as u64 - 1)) as usize;
-        prop_assert_eq!(decode_all(&text[..cut], noise), [false; 4]);
+        prop_assert_eq!(decode_all(&text[..cut], noise), [false; 5]);
     }
 
     #[test]
-    fn bit_flips_never_panic(seed in 0usize..7, at in any::<u64>(), bit in 0u32..8, noise in any::<u64>()) {
+    fn bit_flips_never_panic(seed in 0usize..SEEDS, at in any::<u64>(), bit in 0u32..8, noise in any::<u64>()) {
         let mut bytes = seeds()[seed].clone().into_bytes();
         let at = (at % bytes.len() as u64) as usize;
         bytes[at] ^= 1 << bit;
@@ -173,7 +208,7 @@ proptest! {
 
     #[test]
     fn splices_never_panic(
-        (into, from) in (0usize..7, 0usize..7),
+        (into, from) in (0usize..SEEDS, 0usize..SEEDS),
         (a, b, c, d) in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         noise in any::<u64>(),
     ) {
@@ -189,7 +224,7 @@ proptest! {
     }
 
     #[test]
-    fn duplicated_list_items_never_panic(seed in 0usize..7, n in any::<u64>(), item in any::<u64>(), noise in any::<u64>()) {
+    fn duplicated_list_items_never_panic(seed in 0usize..SEEDS, n in any::<u64>(), item in any::<u64>(), noise in any::<u64>()) {
         let mut doc = seed_val(seed);
         let non_empty_list = |v: &Val| matches!(v, Val::List(items) if !items.is_empty());
         prop_assert!(edit_nth(&mut doc, non_empty_list, n, |v| {
@@ -202,7 +237,7 @@ proptest! {
     }
 
     #[test]
-    fn u64_max_integers_never_panic(seed in 0usize..7, n in any::<u64>(), noise in any::<u64>()) {
+    fn u64_max_integers_never_panic(seed in 0usize..SEEDS, n in any::<u64>(), noise in any::<u64>()) {
         let mut doc = seed_val(seed);
         prop_assert!(edit_nth(&mut doc, |v| matches!(v, Val::U64(_)), n, |v| {
             *v = Val::U64(u64::MAX);
@@ -358,5 +393,5 @@ fn self_looping_tree_is_an_error() {
 fn deeply_nested_input_is_an_error() {
     let deep = "[".repeat(100_000);
     assert!(matches!(Val::parse(&deep), Err(SnapshotError::Parse(_))));
-    assert_eq!(decode_all(&deep, 0), [false; 4]);
+    assert_eq!(decode_all(&deep, 0), [false; 5]);
 }

@@ -2418,6 +2418,11 @@ impl SchedulerEngine {
         let r2 = PolicySpec::from_val(&pl[1])?;
 
         let store = MetricStore::from_val(b.get("store")?)?;
+        if store.machine_seed() != self.machine.config().seed
+            || store.node_count() != self.store.node_count()
+        {
+            return Err(SnapshotError::ConfigMismatch);
+        }
         let registry = MetricsRegistry::from_val(b.get("registry")?)?;
         let (log, trace) = log_from_val(b.get("log")?)?;
 
@@ -3886,10 +3891,11 @@ mod tests {
         }
     }
 
-    /// A snapshot taken while the store holds pending rows (sampled since
-    /// the last counter read) and skipped ones (pruned before any read)
-    /// resumes to the uninterrupted schedule: the pending observations,
-    /// the skip count and the counter stream's cursor all round-trip.
+    /// A snapshot taken while the store holds rows no read has covered
+    /// yet (sampled since the last counter read), after rows were pruned
+    /// before any read, resumes to the uninterrupted schedule. The counter
+    /// memo is not in the snapshot; the resumed run refills it with the
+    /// same bits.
     #[test]
     fn resume_with_pending_and_skipped_telemetry_rows_matches_uninterrupted_run() {
         // Jobs 30 minutes apart: every start reads the counters, and the
@@ -3921,9 +3927,18 @@ mod tests {
         let bytes = victim.snapshot();
         drop(victim);
         let body = snapshot::decode(&bytes).unwrap().body;
-        let store = body.get("store").unwrap();
-        assert!(!store.l("pending").unwrap().is_empty(), "pending rows");
-        assert!(store.u("skipped").unwrap() > 0, "skipped rows");
+        let store = MetricStore::from_val(body.get("store").unwrap()).unwrap();
+        assert!(store.node_count() > 0 && store.gap_count() == 0);
+        let blocks = body.get("store").unwrap().l("blocks").unwrap();
+        let rows: usize = blocks.iter().map(|b| b.l("t").unwrap().len()).sum();
+        assert!(rows > 0, "the cut holds rows");
+        for block in blocks {
+            let Val::Map(entries) = block else {
+                panic!("block is a map")
+            };
+            let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["t", "o"], "no memo in the snapshot");
+        }
 
         let mut fresh = build();
         fresh.prepare(&reqs);
@@ -4010,6 +4025,44 @@ mod tests {
 
         // The pristine bytes still restore.
         fresh().resume(&bytes).expect("pristine snapshot restores");
+    }
+
+    /// A store body recorded on another machine (seed or node count)
+    /// would synthesize another machine's counters: resume refuses it.
+    #[test]
+    fn resume_rejects_a_store_from_another_machine() {
+        let reqs = requests(4, 4);
+        let mut eng = engine(Box::new(NeverVaries));
+        eng.prepare(&reqs);
+        for _ in 0..20 {
+            eng.step();
+        }
+        let env = snapshot::decode(&eng.snapshot()).unwrap();
+        let seed = MachineConfig::tiny(7).seed;
+        let other = MetricStore::new(16, seed.wrapping_add(1));
+        let fewer = MetricStore::new(8, seed);
+        for store in [other, fewer] {
+            let Val::Map(mut body) = env.body.clone() else {
+                panic!("snapshot body is a map")
+            };
+            for (key, val) in &mut body {
+                if key == "store" {
+                    *val = store.to_val();
+                }
+            }
+            let bytes = snapshot::encode(
+                env.master_seed,
+                env.sim_clock_us,
+                env.fingerprint,
+                &Val::Map(body),
+            );
+            let mut fresh = engine(Box::new(NeverVaries));
+            fresh.prepare(&reqs);
+            assert!(matches!(
+                fresh.resume(&bytes),
+                Err(SnapshotError::ConfigMismatch)
+            ));
+        }
     }
 
     #[test]

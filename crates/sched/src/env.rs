@@ -282,12 +282,6 @@ impl SchedEnv {
         &self.engine
     }
 
-    /// Mutable engine access — the checkpoint/resume path of a training
-    /// driver snapshots and restores through this.
-    pub fn engine_mut(&mut self) -> &mut SchedulerEngine {
-        &mut self.engine
-    }
-
     /// Current observation (allocates the queue window).
     pub fn observe(&self) -> Observation {
         let capacity = self.engine.node_capacity().max(1);

@@ -92,8 +92,8 @@ pub struct PredictorCtx<'a> {
     /// The machine (mutable: probes inject traffic and consume RNG).
     pub machine: &'a mut Machine,
     /// The telemetry store with counter history. Mutable because the
-    /// first value read synthesizes the pending counters
-    /// ([`MetricStore::settle`]).
+    /// first read of a (row, counter) pair synthesizes it into the store's
+    /// memo ([`MetricStore::columns`]).
     pub store: &'a mut MetricStore,
     /// Current time.
     pub now: SimTime,

@@ -11,8 +11,6 @@
 //! * [`event::EventQueue`] — a stable priority queue of timestamped events.
 //!   Ties are broken by insertion sequence, which makes every simulation run
 //!   a deterministic function of its seed.
-//! * [`engine::Engine`] — a minimal run loop that pops events and hands them
-//!   to a handler until the queue drains or a horizon is reached.
 //! * [`rng`] — named, independently seeded RNG streams so that adding a new
 //!   consumer of randomness does not perturb existing draws.
 //! * [`stats`] — online mean/variance, percentiles, z-scores and summary
@@ -38,7 +36,6 @@
 //! assert_eq!(queue.now(), SimTime::from_secs(1));
 //! ```
 
-pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod histogram;
@@ -48,7 +45,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, EventHandler, StepOutcome};
 pub use event::{EventEntry, EventQueue};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultSchedule};
 pub use histogram::Histogram;

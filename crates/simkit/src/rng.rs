@@ -132,8 +132,12 @@ fn derive_seed(master: u64, name: &str) -> u64 {
     splitmix64(h ^ master)
 }
 
-/// The splitmix64 finalizer: a cheap, well-distributed 64-bit mixer.
-fn splitmix64(mut z: u64) -> u64 {
+/// One splitmix64 output: the state `z` advanced by the golden-ratio
+/// increment and finalized. A cheap, well-distributed 64-bit mixer, and
+/// `splitmix64(seed + k * 0x9E37_79B9_7F4A_7C15)` is output `k + 1` of the
+/// splitmix64 stream seeded with `seed`.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

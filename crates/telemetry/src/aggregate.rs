@@ -42,27 +42,41 @@ impl CounterAggregate {
 
 /// Pools every counter's samples over `[from, to)` across `nodes` and
 /// reduces each to min/max/mean. Returns one aggregate per counter, in
-/// store order.
-///
-/// This is the store's one value reader, so it settles the store first
-/// ([`MetricStore::settle`]): every pending row is synthesized, not only
-/// those of `nodes` in the window.
+/// store order: [`aggregate_counter_subset`] over all of them.
 pub fn aggregate_counters(
     store: &mut MetricStore,
     nodes: &[NodeId],
     from: SimTime,
     to: SimTime,
 ) -> Vec<CounterAggregate> {
-    store.settle();
-    let width = store.counter_count();
-    // The store is walked a node block at a time; each counter sees its
-    // samples with nodes in caller order, time ascending within a node.
-    let mut stats: Vec<OnlineStats> = (0..width).map(|_| OnlineStats::new()).collect();
+    let all: Vec<usize> = (0..store.counter_count()).collect();
+    aggregate_counter_subset(store, nodes, from, to, &all)
+}
+
+/// Pools the samples of each counter in `counters` over `[from, to)`
+/// across `nodes` and reduces it to min/max/mean. Returns one aggregate per
+/// entry of `counters`, in that order.
+///
+/// Each counter sees its samples with nodes in caller order, time
+/// ascending within a node, whatever else is asked for, so a counter's
+/// aggregate is bit-equal in every subset that holds it. Only the
+/// requested (row, counter) pairs are synthesized
+/// ([`MetricStore::columns`]).
+pub fn aggregate_counter_subset(
+    store: &mut MetricStore,
+    nodes: &[NodeId],
+    from: SimTime,
+    to: SimTime,
+    counters: &[usize],
+) -> Vec<CounterAggregate> {
+    let mut stats = vec![OnlineStats::new(); counters.len()];
     for &node in nodes {
-        let (_, rows) = store.rows(node, from, to);
-        for row in rows.chunks_exact(width) {
-            for (st, &v) in stats.iter_mut().zip(row) {
-                st.push(v);
+        let columns: Vec<&[f64]> = store.columns(node, from, to, counters).collect();
+        let rows = columns.first().map_or(0, |c| c.len());
+        // Row by row, so the counters' independent updates interleave.
+        for row in 0..rows {
+            for (st, column) in stats.iter_mut().zip(&columns) {
+                st.push(column[row]);
             }
         }
     }
@@ -109,7 +123,7 @@ impl WindowQuality {
 }
 
 /// Measures coverage and staleness of `[from, to)` across `nodes`. Reads
-/// timestamps and gaps only, so it never settles the store.
+/// timestamps and gaps only, so it synthesizes no counter.
 pub fn window_quality(
     store: &MetricStore,
     nodes: &[NodeId],
@@ -142,7 +156,7 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// A settled row whose first two counters are `c0` and `c1`.
+    /// A row whose first two counters read `c0` and `c1`, the rest 0.
     fn row(c0: f64, c1: f64) -> Vec<f64> {
         let mut row = vec![0.0; 90];
         row[0] = c0;
@@ -153,12 +167,11 @@ mod tests {
     fn store_with_data() -> MetricStore {
         let mut store = MetricStore::new(3, 0);
         // node 0: counter0 = 1, 2, 3 at t=0,10,20 ; counter1 = 10x
-        for (i, s) in [0u64, 10, 20].iter().enumerate() {
-            let v = (i + 1) as f64;
-            store.push_settled(NodeId(0), t(*s), &row(v, v * 10.0));
-        }
         // node 1: counter0 = 100 at t=10
-        store.push_settled(NodeId(1), t(10), &row(100.0, 0.5));
+        store.push_memoized(NodeId(0), t(0), &row(1.0, 10.0));
+        store.push_memoized(NodeId(0), t(10), &row(2.0, 20.0));
+        store.push_memoized(NodeId(1), t(10), &row(100.0, 0.5));
+        store.push_memoized(NodeId(0), t(20), &row(3.0, 30.0));
         store
     }
 
@@ -225,23 +238,30 @@ mod tests {
 
     #[test]
     fn only_the_value_read_settles() {
-        use rush_cluster::counters::{counter_stream, synthesize_row_into, NodeObservation};
+        // Quality reads synthesize nothing; a value read synthesizes only
+        // the (row, counter) pairs it covers, each to its keyed value.
+        use rush_cluster::counters::{noise_seed, row_key, synthesize_row_into, NodeObservation};
         let obs = NodeObservation::from_array([2.0, 2.0, 0.7, 0.2, 0.3, 0.1, 1.5, 0.9]);
         let mut store = MetricStore::new(2, 11);
         store.record(NodeId(0), t(0), obs);
         store.record(NodeId(1), t(0), obs);
+        store.record(NodeId(1), t(20), obs);
         let quality = window_quality(&store, &[NodeId(1)], t(0), t(10));
         assert_eq!(quality.coverage, 1.0);
-        assert_eq!(store.pending_count(), 2, "quality reads leave rows pending");
-        let aggs = aggregate_counters(&mut store, &[NodeId(1)], t(0), t(10));
-        assert_eq!(store.pending_count(), 0, "a value read settles every node");
-        // Node 1's row is the second one synthesized from the stream.
-        let mut rows = Vec::new();
-        let mut rng = counter_stream(11);
-        synthesize_row_into(&obs, &mut rng, &mut rows);
-        synthesize_row_into(&obs, &mut rng, &mut rows);
-        let node1: Vec<f64> = aggs.iter().map(|a| a.mean).collect();
-        assert_eq!(node1, &rows[90..]);
+        assert_eq!(
+            store.memoized_count(),
+            0,
+            "quality reads synthesize nothing"
+        );
+        let aggs = aggregate_counter_subset(&mut store, &[NodeId(1)], t(0), t(10), &[3, 40]);
+        assert_eq!(store.memoized_count(), 2, "one row, two counters");
+        let mut row = Vec::new();
+        synthesize_row_into(&obs, row_key(noise_seed(11), 1, 0), &mut row);
+        assert_eq!([aggs[0].mean, aggs[1].mean], [row[3], row[40]]);
+        let all = aggregate_counters(&mut store, &[NodeId(1)], t(0), t(10));
+        assert_eq!(store.memoized_count(), 90);
+        let means: Vec<f64> = all.iter().map(|a| a.mean).collect();
+        assert_eq!(means, row);
     }
 
     #[test]

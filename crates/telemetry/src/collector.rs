@@ -2,8 +2,8 @@
 //!
 //! A [`Sampler`] walks a node list on a fixed interval, asks the
 //! [`Machine`] what each node observes, and records the observations into
-//! a [`MetricStore`], which synthesizes the counters only when a reader
-//! first needs them (see [`crate::store`]). Drivers call
+//! a [`MetricStore`], which synthesizes a counter only when a read first
+//! covers it (see [`crate::store`]). Drivers call
 //! [`Sampler::advance_to`] whenever simulation time moves; the sampler
 //! catches up on every interval boundary it crossed, so sampling cadence is
 //! independent of the caller's event granularity. Rounds read the machine
@@ -248,10 +248,14 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{aggregate_counter_subset, aggregate_counters, CounterAggregate};
     use proptest::prelude::*;
-    use rush_cluster::counters::{counter_stream, synthesize_row_into};
+    use rush_cluster::counters::{
+        counter_value, noise_seed, row_key, NodeObservation, COUNTER_COUNT,
+    };
     use rush_cluster::machine::MachineConfig;
     use rush_simkit::snapshot::{Restorable, Snapshot};
+    use rush_simkit::stats::OnlineStats;
     use std::collections::BTreeMap;
 
     fn setup() -> (Machine, MetricStore, Sampler) {
@@ -271,7 +275,6 @@ mod tests {
         assert_eq!(sampler.samples_taken(), 4);
         let to = SimTime::from_secs(100);
         assert_eq!(store.rows_in(NodeId(0), SimTime::ZERO, to), 4);
-        store.settle();
         assert_eq!(store.window(NodeId(0), 0, SimTime::ZERO, to).len(), 4);
         assert_eq!(sampler.next_due(), SimTime::from_secs(120));
     }
@@ -299,7 +302,6 @@ mod tests {
     fn samples_have_store_width() {
         let (mut machine, mut store, mut sampler) = setup();
         sampler.advance_to(SimTime::ZERO, &mut machine, &mut store);
-        store.settle();
         assert_eq!(
             store
                 .window(NodeId(3), 89, SimTime::ZERO, SimTime::from_secs(1))
@@ -329,7 +331,6 @@ mod tests {
             "kept + dropped = scheduled"
         );
         // Aggregation still answers over the gappy data.
-        store.settle();
         let window = store.window(NodeId(0), 0, SimTime::ZERO, SimTime::from_mins(5));
         assert!(window.len() < 11, "node 0 should have gaps");
     }
@@ -458,13 +459,13 @@ mod tests {
     }
 
     /// Step `k` of the resume scenario: sample to `90k` s, then prune
-    /// everything older than 120 s. Only step 1 reads (settles), so later
-    /// prunes drop pending rows.
+    /// everything older than 120 s. Only step 1 reads counters, so later
+    /// prunes drop rows no read ever covered.
     fn resume_step(k: u64, machine: &mut Machine, store: &mut MetricStore, sampler: &mut Sampler) {
         let now = SimTime::from_secs(90 * k);
         sampler.advance_to(now, machine, store);
         if k == 1 {
-            store.settle();
+            store.window(NodeId(0), 0, SimTime::ZERO, now);
         }
         store.retain_from(now.saturating_sub(SimDuration::from_secs(120)));
     }
@@ -484,8 +485,7 @@ mod tests {
         for k in 1..=3 {
             resume_step(k, &mut machine_b, &mut store_b, &mut sampler_b);
         }
-        assert!(store_b.pending_count() > 0, "the cut holds pending rows");
-        assert!(store_b.skipped() > 0, "the cut holds skipped rows");
+        assert!(store_b.row_count() > 0, "the cut holds unread rows");
         let m_snap = machine_b.snapshot_state();
         let s_snap = sampler_b.snapshot_state();
         let st_snap = store_b.to_val();
@@ -502,24 +502,40 @@ mod tests {
         assert_eq!(sampler_c.dropped(), sampler_a.dropped());
         assert_eq!(store_c.row_count(), store_a.row_count());
         assert_eq!(store_c.gap_count(), store_a.gap_count());
-        store_a.settle();
-        store_c.settle();
         assert!(store_a.row_count() > 0);
         assert_eq!(
             store_c.to_val(),
             store_a.to_val(),
-            "resumed samples must be bit-identical"
+            "resumed observations must be bit-identical"
+        );
+        let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
+        let end = SimTime::from_secs(631);
+        assert_eq!(
+            agg_bits(&aggregate_counters(
+                &mut store_c,
+                &nodes,
+                SimTime::ZERO,
+                end
+            )),
+            agg_bits(&aggregate_counters(
+                &mut store_a,
+                &nodes,
+                SimTime::ZERO,
+                end
+            )),
+            "resumed counters must be bit-identical"
         );
     }
 
-    /// One step of the lazy-versus-eager interleaving.
+    /// One step of a sampling scenario.
     #[derive(Debug, Clone)]
     enum Op {
         /// Advance the sampler by this many seconds.
         Advance(u64),
         /// Drop every row older than this many seconds before now.
         Prune(u64),
-        Settle,
+        /// Read an aggregate and check it against the reference.
+        Read(Read),
         /// Replace the store by its snapshot's decoding.
         Snapshot,
         Blackout(bool),
@@ -528,12 +544,47 @@ mod tests {
         Recover(u32),
     }
 
+    /// One aggregate read: nodes in caller order, a window ending `ago`
+    /// seconds before now and `len` seconds long, and the counters asked
+    /// for.
+    #[derive(Debug, Clone)]
+    struct Read {
+        nodes: Vec<NodeId>,
+        ago: u64,
+        len: u64,
+        counters: Vec<usize>,
+    }
+
+    impl Read {
+        fn window(&self, now: SimTime) -> (SimTime, SimTime) {
+            let to =
+                now.saturating_sub(SimDuration::from_secs(self.ago)) + SimDuration::from_secs(1);
+            (to.saturating_sub(SimDuration::from_secs(self.len)), to)
+        }
+    }
+
+    fn read() -> impl Strategy<Value = Read> {
+        (
+            proptest::collection::vec((11u32..16).prop_map(NodeId), 0..4),
+            0u64..400,
+            1u64..400,
+            proptest::collection::vec(0usize..COUNTER_COUNT, 1..8),
+        )
+            .prop_map(|(nodes, ago, len, counters)| Read {
+                nodes,
+                ago,
+                len,
+                counters,
+            })
+    }
+
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (1u64..150).prop_map(Op::Advance),
             (1u64..150).prop_map(Op::Advance),
             (0u64..200).prop_map(Op::Prune),
-            Just(Op::Settle),
+            read().prop_map(Op::Read),
+            read().prop_map(Op::Read),
             Just(Op::Snapshot),
             any::<bool>().prop_map(Op::Blackout),
             any::<bool>().prop_map(Op::Corruption),
@@ -542,78 +593,209 @@ mod tests {
         ]
     }
 
-    /// Every settled row of `store` equals the eager row recorded for it.
-    fn check_settled(
-        store: &MetricStore,
-        eager: &BTreeMap<(NodeId, SimTime), Vec<f64>>,
-    ) -> Result<(), String> {
-        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        for (node, at, row) in store.settled_rows() {
-            let want = eager.get(&(node, at));
-            prop_assert!(want.is_some(), "no eager row for {node:?} at {at}");
-            prop_assert_eq!(bits(row), bits(want.unwrap()));
+    /// Aggregates as exact bit patterns.
+    fn agg_bits(aggs: &[CounterAggregate]) -> Vec<(usize, u64, u64, u64)> {
+        aggs.iter()
+            .map(|a| (a.count, a.min.to_bits(), a.max.to_bits(), a.mean.to_bits()))
+            .collect()
+    }
+
+    /// Every observation recorded so far, captured as it was recorded and
+    /// pruned as the store is, with the machine's noise seed: the
+    /// reference every store read is checked against.
+    struct Reference {
+        noise: u64,
+        rows: BTreeMap<(NodeId, SimTime), NodeObservation>,
+    }
+
+    impl Reference {
+        /// The pure function applied to the recorded observation.
+        fn value(&self, node: NodeId, at: SimTime, counter: usize) -> f64 {
+            let obs = &self.rows[&(node, at)];
+            counter_value(counter, obs, row_key(self.noise, node.0, at.as_micros()))
         }
-        Ok(())
+
+        /// The aggregate of `read` at `now`, pooled in the store's order.
+        fn aggregate(&self, read: &Read, now: SimTime) -> Vec<CounterAggregate> {
+            let (from, to) = read.window(now);
+            read.counters
+                .iter()
+                .map(|&c| {
+                    let mut st = OnlineStats::new();
+                    for &node in &read.nodes {
+                        for &(n, at) in self.rows.range((node, from)..(node, to)).map(|(k, _)| k) {
+                            st.push(self.value(n, at, c));
+                        }
+                    }
+                    if st.count() == 0 {
+                        CounterAggregate::EMPTY
+                    } else {
+                        CounterAggregate {
+                            count: st.count() as usize,
+                            min: st.min(),
+                            max: st.max(),
+                            mean: st.mean(),
+                        }
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// A 16-node machine with a noise job, its store and a sampler with
+    /// `dropout` loss, all from `seed`.
+    fn scenario(seed: u64, dropout: f64) -> (Machine, MetricStore, Sampler) {
+        let mut machine = Machine::new(MachineConfig::tiny(seed));
+        machine.enable_noise_job((12..16).map(NodeId).collect(), 8.0);
+        let store = MetricStore::new(16, machine.config().seed);
+        let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
+        let sampler = Sampler::new(nodes, SimDuration::from_secs(30))
+            .with_dropout(dropout, seed)
+            .with_corruption_prob(0.4);
+        (machine, store, sampler)
+    }
+
+    /// Runs `ops` on a fresh scenario, checking every read against the
+    /// reference; returns the final store and time.
+    fn run_ops(
+        seed: u64,
+        dropout: f64,
+        ops: &[Op],
+    ) -> Result<(MetricStore, Reference, SimTime), String> {
+        let (mut machine, mut store, mut sampler) = scenario(seed, dropout);
+        let mut reference = Reference {
+            noise: noise_seed(machine.config().seed),
+            rows: BTreeMap::new(),
+        };
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                Op::Advance(secs) => {
+                    now += SimDuration::from_secs(*secs);
+                    sampler.advance_to(now, &mut machine, &mut store);
+                    // Capture each new observation as it was recorded.
+                    for (node, at, obs) in store.observations() {
+                        reference.rows.entry((node, at)).or_insert(obs);
+                    }
+                }
+                Op::Prune(keep) => {
+                    let cutoff = now.saturating_sub(SimDuration::from_secs(*keep));
+                    store.retain_from(cutoff);
+                    reference.rows.retain(|&(_, at), _| at >= cutoff);
+                }
+                Op::Read(read) => {
+                    let (from, to) = read.window(now);
+                    let got =
+                        aggregate_counter_subset(&mut store, &read.nodes, from, to, &read.counters);
+                    prop_assert_eq!(agg_bits(&got), agg_bits(&reference.aggregate(read, now)));
+                }
+                Op::Snapshot => store = MetricStore::from_val(&store.to_val()).unwrap(),
+                Op::Blackout(on) => sampler.set_blackout(*on),
+                Op::Corruption(on) => sampler.set_corruption(*on),
+                Op::Fail(n) => machine.fail_node(NodeId(*n)),
+                Op::Recover(n) => machine.recover_node(NodeId(*n)),
+            }
+        }
+        Ok((store, reference, now))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Lazy synthesis is invisible: under any interleaving of sampling
-        /// rounds (with dropout, blackouts, corruption and down nodes),
-        /// retention prunes, settles and snapshot round trips, every
-        /// settled row is bit-equal to the row an eager sampler would have
-        /// synthesized at record time, in record order, from one stream.
+        /// Every value the store serves equals the pure counter function
+        /// applied to the observation recorded for its row, under any
+        /// interleaving of sampling rounds (with dropout, blackouts,
+        /// corruption and down nodes), prunes, reads and snapshots.
         #[test]
         fn lazy_settle_equals_eager_synthesis(
             seed in 0u64..10_000,
             dropout in prop_oneof![Just(0.0), Just(0.3)],
             ops in proptest::collection::vec(op(), 1..40),
         ) {
-            let mut machine = Machine::new(MachineConfig::tiny(seed));
-            machine.enable_noise_job((12..16).map(NodeId).collect(), 8.0);
-            let mut store = MetricStore::new(16, seed);
-            let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
-            let mut sampler = Sampler::new(nodes, SimDuration::from_secs(30))
-                .with_dropout(dropout, seed)
-                .with_corruption_prob(0.4);
-            let mut reference = counter_stream(seed);
-            let mut eager = BTreeMap::new();
-            let mut now = SimTime::ZERO;
-            for op in ops {
-                match op {
-                    Op::Advance(secs) => {
-                        let before = store.pending_count();
-                        now += SimDuration::from_secs(secs);
-                        sampler.advance_to(now, &mut machine, &mut store);
-                        // A sampling round records its nodes in ascending
-                        // order, rounds in time order.
-                        let mut recorded: Vec<_> =
-                            store.pending_rows().skip(before).collect();
-                        recorded.sort_by_key(|&(node, at, _)| (at, node));
-                        for (node, at, obs) in recorded {
-                            let mut row = Vec::new();
-                            synthesize_row_into(&obs, &mut reference, &mut row);
-                            eager.insert((node, at), row);
-                        }
-                    }
-                    Op::Prune(keep) => {
-                        store.retain_from(now.saturating_sub(SimDuration::from_secs(keep)));
-                    }
-                    Op::Settle => {
-                        store.settle();
-                        prop_assert_eq!(store.pending_count(), 0);
-                        check_settled(&store, &eager)?;
-                    }
-                    Op::Snapshot => store = MetricStore::from_val(&store.to_val()).unwrap(),
-                    Op::Blackout(on) => sampler.set_blackout(on),
-                    Op::Corruption(on) => sampler.set_corruption(on),
-                    Op::Fail(n) => machine.fail_node(NodeId(n)),
-                    Op::Recover(n) => machine.recover_node(NodeId(n)),
+            let (mut store, reference, _) = run_ops(seed, dropout, &ops)?;
+            prop_assert_eq!(store.row_count(), reference.rows.len());
+            for &(node, at) in reference.rows.keys() {
+                let next = at + SimDuration::from_micros(1);
+                for counter in 0..COUNTER_COUNT {
+                    let got = store.window(node, counter, at, next);
+                    prop_assert_eq!(got.len(), 1);
+                    prop_assert_eq!(got[0].to_bits(), reference.value(node, at, counter).to_bits());
                 }
             }
-            store.settle();
-            check_settled(&store, &eager)?;
+        }
+
+        /// Reads interleaved with prunes and snapshot round trips see the
+        /// same values as the reference: neither pruning nor restoring
+        /// moves a surviving row's value, memoized or not.
+        #[test]
+        fn values_survive_prunes_and_snapshot_round_trips(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (1u64..150).prop_map(Op::Advance),
+                    (0u64..200).prop_map(Op::Prune),
+                    read().prop_map(Op::Read),
+                    Just(Op::Snapshot),
+                ],
+                1..40,
+            ),
+        ) {
+            run_ops(seed, 0.2, &ops)?;
+        }
+
+        /// A counter's aggregate is bit-equal whether it is read alone, in
+        /// a subset, or with all 90 counters.
+        #[test]
+        fn subset_and_full_aggregates_agree_bit_for_bit(
+            seed in 0u64..10_000,
+            rounds in 1u64..20,
+            reads in proptest::collection::vec(read(), 1..8),
+        ) {
+            let ops = [Op::Advance(rounds * 30)];
+            let (store, _, now) = run_ops(seed, 0.2, &ops)?;
+            let (mut subset, mut full) = (store.clone(), store);
+            for read in &reads {
+                let (from, to) = read.window(now);
+                let some = aggregate_counter_subset(&mut subset, &read.nodes, from, to, &read.counters);
+                let all = aggregate_counters(&mut full, &read.nodes, from, to);
+                let picked: Vec<CounterAggregate> = read.counters.iter().map(|&c| all[c]).collect();
+                prop_assert_eq!(agg_bits(&some), agg_bits(&picked));
+            }
+        }
+
+        /// The same reads give the same bits in any order, and the bits a
+        /// read gives alone on an untouched store: which pairs an earlier
+        /// read memoized never shows in a later one.
+        #[test]
+        fn values_do_not_depend_on_read_order(
+            seed in 0u64..10_000,
+            rounds in 1u64..20,
+            reads in proptest::collection::vec(read(), 1..8),
+        ) {
+            let ops = [Op::Advance(rounds * 30)];
+            let (store, _, now) = run_ops(seed, 0.2, &ops)?;
+            let run = |mut store: MetricStore, order: &[&Read]| {
+                order
+                    .iter()
+                    .map(|read| {
+                        let (from, to) = read.window(now);
+                        let aggs = aggregate_counter_subset(&mut store, &read.nodes, from, to, &read.counters);
+                        agg_bits(&aggs)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            // Each read alone on a store no read has touched, then the
+            // reads in order and in reverse on one store each.
+            let alone: Vec<_> = reads
+                .iter()
+                .map(|read| run(store.clone(), &[read]).remove(0))
+                .collect();
+            let forward: Vec<&Read> = reads.iter().collect();
+            let backward: Vec<&Read> = reads.iter().rev().collect();
+            let mut reversed = run(store.clone(), &backward);
+            reversed.reverse();
+            prop_assert_eq!(run(store, &forward), alone.clone());
+            prop_assert_eq!(reversed, alone);
         }
     }
 
@@ -636,7 +818,6 @@ mod tests {
         // A recovered (Suspect) node is monitored again.
         machine.recover_node(NodeId(2));
         sampler.advance_to(SimTime::from_secs(60), &mut machine, &mut store);
-        store.settle();
         assert_eq!(
             store
                 .window(NodeId(2), 0, SimTime::ZERO, SimTime::from_secs(61))

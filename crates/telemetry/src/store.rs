@@ -1,44 +1,33 @@
 //! Time-indexed counter storage (the Cassandra/Sonar stand-in).
 //!
 //! A sampling round records what each node observed, a [`NodeObservation`]
-//! of eight floats, not its [`COUNTER_COUNT`] counters. Counters are
-//! synthesized when a reader first needs their values. A row's life:
+//! of eight floats, not its [`COUNTER_COUNT`] counters. Each node's
+//! timestamps, observations and gap records are the store's whole
+//! persisted state. In memory the observations sit in one record-ordered
+//! queue, so a sampling round writes them sequentially, and each node
+//! indexes its rows into it.
 //!
-//! 1. **Observed.** [`MetricStore::record`] takes `(node, at, observation)`.
-//!    The timestamp joins the node's block at once, so coverage and
-//!    staleness queries ([`MetricStore::coverage`],
-//!    [`MetricStore::latest_sample_at`]) never wait for synthesis.
-//! 2. **Pending.** The observation waits in one queue, in record order.
-//! 3. **Settled** on the first value read. [`MetricStore::settle`]
-//!    synthesizes every pending row in record order, round by round and
-//!    node by node, from the `machine/counters` stream the store owns
-//!    ([`counter_stream`]). That is the order an eager sampler would have
-//!    drawn in, so every value is the one it would have produced.
+//! Counter values are a pure function of the observation and of the key
+//! `(machine seed, node, sample time, counter)` ([`counter_value`]), so
+//! they can be synthesized in any order, any number of times, with the
+//! same bits. A reader asks for the counters it needs
+//! ([`MetricStore::columns`]); the first read that covers a (row, counter)
+//! pair synthesizes it into the node's counter-major memo, and later reads
+//! of that pair reuse it. Coverage and staleness queries
+//! ([`MetricStore::coverage`], [`MetricStore::latest_sample_at`]) read
+//! timestamps and gaps only and synthesize nothing.
 //!
-//! Retention can prune a pending row before anyone reads it. The store
-//! counts such rows as *skipped*, and the next settle first discards the
-//! draws their synthesis would have taken ([`draws_per_row`] each). Rows
-//! are recorded in time order, so the pruned rows are always the oldest
-//! pending ones, and discarding their draws first keeps every later row on
-//! its eager value.
-//!
-//! Settled rows are stored row-major, one block per node: a timestamp
-//! vector covering every row, settled rows first, plus one contiguous
-//! values vector holding the settled rows. Window queries recover
-//! per-counter columns by striding through rows, which stays cheap because
-//! retention keeps blocks short.
+//! The memo is a cache, never snapshotted: a restored store refills it on
+//! demand with bit-identical values, and retention prunes it along with
+//! the rows.
 
-use rush_cluster::counters::{
-    counter_stream, draws_per_row, synthesize_row_into, NodeObservation, COUNTER_COUNT,
-};
+use rush_cluster::counters::{counter_value, noise_seed, row_key, NodeObservation, COUNTER_COUNT};
 use rush_cluster::topology::NodeId;
-use rush_obs::profile as obs_profile;
-use rush_obs::ProfileScope;
-use rush_simkit::rng::CountedRng;
 use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
 use rush_simkit::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Why a scheduled sample never made it into the store.
 ///
@@ -67,61 +56,96 @@ pub struct Gap {
     pub reason: GapReason,
 }
 
-/// One node's rows: `times` stamps every row, settled rows first, and the
-/// `i`-th settled row is `values[i * COUNTER_COUNT .. (i + 1) * COUNTER_COUNT]`.
+/// One node's rows: `rows[i]` is row `i`'s time and the sequence number
+/// of its observation in [`MetricStore`]'s queue, and `memo[c]` caches
+/// counter `c` of a range of rows. The memo holds no columns until the
+/// node's first read.
 #[derive(Debug, Clone, Default)]
 struct NodeBlock {
-    times: Vec<SimTime>,
+    rows: VecDeque<(SimTime, u64)>,
+    memo: Vec<Column>,
+}
+
+/// One counter's memoized values: `values[i]` holds row `i` for every `i`
+/// in `filled`, and is stale elsewhere. Reads slide forward in time, so
+/// one range covers what they ask for; a read disjoint from it starts a
+/// new range, and a row dropped from the range is synthesized again, to
+/// the same bits, if a later read covers it.
+#[derive(Debug, Clone, Default)]
+struct Column {
     values: Vec<f64>,
+    filled: Range<usize>,
+}
+
+impl Column {
+    /// Synthesizes the rows of `lo..hi` outside `filled` with `synth`, and
+    /// extends `filled` over `lo..hi`.
+    fn fill(&mut self, lo: usize, hi: usize, mut synth: impl FnMut(usize) -> f64) {
+        if self.values.len() < hi {
+            self.values.resize(hi, 0.0);
+        }
+        if lo >= hi {
+            return;
+        }
+        let Range { start, end } = self.filled;
+        let (start, end) = if start >= end || hi < start || lo > end {
+            (lo, lo)
+        } else {
+            (start, end)
+        };
+        for i in (lo..start.min(hi)).chain(end.max(lo)..hi) {
+            self.values[i] = synth(i);
+        }
+        self.filled = lo.min(start)..hi.max(end);
+    }
+
+    /// Forgets the first `n` rows.
+    fn drop_front(&mut self, n: usize) {
+        self.values.drain(..n.min(self.values.len()));
+        let Range { start, end } = self.filled;
+        self.filled = start.saturating_sub(n)..end.saturating_sub(n);
+    }
 }
 
 impl NodeBlock {
-    fn settled_rows(&self) -> usize {
-        self.values.len() / COUNTER_COUNT
-    }
-
     /// The row index range covering `[from, to)`.
     fn row_range(&self, from: SimTime, to: SimTime) -> (usize, usize) {
-        let lo = self.times.partition_point(|&t| t < from);
-        let hi = self.times.partition_point(|&t| t < to);
+        let lo = self.rows.partition_point(|&(t, _)| t < from);
+        let hi = self.rows.partition_point(|&(t, _)| t < to);
         (lo, hi)
     }
 }
 
-/// A recorded row whose counters are not synthesized yet.
-#[derive(Debug, Clone, Copy)]
-struct PendingRow {
-    node: NodeId,
-    at: SimTime,
-    obs: NodeObservation,
-}
-
-/// Per-node, per-counter sample storage with counters synthesized on
+/// Per-node observation storage with counters synthesized and memoized on
 /// first read (see the module docs).
 #[derive(Debug, Clone)]
 pub struct MetricStore {
     node_count: u32,
+    machine_seed: u64,
+    /// [`noise_seed`] of `machine_seed`, the root of every row key.
+    noise_seed: u64,
     blocks: Vec<NodeBlock>,
+    /// Every row's time and observation, in record order; entry `k` has
+    /// sequence number `first_seq + k`. One queue for the whole store
+    /// keeps a sampling round's writes sequential.
+    obs: VecDeque<(SimTime, NodeObservation)>,
+    first_seq: u64,
     /// Missing-sample records per node, append-only in time order.
     gaps: Vec<Vec<Gap>>,
-    /// Rows not yet synthesized, in record (and so time) order.
-    pending: VecDeque<PendingRow>,
-    /// Rows pruned while pending, whose draws the next settle discards.
-    skipped: u64,
-    rng: CountedRng,
 }
 
 impl MetricStore {
     /// Creates storage for `node_count` nodes of the machine seeded with
-    /// `machine_seed`, whose counter noise stream the store owns.
+    /// `machine_seed`, whose counter noise the store's values carry.
     pub fn new(node_count: u32, machine_seed: u64) -> Self {
         MetricStore {
             node_count,
-            blocks: vec![NodeBlock::default(); node_count as usize],
+            machine_seed,
+            noise_seed: noise_seed(machine_seed),
+            blocks: (0..node_count).map(|_| NodeBlock::default()).collect(),
+            obs: VecDeque::new(),
+            first_seq: 0,
             gaps: vec![Vec::new(); node_count as usize],
-            pending: VecDeque::new(),
-            skipped: 0,
-            rng: counter_stream(machine_seed),
         }
     }
 
@@ -130,53 +154,32 @@ impl MetricStore {
         self.node_count
     }
 
+    /// The seed of the machine whose counters the store synthesizes.
+    pub fn machine_seed(&self) -> u64 {
+        self.machine_seed
+    }
+
     /// Counters per node.
     pub fn counter_count(&self) -> usize {
         COUNTER_COUNT
     }
 
-    /// Records what `node` observed at `at`; its counters are synthesized
-    /// on the next [`settle`](Self::settle). Rows must arrive in
+    /// Records what `node` observed at `at`. Rows must arrive in
     /// non-decreasing time order across the whole store (a sampling round
     /// records every node at one instant); an out-of-order row panics in
     /// debug builds and is clamped to the latest time otherwise.
     pub fn record(&mut self, node: NodeId, at: SimTime, obs: NodeObservation) {
         debug_assert!(node.0 < self.node_count, "node {node:?} out of range");
-        let block = &mut self.blocks[node.0 as usize];
-        let latest = block
-            .times
-            .last()
-            .copied()
-            .max(self.pending.back().map(|p| p.at));
-        let at = match latest {
-            Some(last) => {
+        let at = match self.obs.back() {
+            Some(&(last, _)) => {
                 debug_assert!(at >= last, "out-of-order record at {at}, last {last}");
                 at.max(last)
             }
             None => at,
         };
-        block.times.push(at);
-        self.pending.push_back(PendingRow { node, at, obs });
-    }
-
-    /// Synthesizes every pending row, in record order, after discarding the
-    /// draws of the rows pruned while pending. Values read after this are
-    /// the ones an eager sampler would have stored.
-    pub fn settle(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let _scope = obs_profile::scope(ProfileScope::TelemetrySample);
-        let per_row = draws_per_row();
-        self.rng.advance(self.skipped.saturating_mul(per_row));
-        self.skipped = 0;
-        let start = self.rng.draws();
-        let rows = self.pending.len() as u64;
-        for row in self.pending.drain(..) {
-            let values = &mut self.blocks[row.node.0 as usize].values;
-            synthesize_row_into(&row.obs, &mut self.rng, values);
-        }
-        debug_assert_eq!(self.rng.draws() - start, rows * per_row);
+        let seq = self.first_seq + self.obs.len() as u64;
+        self.blocks[node.0 as usize].rows.push_back((at, seq));
+        self.obs.push_back((at, obs));
     }
 
     /// Records that `node`'s sample due at `at` was lost, and why.
@@ -195,16 +198,15 @@ impl MetricStore {
         self.gaps.iter().map(Vec::len).sum()
     }
 
-    /// Number of stored sample rows for `node` in `[from, to)`, pending or
-    /// settled.
+    /// Number of stored sample rows for `node` in `[from, to)`.
     pub(crate) fn rows_in(&self, node: NodeId, from: SimTime, to: SimTime) -> usize {
         let (lo, hi) = self.blocks[node.0 as usize].row_range(from, to);
         hi - lo
     }
 
     /// Fraction of scheduled samples in `[from, to)` across `nodes` that
-    /// actually made it into the store: `kept / (kept + lost)`. Pending
-    /// rows count as kept; nothing is synthesized.
+    /// actually made it into the store: `kept / (kept + lost)`. Nothing is
+    /// synthesized.
     ///
     /// Returns 1.0 when nothing was scheduled in the window — an empty
     /// window is "fully covered", not suspicious; staleness is the signal
@@ -227,49 +229,60 @@ impl MetricStore {
     }
 
     /// Timestamp of the most recent stored sample at or before `t` across
-    /// `nodes`, pending or settled; `None` if no node has any sample by
-    /// then.
+    /// `nodes`; `None` if no node has any sample by then.
     pub fn latest_sample_at(&self, nodes: &[NodeId], t: SimTime) -> Option<SimTime> {
         let mut latest = None;
         for &node in nodes {
-            let times = &self.blocks[node.0 as usize].times;
-            let idx = times.partition_point(|&at| at <= t);
-            latest = latest.max((idx > 0).then(|| times[idx - 1]));
+            let rows = &self.blocks[node.0 as usize].rows;
+            let idx = rows.partition_point(|&(at, _)| at <= t);
+            latest = latest.max((idx > 0).then(|| rows[idx - 1].0));
         }
         latest
     }
 
-    /// The settled rows of `node` with timestamps in `[from, to)`: the
-    /// matching timestamps plus the row-major value block
-    /// (`values[i * counter_count + c]` is counter `c` of the `i`-th
-    /// returned row). The store must be settled; aggregation walks rows
-    /// once instead of binary-searching per counter.
-    pub(crate) fn rows(&self, node: NodeId, from: SimTime, to: SimTime) -> (&[SimTime], &[f64]) {
-        let block = &self.blocks[node.0 as usize];
+    /// The columns of `counters` (in that order) over `node`'s rows with
+    /// timestamps in `[from, to)`, each in time order. The (row, counter)
+    /// pairs no read has covered yet are synthesized into the memo first.
+    pub fn columns<'a>(
+        &'a mut self,
+        node: NodeId,
+        from: SimTime,
+        to: SimTime,
+        counters: &'a [usize],
+    ) -> impl Iterator<Item = &'a [f64]> + 'a {
+        let (seed, first, all_obs) = (self.noise_seed, self.first_seq, &self.obs);
+        let block = &mut self.blocks[node.0 as usize];
         let (lo, hi) = block.row_range(from, to);
-        debug_assert!(hi <= block.settled_rows(), "value read before settle");
-        (
-            &block.times[lo..hi],
-            &block.values[lo * COUNTER_COUNT..hi * COUNTER_COUNT],
-        )
+        if block.memo.is_empty() {
+            block.memo = vec![Column::default(); COUNTER_COUNT];
+        }
+        let rows = &block.rows;
+        for &c in counters {
+            block.memo[c].fill(lo, hi, |i| {
+                let (at, seq) = rows[i];
+                let obs = &all_obs[(seq - first) as usize].1;
+                counter_value(c, obs, row_key(seed, node.0, at.as_micros()))
+            });
+        }
+        let block = &*block;
+        counters.iter().map(move |&c| &block.memo[c].values[lo..hi])
     }
 
     /// Drops all samples and gap records before `cutoff` (memory bound for
-    /// long campaigns). A pending row dropped here is never synthesized;
-    /// the next settle discards its draws instead.
+    /// long campaigns), memoized values included.
     pub fn retain_from(&mut self, cutoff: SimTime) {
         for b in &mut self.blocks {
-            let lo = b.times.partition_point(|&t| t < cutoff);
+            let lo = b.rows.partition_point(|&(t, _)| t < cutoff);
             if lo > 0 {
-                let settled = lo.min(b.settled_rows());
-                b.times.drain(..lo);
-                b.values.drain(..settled * COUNTER_COUNT);
+                b.rows.drain(..lo);
+                for col in &mut b.memo {
+                    col.drop_front(lo);
+                }
             }
         }
-        // Pending rows are in time order, so the pruned ones lead the queue.
-        while self.pending.front().is_some_and(|p| p.at < cutoff) {
-            self.pending.pop_front();
-            self.skipped += 1;
+        while self.obs.front().is_some_and(|&(at, _)| at < cutoff) {
+            self.obs.pop_front();
+            self.first_seq += 1;
         }
         for g in &mut self.gaps {
             let lo = g.partition_point(|gap| gap.at < cutoff);
@@ -303,42 +316,29 @@ impl Snapshot for MetricStore {
                 })
                 .collect(),
         );
+        // A block is its timestamps and its observations, eight floats a
+        // row; the memo is rebuilt on demand.
         let blocks = Val::List(
             self.blocks
                 .iter()
                 .map(|b| {
+                    let times = b.rows.iter().map(|&(at, _)| Val::U64(at.as_micros()));
+                    let obs = b.rows.iter().flat_map(|&(_, seq)| {
+                        let obs = &self.obs[(seq - self.first_seq) as usize].1;
+                        obs.to_array().map(Val::from_f64)
+                    });
                     Val::map()
-                        .with(
-                            "t",
-                            Val::List(b.times.iter().map(|t| Val::U64(t.as_micros())).collect()),
-                        )
-                        .with(
-                            "v",
-                            Val::List(b.values.iter().map(|&v| Val::from_f64(v)).collect()),
-                        )
-                })
-                .collect(),
-        );
-        // Each pending row is `[node, at_us, observation...]`.
-        let pending = Val::List(
-            self.pending
-                .iter()
-                .map(|p| {
-                    let head = [Val::U64(u64::from(p.node.0)), Val::U64(p.at.as_micros())];
-                    let obs = p.obs.to_array().map(Val::from_f64);
-                    Val::List(head.into_iter().chain(obs).collect())
+                        .with("t", Val::List(times.collect()))
+                        .with("o", Val::List(obs.collect()))
                 })
                 .collect(),
         );
         Val::map()
             .with("node_count", Val::U64(u64::from(self.node_count)))
             .with("counter_count", Val::U64(COUNTER_COUNT as u64))
+            .with("machine_seed", Val::U64(self.machine_seed))
             .with("gaps", gaps)
             .with("blocks", blocks)
-            .with("pending", pending)
-            .with("skipped", Val::U64(self.skipped))
-            .with("rng_seed", Val::U64(self.rng.seed()))
-            .with("rng_draws", Val::U64(self.rng.draws()))
     }
 }
 
@@ -352,12 +352,16 @@ impl Restorable for MetricStore {
         if v.get("series").is_ok() {
             return Err(schema("body has the retired per-series layout"));
         }
+        let mut store = MetricStore::new(0, v.u("machine_seed")?);
+        store.node_count = node_count;
         let block_vals = v.l("blocks")?;
         if block_vals.len() != node_count as usize {
             return Err(schema("block count"));
         }
-        let mut blocks = Vec::with_capacity(block_vals.len());
-        for bv in block_vals {
+        // Every row as (time, node, observation), rebuilt into record
+        // order: time, then node.
+        let mut rows = Vec::new();
+        for (node, bv) in block_vals.iter().enumerate() {
             let times: Vec<SimTime> = bv
                 .l("t")?
                 .iter()
@@ -366,62 +370,31 @@ impl Restorable for MetricStore {
             if times.windows(2).any(|w| w[0] > w[1]) {
                 return Err(schema("block times out of order"));
             }
-            let values: Vec<f64> = bv
-                .l("v")?
-                .iter()
-                .map(Val::as_f64)
-                .collect::<Result<_, _>>()?;
-            if !values.len().is_multiple_of(COUNTER_COUNT)
-                || values.len() / COUNTER_COUNT > times.len()
-            {
-                return Err(schema("block value count"));
+            let fields = bv.l("o")?;
+            if fields.len() != times.len().saturating_mul(8) {
+                return Err(schema("observation count"));
             }
-            blocks.push(NodeBlock { times, values });
+            for (&at, row) in times.iter().zip(fields.chunks_exact(8)) {
+                let mut a = [0.0; 8];
+                for (field, val) in a.iter_mut().zip(row) {
+                    *field = val.as_f64()?;
+                }
+                if a.iter().any(|x| !x.is_finite()) {
+                    return Err(schema("non-finite observation"));
+                }
+                rows.push((at, node, NodeObservation::from_array(a)));
+            }
+            store.blocks.push(NodeBlock::default());
         }
-        // Each node's pending rows are the unsettled tail of its block, in
-        // order; `next_pending[n]` is the block row the next one must stamp.
-        let mut next_pending: Vec<usize> = blocks.iter().map(NodeBlock::settled_rows).collect();
-        let mut pending = VecDeque::new();
-        for pv in v.l("pending")? {
-            let [node, at, obs @ ..] = pv.as_list()? else {
-                return Err(schema("pending row shape"));
-            };
-            let obs: &[Val; 8] = obs.try_into().map_err(|_| schema("pending row shape"))?;
-            let node = u32::try_from(node.as_u64()?)
-                .ok()
-                .filter(|&n| n < node_count)
-                .ok_or_else(|| schema("pending node"))?;
-            let at = SimTime::from_micros(at.as_u64()?);
-            if pending.back().is_some_and(|p: &PendingRow| p.at > at) {
-                return Err(schema("pending times out of order"));
-            }
-            let row = &mut next_pending[node as usize];
-            if blocks[node as usize].times.get(*row) != Some(&at) {
-                return Err(schema("pending row disagrees with its block"));
-            }
-            *row += 1;
-            let mut fields = [0.0; 8];
-            for (field, val) in fields.iter_mut().zip(obs) {
-                *field = val.as_f64()?;
-            }
-            pending.push_back(PendingRow {
-                node: NodeId(node),
-                at,
-                obs: NodeObservation::from_array(fields),
-            });
-        }
-        if next_pending
-            .iter()
-            .zip(&blocks)
-            .any(|(&row, b)| row != b.times.len())
-        {
-            return Err(schema("pending row count"));
+        rows.sort_by_key(|&(at, node, _)| (at, node));
+        for (seq, (at, node, obs)) in rows.into_iter().enumerate() {
+            store.blocks[node].rows.push_back((at, seq as u64));
+            store.obs.push_back((at, obs));
         }
         let gap_vals = v.l("gaps")?;
         if gap_vals.len() != node_count as usize {
             return Err(schema("gap rows"));
         }
-        let mut gaps = Vec::with_capacity(gap_vals.len());
         for per_node in gap_vals {
             let mut row = Vec::new();
             for g in per_node.as_list()? {
@@ -443,77 +416,61 @@ impl Restorable for MetricStore {
                     reason,
                 });
             }
-            gaps.push(row);
+            store.gaps.push(row);
         }
-        Ok(MetricStore {
-            node_count,
-            blocks,
-            gaps,
-            pending,
-            skipped: v.u("skipped")?,
-            rng: CountedRng::restore(v.u("rng_seed")?, v.u("rng_draws")?),
-        })
+        Ok(store)
     }
 }
 
 #[cfg(test)]
 impl MetricStore {
-    /// Appends an already-synthesized row, bypassing synthesis, so tests
-    /// can aggregate hand-picked values. Only valid on a settled store.
-    pub(crate) fn push_settled(&mut self, node: NodeId, at: SimTime, row: &[f64]) {
-        assert!(
-            self.pending.is_empty(),
-            "push_settled on an unsettled store"
-        );
+    /// Appends a row whose counters read as `row` rather than as synthesized
+    /// values, so tests can aggregate hand-picked values.
+    pub(crate) fn push_memoized(&mut self, node: NodeId, at: SimTime, row: &[f64]) {
         assert_eq!(row.len(), COUNTER_COUNT, "row width");
+        self.record(node, at, NodeObservation::default());
         let block = &mut self.blocks[node.0 as usize];
-        block.times.push(at);
-        block.values.extend_from_slice(row);
+        let rows = block.rows.len();
+        block.memo.resize(COUNTER_COUNT, Column::default());
+        for (col, &v) in block.memo.iter_mut().zip(row) {
+            col.fill(rows - 1, rows, |_| v);
+        }
     }
 
-    /// Settled samples of `counter` on `node` within `[from, to)`.
+    /// Counter `counter` of `node`'s rows in `[from, to)`, as a vector.
     pub(crate) fn window(
-        &self,
+        &mut self,
         node: NodeId,
         counter: usize,
         from: SimTime,
         to: SimTime,
     ) -> Vec<f64> {
-        let (_, values) = self.rows(node, from, to);
-        values
-            .chunks_exact(COUNTER_COUNT)
-            .map(|row| row[counter])
-            .collect()
+        let counters = [counter];
+        let column = self.columns(node, from, to, &counters).next();
+        column.expect("one column").to_vec()
     }
 
-    /// Rows stored across all nodes, settled or pending.
+    /// Rows stored across all nodes.
     pub(crate) fn row_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.times.len()).sum()
+        self.blocks.iter().map(|b| b.rows.len()).sum()
     }
 
-    /// Rows awaiting synthesis.
-    pub(crate) fn pending_count(&self) -> usize {
-        self.pending.len()
+    /// (row, counter) pairs synthesized into the memo so far.
+    pub(crate) fn memoized_count(&self) -> usize {
+        self.blocks
+            .iter()
+            .flat_map(|b| &b.memo)
+            .map(|col| col.filled.len())
+            .sum()
     }
 
-    /// Rows pruned while pending since the last settle.
-    pub(crate) fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// The pending rows as `(node, at, observation)`, in record order.
-    pub(crate) fn pending_rows(
-        &self,
-    ) -> impl Iterator<Item = (NodeId, SimTime, NodeObservation)> + '_ {
-        self.pending.iter().map(|p| (p.node, p.at, p.obs))
-    }
-
-    /// Every settled row as `(node, at, values)`, node by node.
-    pub(crate) fn settled_rows(&self) -> Vec<(NodeId, SimTime, &[f64])> {
+    /// Every row as `(node, at, observation)`, node by node.
+    pub(crate) fn observations(&self) -> Vec<(NodeId, SimTime, NodeObservation)> {
         let mut out = Vec::new();
         for (n, b) in self.blocks.iter().enumerate() {
-            for (at, row) in b.times.iter().zip(b.values.chunks_exact(COUNTER_COUNT)) {
-                out.push((NodeId(n as u32), *at, row));
+            for &(at, seq) in &b.rows {
+                let obs = self.obs[(seq - self.first_seq) as usize].1;
+                out.push((NodeId(n as u32), at, obs));
             }
         }
         out
@@ -523,6 +480,7 @@ impl MetricStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rush_cluster::counters::synthesize_row_into;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -534,18 +492,16 @@ mod tests {
         NodeObservation::from_array([k, k, 0.1 * k, 0.05 * k, 0.5, 0.25, k, 0.01 * k])
     }
 
-    /// The rows an eager sampler would store for `recorded`, synthesized in
-    /// that order from the stream of machine seed `seed`.
-    fn eager(seed: u64, recorded: &[NodeObservation]) -> Vec<Vec<f64>> {
-        let mut rng = counter_stream(seed);
-        recorded
-            .iter()
-            .map(|o| {
-                let mut row = Vec::new();
-                synthesize_row_into(o, &mut rng, &mut row);
-                row
-            })
-            .collect()
+    /// The counters of the row `node` observed as `o` at `at` on the
+    /// machine seeded `seed`, synthesized in one go.
+    fn want(seed: u64, node: u32, at: SimTime, o: NodeObservation) -> Vec<f64> {
+        let mut row = Vec::new();
+        synthesize_row_into(
+            &o,
+            row_key(noise_seed(seed), node, at.as_micros()),
+            &mut row,
+        );
+        row
     }
 
     #[test]
@@ -553,91 +509,100 @@ mod tests {
         let mut store = MetricStore::new(4, 3);
         store.record(NodeId(1), t(10), obs(1));
         store.record(NodeId(1), t(20), obs(2));
-        assert_eq!(store.pending_count(), 2);
-        store.settle();
-        assert_eq!(store.pending_count(), 0);
-        let want = eager(3, &[obs(1), obs(2)]);
-        assert_eq!(
-            store.window(NodeId(1), 0, t(0), t(30)),
-            &[want[0][0], want[1][0]]
-        );
-        assert_eq!(store.window(NodeId(1), 2, t(15), t(30)), &[want[1][2]]);
+        assert_eq!(store.memoized_count(), 0, "recording synthesizes nothing");
+        let (a, b) = (want(3, 1, t(10), obs(1)), want(3, 1, t(20), obs(2)));
+        assert_eq!(store.window(NodeId(1), 0, t(0), t(30)), &[a[0], b[0]]);
+        assert_eq!(store.window(NodeId(1), 2, t(15), t(30)), &[b[2]]);
         assert_eq!(store.window(NodeId(0), 0, t(0), t(30)), &[] as &[f64]);
         assert_eq!(store.row_count(), 2);
+        assert_eq!(store.memoized_count(), 3, "two of counter 0, one of 2");
     }
 
     #[test]
-    fn rows_expose_matching_times_and_row_major_values() {
-        let row = |k: f64| vec![k; COUNTER_COUNT];
+    fn column_exposes_one_counter_of_the_matching_rows() {
+        let row = |k: f64| (0..COUNTER_COUNT).map(|c| k + c as f64).collect::<Vec<_>>();
         let mut store = MetricStore::new(2, 0);
-        store.push_settled(NodeId(0), t(10), &row(1.0));
-        store.push_settled(NodeId(0), t(20), &row(3.0));
-        store.push_settled(NodeId(0), t(30), &row(5.0));
-        let (times, values) = store.rows(NodeId(0), t(15), t(35));
-        assert_eq!(times, &[t(20), t(30)]);
-        assert_eq!(values, [row(3.0), row(5.0)].concat());
-        let (times, values) = store.rows(NodeId(1), t(0), t(100));
-        assert!(times.is_empty());
-        assert!(values.is_empty());
+        store.push_memoized(NodeId(0), t(10), &row(1.0));
+        store.push_memoized(NodeId(0), t(20), &row(3.0));
+        store.push_memoized(NodeId(0), t(30), &row(5.0));
+        let cols: Vec<&[f64]> = store.columns(NodeId(0), t(15), t(35), &[4, 0]).collect();
+        assert_eq!(cols, [&[7.0, 9.0][..], &[3.0, 5.0][..]]);
+        assert_eq!(store.window(NodeId(0), 89, t(0), t(15)), &[90.0]);
+        assert!(store.window(NodeId(1), 0, t(0), t(100)).is_empty());
+    }
+
+    #[test]
+    fn disjoint_reads_leave_no_stale_rows_between_them() {
+        let mut store = MetricStore::new(1, 2);
+        for s in 0..10 {
+            store.record(NodeId(0), t(s), obs(s + 1));
+        }
+        // Two reads far apart, then one over everything between them.
+        store.window(NodeId(0), 5, t(0), t(2));
+        store.window(NodeId(0), 5, t(6), t(8));
+        let truth =
+            |c: usize| -> Vec<f64> { (0..10).map(|s| want(2, 0, t(s), obs(s + 1))[c]).collect() };
+        assert_eq!(store.window(NodeId(0), 5, t(0), t(10)), truth(5));
+        // And the same after reads that end where the next one starts.
+        store.window(NodeId(0), 9, t(2), t(4));
+        store.window(NodeId(0), 9, t(4), t(5));
+        store.window(NodeId(0), 9, t(0), t(1));
+        assert_eq!(store.window(NodeId(0), 9, t(0), t(10)), truth(9));
     }
 
     #[test]
     fn retain_from_prunes_all_series() {
         let mut store = MetricStore::new(2, 5);
-        let mut recorded = Vec::new();
         for s in 0..10 {
             for n in 0..2 {
                 store.record(NodeId(n), t(s), obs(s * 2 + u64::from(n)));
-                recorded.push(obs(s * 2 + u64::from(n)));
             }
         }
         assert_eq!(store.row_count(), 20);
         store.retain_from(t(8));
         assert_eq!(store.row_count(), 4);
-        assert_eq!(store.skipped(), 16, "pruned before any read");
-        store.settle();
-        // The surviving rows get the values they would have had if the
-        // pruned ones had been synthesized first.
-        let want = eager(5, &recorded);
+        // Pruning rows before any read leaves the survivors on their
+        // values.
         assert_eq!(
             store.window(NodeId(0), 0, t(0), t(100)),
-            &[want[16][0], want[18][0]]
+            &[want(5, 0, t(8), obs(16))[0], want(5, 0, t(9), obs(18))[0]]
         );
         assert_eq!(
             store.window(NodeId(1), 1, t(0), t(100)),
-            &[want[17][1], want[19][1]]
+            &[want(5, 1, t(8), obs(17))[1], want(5, 1, t(9), obs(19))[1]]
         );
     }
 
     #[test]
     fn retain_from_drops_settled_and_pending_rows_alike() {
+        // Memoized rows and rows never read are pruned alike, and the
+        // memo stays aligned with the rows that remain.
         let mut store = MetricStore::new(1, 8);
-        let recorded: Vec<NodeObservation> = (0..6).map(obs).collect();
-        for (s, o) in recorded.iter().enumerate().take(3) {
-            store.record(NodeId(0), t(s as u64), *o);
+        for s in 0..3 {
+            store.record(NodeId(0), t(s), obs(s));
         }
-        store.settle();
-        for (s, o) in recorded.iter().enumerate().skip(3) {
-            store.record(NodeId(0), t(s as u64), *o);
+        store.window(NodeId(0), 7, t(0), t(10));
+        for s in 3..6 {
+            store.record(NodeId(0), t(s), obs(s));
         }
-        // Prunes two settled rows and leaves one settled plus three pending.
+        // Prunes two memoized rows and leaves one memoized plus three
+        // unread.
         store.retain_from(t(2));
-        assert_eq!((store.row_count(), store.pending_count()), (4, 3));
+        assert_eq!((store.row_count(), store.memoized_count()), (4, 1));
         store.retain_from(t(4));
-        assert_eq!((store.row_count(), store.skipped()), (2, 1));
-        store.settle();
-        let want = eager(8, &recorded);
+        assert_eq!((store.row_count(), store.memoized_count()), (2, 0));
         assert_eq!(
             store.window(NodeId(0), 7, t(0), t(10)),
-            &[want[4][7], want[5][7]]
+            &[want(8, 0, t(4), obs(4))[7], want(8, 0, t(5), obs(5))[7]]
         );
     }
 
     #[test]
     fn dimensions_exposed() {
-        let store = MetricStore::new(7, 0);
+        let store = MetricStore::new(7, 12);
         assert_eq!(store.node_count(), 7);
         assert_eq!(store.counter_count(), 90);
+        assert_eq!(store.machine_seed(), 12);
     }
 
     #[test]
@@ -672,7 +637,7 @@ mod tests {
         // Only node 0 over the same window is fully covered.
         assert_eq!(store.coverage(&[NodeId(0)], t(10), t(30)), 1.0);
         // Coverage reads timestamps only: nothing was synthesized.
-        assert_eq!(store.pending_count(), 5);
+        assert_eq!(store.memoized_count(), 0);
     }
 
     #[test]
@@ -695,13 +660,13 @@ mod tests {
         assert_eq!(store.latest_sample_at(&both, t(5)), None);
     }
 
-    /// A small populated store: three nodes, settled and pending rows, two
+    /// A small populated store: three nodes, memoized and unread rows, two
     /// gaps.
     fn populated() -> MetricStore {
         let mut store = MetricStore::new(3, 4);
         store.record(NodeId(0), t(0), obs(1));
         store.record(NodeId(2), t(0), obs(2));
-        store.settle();
+        store.window(NodeId(2), 1, t(0), t(10));
         store.record(NodeId(2), t(10), obs(3));
         store.record(NodeId(0), t(15), obs(4));
         store.record_gap(NodeId(1), t(5), GapReason::Blackout);
@@ -712,38 +677,39 @@ mod tests {
     #[test]
     fn snapshot_round_trip_preserves_points_and_gaps() {
         let mut store = populated();
-        assert_eq!((store.row_count(), store.pending_count()), (4, 2));
+        assert_eq!((store.row_count(), store.memoized_count()), (4, 1));
         let mut back = MetricStore::from_val(&store.to_val()).unwrap();
         assert_eq!(back.node_count(), 3);
         assert_eq!(back.counter_count(), 90);
+        assert_eq!(back.machine_seed(), 4);
         assert_eq!(back.row_count(), store.row_count());
+        assert_eq!(back.observations(), store.observations());
         assert_eq!(back.gaps(NodeId(1)), store.gaps(NodeId(1)));
         assert_eq!(back.gap_count(), 2);
         assert_eq!(back.to_val(), store.to_val());
-        // Pending rows and the stream position survive: both stores settle
-        // to the same bits.
-        store.settle();
-        back.settle();
-        assert_eq!(back.to_val(), store.to_val());
-        let want = eager(4, &[obs(1), obs(2), obs(3), obs(4)]);
-        assert_eq!(
-            back.window(NodeId(2), 1, t(0), t(20)),
-            &[want[1][1], want[2][1]]
-        );
+        // The memo is not carried; the restored store refills it with the
+        // same bits.
+        assert_eq!(back.memoized_count(), 0);
+        let expect = [want(4, 2, t(0), obs(2))[1], want(4, 2, t(10), obs(3))[1]];
+        assert_eq!(back.window(NodeId(2), 1, t(0), t(20)), expect);
+        assert_eq!(store.window(NodeId(2), 1, t(0), t(20)), expect);
+        assert_eq!(back.to_val(), store.to_val(), "reads change no body");
     }
 
     #[test]
     fn snapshot_round_trip_preserves_skipped_rows() {
+        // A row pruned before any read is gone from the body, and the row
+        // after it reads the same value before and after the round trip.
         let mut store = MetricStore::new(1, 6);
         store.record(NodeId(0), t(0), obs(1));
         store.retain_from(t(1));
         store.record(NodeId(0), t(5), obs(2));
-        assert_eq!((store.skipped(), store.pending_count()), (1, 1));
         let mut back = MetricStore::from_val(&store.to_val()).unwrap();
         assert_eq!(back.to_val(), store.to_val());
-        back.settle();
-        let want = eager(6, &[obs(1), obs(2)]);
-        assert_eq!(back.window(NodeId(0), 0, t(0), t(10)), &[want[1][0]]);
+        assert_eq!(back.row_count(), 1);
+        let expect = [want(6, 0, t(5), obs(2))[0]];
+        assert_eq!(back.window(NodeId(0), 0, t(0), t(10)), expect);
+        assert_eq!(store.window(NodeId(0), 0, t(0), t(10)), expect);
     }
 
     /// `populated()`'s snapshot body with the map entry `key` rewritten.
@@ -767,13 +733,19 @@ mod tests {
         list
     }
 
-    /// The values of block `node` under entry `i` (the blocks list).
-    fn block_values(entries: &mut [(String, Val)], i: usize, node: usize) -> &mut Vec<Val> {
+    /// The list under `key` of block `node` under entry `i` (the blocks
+    /// list): `"t"` for timestamps, `"o"` for observation fields.
+    fn block_list<'a>(
+        entries: &'a mut [(String, Val)],
+        i: usize,
+        node: usize,
+        key: &str,
+    ) -> &'a mut Vec<Val> {
         let Val::Map(block) = &mut list_at(entries, i)[node] else {
             panic!("block is a map");
         };
-        let (_, Val::List(values)) = block.iter_mut().find(|(k, _)| k == "v").unwrap() else {
-            panic!("block values are a list");
+        let (_, Val::List(values)) = block.iter_mut().find(|(k, _)| k == key).unwrap() else {
+            panic!("block entry {key} is a list");
         };
         values
     }
@@ -810,52 +782,61 @@ mod tests {
     }
 
     #[test]
-    fn decoder_rejects_a_wrong_value_count() {
+    fn decoder_rejects_a_block_for_a_node_out_of_range() {
+        // A fourth block would hold node 3 of a three-node store.
         let body = body_with("blocks", |entries, i| {
-            block_values(entries, i, 0).pop();
+            let extra = list_at(entries, i)[0].clone();
+            list_at(entries, i).push(extra);
+        });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn decoder_rejects_a_wrong_value_count() {
+        // One observation field short of whole rows.
+        let body = body_with("blocks", |entries, i| {
+            block_list(entries, i, 0, "o").pop();
         });
         assert_schema_error(&body);
     }
 
     #[test]
     fn decoder_rejects_more_settled_rows_than_timestamps() {
-        // Node 2 holds one settled row of two timestamps; a third row's
-        // worth of values outruns its timestamps.
+        // Node 2 holds two rows; a third row's observation outruns its
+        // timestamps.
         let body = body_with("blocks", |entries, i| {
-            let values = block_values(entries, i, 2);
-            let extra = values.clone();
-            values.extend(extra.iter().cloned());
-            values.extend(extra);
+            let fields = block_list(entries, i, 2, "o");
+            let row: Vec<Val> = fields[..8].to_vec();
+            fields.extend(row);
         });
         assert_schema_error(&body);
     }
 
     #[test]
-    fn decoder_rejects_a_pending_node_out_of_range() {
-        let body = body_with("pending", |entries, i| {
-            let Val::List(row) = &mut list_at(entries, i)[0] else {
-                panic!("pending row is a list");
-            };
-            row[0] = Val::U64(3);
+    fn decoder_rejects_observation_counts_that_disagree_with_the_timestamps() {
+        // A timestamp with no observation.
+        let body = body_with("blocks", |entries, i| {
+            block_list(entries, i, 2, "t").push(Val::U64(99_000_000));
         });
         assert_schema_error(&body);
     }
 
     #[test]
-    fn decoder_rejects_pending_times_out_of_order() {
-        // Each row still matches its own block; only the queue order breaks.
-        let body = body_with("pending", |entries, i| {
-            list_at(entries, i).swap(0, 1);
+    fn decoder_rejects_block_times_out_of_order() {
+        let body = body_with("blocks", |entries, i| {
+            block_list(entries, i, 2, "t").swap(0, 1);
         });
         assert_schema_error(&body);
     }
 
     #[test]
-    fn decoder_rejects_pending_counts_that_disagree_with_the_blocks() {
-        let body = body_with("pending", |entries, i| {
-            list_at(entries, i).pop();
-        });
-        assert_schema_error(&body);
+    fn decoder_rejects_non_finite_observations() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let body = body_with("blocks", |entries, i| {
+                block_list(entries, i, 0, "o")[3] = Val::from_f64(bad);
+            });
+            assert_schema_error(&body);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example custom_cluster`.
 
-use rush_repro::cluster::counters::{counter_stream, synthesize_row_into};
+use rush_repro::cluster::counters::{noise_seed, row_key, synthesize_row_into};
 use rush_repro::cluster::machine::{Machine, MachineConfig, SourceId, WorkloadIntensity};
 use rush_repro::cluster::topology::{FatTreeConfig, NodeId};
 use rush_repro::simkit::time::SimTime;
@@ -63,8 +63,12 @@ fn main() {
 
     // Counters a monitoring daemon would scrape from one node.
     let mut counters = Vec::new();
-    let mut noise = counter_stream(machine.config().seed);
-    synthesize_row_into(&machine.observe(NodeId(0)), &mut noise, &mut counters);
+    let key = row_key(
+        noise_seed(machine.config().seed),
+        0,
+        machine.now().as_micros(),
+    );
+    synthesize_row_into(&machine.observe(NodeId(0)), key, &mut counters);
     println!("\nnode 0 counters (first of each table):");
     println!("   sysclassib/port_xmit_data  = {:.3e}", counters[0]);
     println!("   sysclassib/port_xmit_wait  = {:.3e}", counters[8]);
