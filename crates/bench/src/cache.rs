@@ -11,9 +11,12 @@
 //! interleaving partial writes. Collection is deterministic, so both
 //! racers produce identical bytes and either rename winning is correct.
 //!
-//! A cache file is never trusted blindly: the document carries the config
-//! that collected it, and a file that does not decode, or whose stored
-//! config differs from the requested one, falls back to recollection.
+//! A cache file is never trusted blindly: it carries the identity of the
+//! build that wrote it (a hash of its executable) and the config that
+//! collected it, and a file that does not decode, was written by another
+//! build, or whose stored config differs from the requested one, falls
+//! back to recollection. The build matters because collection code can
+//! change while the config does not.
 //!
 //! # Example
 //!
@@ -34,8 +37,10 @@
 use rush_core::collect::CampaignData;
 use rush_core::config::CampaignConfig;
 use rush_core::persist::{decode_campaign, encode_campaign};
+use rush_simkit::snapshot::fnv1a;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// The default cache directory: `<workspace>/target/rush-cache`.
 pub fn default_cache_dir() -> PathBuf {
@@ -52,6 +57,22 @@ pub fn default_cache_dir() -> PathBuf {
 /// derive's formatting or a field's name does.
 pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
     config.fingerprint()
+}
+
+/// Identity of the running build: FNV-1a over the bytes of the running
+/// executable, computed once. `None` when the executable cannot be read;
+/// such a build neither trusts nor writes cache files.
+fn build_id() -> Option<u64> {
+    static ID: OnceLock<Option<u64>> = OnceLock::new();
+    *ID.get_or_init(|| {
+        let exe = std::env::current_exe().ok()?;
+        fs::read(exe).ok().map(|bytes| fnv1a(&bytes))
+    })
+}
+
+/// The first line of a cache file: the build that wrote it.
+fn build_line(build: u64) -> String {
+    format!("build {build:016x}")
 }
 
 /// The cache file path for `config` under `dir`.
@@ -75,7 +96,11 @@ pub fn campaign_cached_in(dir: &Path, config: &CampaignConfig, no_cache: bool) -
         config.days
     );
     let data = rush_core::collect::run_campaign(config);
-    if let Err(e) = store(&path, &data) {
+    let Some(build) = build_id() else {
+        eprintln!("[cache] warning: cannot identify this build; campaign not stored");
+        return data;
+    };
+    if let Err(e) = store(&path, &data, build) {
         eprintln!("[cache] warning: could not store campaign: {e}");
     } else {
         eprintln!("[cache] stored campaign at {}", path.display());
@@ -85,7 +110,15 @@ pub fn campaign_cached_in(dir: &Path, config: &CampaignConfig, no_cache: bool) -
 
 fn try_load(path: &Path, config: &CampaignConfig) -> Option<CampaignData> {
     let text = fs::read_to_string(path).ok()?;
-    match decode_campaign(&text) {
+    let (stamp, doc) = text.split_once('\n').unwrap_or(("", &text));
+    if build_id().map(build_line).as_deref() != Some(stamp) {
+        eprintln!(
+            "[cache] ignoring {}: written by another build",
+            path.display()
+        );
+        return None;
+    }
+    match decode_campaign(doc) {
         Ok(data) if data.config == *config => Some(data),
         Ok(_) => {
             eprintln!(
@@ -101,14 +134,16 @@ fn try_load(path: &Path, config: &CampaignConfig) -> Option<CampaignData> {
     }
 }
 
-/// Atomic store: write a tmp sibling unique to this thread, then rename.
-/// Concurrent writers of the same key each complete their own tmp file and
-/// the renames settle the race with a whole file either way.
-fn store(path: &Path, data: &CampaignData) -> std::io::Result<()> {
+/// Atomic store of `data`, stamped with `build`: write a tmp sibling
+/// unique to this thread, then rename. Concurrent writers of the same key
+/// each complete their own tmp file and the renames settle the race with a
+/// whole file either way.
+fn store(path: &Path, data: &CampaignData, build: u64) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    rush_core::campaign::write_atomic(path, encode_campaign(data).as_bytes())
+    let text = format!("{}\n{}", build_line(build), encode_campaign(data));
+    rush_core::campaign::write_atomic(path, text.as_bytes())
 }
 
 #[cfg(test)]
@@ -122,7 +157,7 @@ mod tests {
         let data = run_campaign(&config);
         let dir = std::env::temp_dir().join("rush-cache-test");
         let path = dir.join("campaign.txt");
-        store(&path, &data).expect("store");
+        store(&path, &data, build_id().unwrap()).expect("store");
         let back = try_load(&path, &config).expect("reload");
         assert_eq!(back, data);
         std::fs::remove_file(&path).ok();
@@ -138,13 +173,40 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rush-cache-mismatch-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         // A's campaign sits at B's path (a stale or hand-copied file).
-        store(&cache_path(&dir, &b), &run_campaign(&a)).expect("store");
+        store(
+            &cache_path(&dir, &b),
+            &run_campaign(&a),
+            build_id().unwrap(),
+        )
+        .expect("store");
         assert_eq!(try_load(&cache_path(&dir, &b), &b), None);
         let got = campaign_cached_in(&dir, &b, false);
         assert_eq!(got.config, b);
         assert_eq!(got, run_campaign(&b));
         // The recollected file replaced the stale one.
         assert_eq!(try_load(&cache_path(&dir, &b), &b), Some(got));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn campaign_of_another_build_is_recollected() {
+        let config = CampaignConfig::test_sized();
+        let dir = std::env::temp_dir().join(format!("rush-cache-build-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = cache_path(&dir, &config);
+        // A campaign that differs from what this build collects, stamped
+        // by another build: it must not be loaded.
+        let fresh = run_campaign(&config);
+        let mut stale = fresh.clone();
+        stale.runs.pop();
+        let other = build_id().unwrap() ^ 1;
+        store(&path, &stale, other).expect("store");
+        assert_eq!(try_load(&path, &config), None);
+        assert_eq!(campaign_cached_in(&dir, &config, false), fresh);
+        // The recollected file carries this build's stamp and loads.
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&build_line(build_id().unwrap())));
+        assert_eq!(try_load(&path, &config), Some(fresh));
         fs::remove_dir_all(&dir).ok();
     }
 

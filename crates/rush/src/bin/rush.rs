@@ -128,9 +128,6 @@ COMMANDS:
                                          than the machine reject at submit
                --est-factor F (1.5)      global over-estimation factor
                --seed N (7)              machine + engine seed
-               --verify-prefix N         first check streaming ≡
-                                         materialized on the first N
-                                         requests (byte-identical traces)
                --max-rss-mib N           fail if peak RSS exceeds N MiB
     chaos      run a seeded chaos campaign: randomized performance-fault
                scenarios (crashes, stragglers, congestion storms, flaps)
@@ -838,7 +835,6 @@ fn cmd_replay(mut args: Args) -> Result<(), Failure> {
         ],
         other => return Err(usage(format!("unknown estimates mode '{other}'"))),
     };
-    let verify_prefix: Option<usize> = args.opt("verify-prefix")?;
     let max_rss_mib: Option<u64> = args.opt("max-rss-mib")?;
     args.finish()?;
     if trace.is_none() && target.is_none() {
@@ -899,11 +895,6 @@ fn cmd_replay(mut args: Args) -> Result<(), Failure> {
             None => Box::new(seed.into_iter()),
         }
     };
-
-    if let Some(prefix) = verify_prefix {
-        let checked = replay::verify_prefix(make_stream(), &settings, prefix)?;
-        println!("verified streaming ≡ materialized on a {checked}-request prefix");
-    }
 
     let summaries = replay::compare_estimates(make_stream, &settings, &modes);
 

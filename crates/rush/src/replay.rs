@@ -22,7 +22,7 @@ use rush_ml::runtime::{submit_features, RuntimeModel, RuntimeModelConfig};
 use rush_sched::engine::{ReplayStats, ScheduleResult, SchedulerConfig, SchedulerEngine};
 use rush_sched::job::EstimateSource;
 use rush_sched::predictor::NeverVaries;
-use rush_sched::source::{IterSource, JobSource, ReorderWindow};
+use rush_sched::source::{JobSource, ReorderWindow};
 use rush_simkit::time::SimDuration;
 use rush_workloads::jobgen::JobRequest;
 use rush_workloads::swf::{self, SwfJob};
@@ -307,40 +307,6 @@ pub fn compare_estimates(
         .collect()
 }
 
-/// Byte-level equivalence check on a bounded prefix: the first `prefix`
-/// requests replayed through the streaming path and through the
-/// materialized path must produce identical event logs and outcomes. Returns
-/// the prefix length actually verified.
-pub fn verify_prefix(
-    jobs: JobStream,
-    settings: &ReplaySettings,
-    prefix: usize,
-) -> Result<usize, String> {
-    let requests = swf::request_stream(jobs, settings.cores_per_node, settings.max_nodes);
-    let mut window = ReorderWindow::new(requests.take(prefix), settings.reorder_window);
-    let mut ordered = Vec::new();
-    while let Some(req) = window.next_request() {
-        ordered.push(req);
-    }
-
-    let mut unfolded = *settings;
-    unfolded.fold = false;
-    let materialized = replay_engine(&unfolded, EstimateSource::Factor).run(&ordered);
-    let streamed = replay_engine(&unfolded, EstimateSource::Factor)
-        .run_streaming(Box::new(IterSource::new(ordered.clone().into_iter())));
-
-    if materialized.events != streamed.events {
-        return Err("streaming event log diverged from materialized event log".into());
-    }
-    if materialized.completed != streamed.completed
-        || materialized.failed != streamed.failed
-        || materialized.replay != streamed.replay
-    {
-        return Err("streaming outcomes diverged from materialized outcomes".into());
-    }
-    Ok(ordered.len())
-}
-
 /// A built-in synthesis seed for trace-free replays (`rush replay
 /// --synthesize N` without `--trace`): 16 jobs shaped like a capacity
 /// cluster's small-job mix — 0.5–4 node equivalents, minutes-to-hours run
@@ -471,12 +437,6 @@ mod tests {
         assert_eq!(user.stats.settled(), learned.stats.settled());
         // Run times are identical (same jobs); only waits may move.
         assert!((user.stats.run_sum_secs - learned.stats.run_sum_secs).abs() < 1e-6);
-    }
-
-    #[test]
-    fn verify_prefix_confirms_streaming_equivalence() {
-        let n = verify_prefix(stream(40), &settings(), 40).expect("prefix equivalence");
-        assert_eq!(n, 40);
     }
 
     #[test]

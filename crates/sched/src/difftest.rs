@@ -1,22 +1,21 @@
 //! Differential equivalence harness.
 //!
-//! Pod-sharded execution ([`crate::shard`]) and streaming engine seeding
-//! ([`crate::source`]) carry the same contract: they change how the
-//! simulator is driven, never what it decides. This module makes that
-//! contract mechanically checkable — build one seeded scenario, run it two
-//! ways (serial vs. parallel shards, materialized vs. streamed requests),
-//! and compare the results *byte for byte*: the encoded event log and load
-//! series, every completed and failed job's placement and timing, and the
-//! outcome scalars. On mismatch the harness names the first diverging log
-//! record — the actionable datum when bisecting a determinism regression —
-//! instead of a bare `assert_eq` dump of two multi-megabyte structures.
+//! A checkpointed and resumed run must change how the simulator is
+//! driven, never what it decides. This module makes that contract
+//! mechanically checkable — run one seeded scenario two ways and compare
+//! the results *byte for byte*: the encoded event log and load series,
+//! every completed and failed job's placement and timing, and the outcome
+//! scalars. On mismatch the harness names the first diverging log record —
+//! the actionable datum when bisecting a determinism regression — instead
+//! of a bare `assert_eq` dump of two multi-megabyte structures.
 //!
 //! The same comparison, folded into one [`outcome_digest`] per scenario,
 //! pins the engine's behaviour over time: `tests/golden_digests.rs` runs a
 //! fixed grid of [`DiffScenario`]s against committed digests.
 //!
-//! The harness is library code (not `#[cfg(test)]`) so the proptests, the
-//! golden test and the chaos campaign all drive the same comparison.
+//! The harness is library code (not `#[cfg(test)]`) so the resume tests,
+//! the golden test and the benchmark package all drive the same
+//! comparison.
 
 use crate::engine::{ScheduleResult, SchedulerConfig, SchedulerEngine};
 use crate::job::Job;
@@ -389,19 +388,6 @@ pub fn diff_results(left: &ScheduleResult, right: &ScheduleResult) -> DiffOutcom
     }
 }
 
-/// Runs `scenario` through materialized `prepare` and through streaming
-/// `prepare_streaming` over the same requests, and diffs the results. The
-/// engine-seeding contract: the two paths deliver the identical event
-/// sequence — same seq numbers, same log bytes, same outcomes.
-pub fn diff_seeding(scenario: &DiffScenario) -> DiffOutcome {
-    let requests = scenario.workload();
-    let materialized = scenario.build_engine().run(&requests);
-    let streaming = scenario
-        .build_engine()
-        .run_streaming(Box::new(crate::source::SliceSource::new(&requests)));
-    diff_results(&materialized, &streaming)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,20 +410,6 @@ mod tests {
         let a = s.run();
         let b = s.run();
         assert!(diff_results(&a, &b).is_identical());
-    }
-
-    #[test]
-    fn streaming_and_materialized_seeding_agree() {
-        assert_eq!(diff_seeding(&scenario(21)), DiffOutcome::Identical);
-    }
-
-    #[test]
-    fn streaming_and_materialized_seeding_agree_under_faults() {
-        let s = DiffScenario {
-            faults: true,
-            ..scenario(22)
-        };
-        assert_eq!(diff_seeding(&s), DiffOutcome::Identical);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::predictor::{PredictorCtx, VariabilityClass, VariabilityPredictor};
 use crate::profile::AvailabilityProfile;
 use crate::retry::RetryPolicy;
 use crate::service::{OnlineModelHost, PredictorService, ServiceConfig, ServiceEvent};
-use crate::source::JobSource;
+use crate::source::{IterSource, JobSource, SliceSource};
 use crate::trace::{log_from_val, log_to_val, ScheduleTrace};
 use rand::Rng;
 use rush_cluster::machine::{Machine, NodeHealth, SourceId};
@@ -57,55 +57,6 @@ pub enum BackfillPolicy {
     /// Conservative: every queued job holds a reservation; early starts can
     /// delay nothing ahead of them.
     Conservative,
-}
-
-/// Circuit breaker over predictor consultations. A predictor that fails
-/// persistently (model service down, feature pipeline wedged) would
-/// otherwise be re-consulted — and re-fail — on every `Start()` decision;
-/// the breaker opens after `threshold` *consecutive* model errors and
-/// short-circuits consultations straight to the EASY fallback until a
-/// cooldown expires, after which one half-open probe decides whether to
-/// close it again. Telemetry-gap fallbacks never count: a hollow window is
-/// the environment's fault, not the model's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive model errors that open the breaker. Zero disables the
-    /// breaker entirely (the default — and the paper's behavior).
-    pub threshold: u32,
-    /// How long an open breaker suppresses consultations before the
-    /// half-open probe.
-    pub cooldown: SimDuration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 0,
-            cooldown: SimDuration::from_mins(5),
-        }
-    }
-}
-
-/// Live circuit-breaker state (exported as the
-/// `sched.predictor_breaker_state` gauge: closed 0, open 1, half-open 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Consultations flow normally.
-    Closed,
-    /// Consultations are suppressed until the embedded deadline.
-    Open(SimTime),
-    /// The cooldown expired; the next consultation is a probe.
-    HalfOpen,
-}
-
-impl BreakerState {
-    fn gauge_value(self) -> f64 {
-        match self {
-            BreakerState::Closed => 0.0,
-            BreakerState::Open(_) => 1.0,
-            BreakerState::HalfOpen => 2.0,
-        }
-    }
 }
 
 /// Scheduler parameters.
@@ -155,8 +106,6 @@ pub struct SchedulerConfig {
     pub min_telemetry_coverage: f64,
     /// Runtime invariant auditing (default: off).
     pub audit: AuditConfig,
-    /// Predictor-consultation circuit breaker (default: disabled).
-    pub breaker: BreakerConfig,
     /// Online predictor service: drift detection, periodic retraining,
     /// shadow evaluation, hot-swap and rollback (default: disabled, the
     /// paper's static deployment).
@@ -182,7 +131,6 @@ impl Default for SchedulerConfig {
             predictor_window: SimDuration::from_mins(5),
             min_telemetry_coverage: 0.5,
             audit: AuditConfig::default(),
-            breaker: BreakerConfig::default(),
             service: ServiceConfig::default(),
         }
     }
@@ -222,7 +170,6 @@ struct SchedCounters {
     retry_backoff_s: HistogramId,
     audit_checks: CounterId,
     audit_violations: CounterId,
-    breaker_state: GaugeId,
     predictor_version: GaugeId,
     predictor_drift: GaugeId,
     predictor_agreement: GaugeId,
@@ -264,7 +211,6 @@ impl SchedCounters {
                 .register_histogram("sched.retry_backoff_s", Histogram::for_seconds()),
             audit_checks: reg.register_counter("audit.checks"),
             audit_violations: reg.register_counter("audit.violations"),
-            breaker_state: reg.register_gauge("sched.predictor_breaker_state"),
             predictor_version: reg.register_gauge("sched.predictor.version"),
             predictor_drift: reg.register_gauge("sched.predictor.drift_score"),
             predictor_agreement: reg.register_gauge("sched.predictor.shadow_agreement"),
@@ -638,41 +584,34 @@ pub struct SchedulerEngine {
     /// The master seed the RNG streams were derived from; snapshots embed
     /// it so a resume into a differently-seeded engine is rejected.
     master_seed: u64,
-    /// The job set, built by [`SchedulerEngine::prepare`]. Jobs are a pure
-    /// function of the requests and config, so snapshots reference them by
-    /// id instead of serializing them. Empty in streaming mode, where jobs
-    /// exist only between their pull and their settlement.
-    jobs: Vec<Job>,
-    /// Streaming job source (`None` under materialized
-    /// [`prepare`](SchedulerEngine::prepare)).
+    /// Where arrivals come from; `None` until
+    /// [`prepare_streaming`](SchedulerEngine::prepare_streaming). Jobs are a
+    /// pure function of the requests and config, so snapshots reference
+    /// them by id and [`resume`](SchedulerEngine::resume) rebuilds them by
+    /// pulling the same requests again.
     source: Option<Box<dyn JobSource>>,
-    /// The one pulled-but-not-yet-submitted arrival in streaming mode —
-    /// the lookahead that mirrors the chained `Submit` events.
+    /// The one pulled-but-not-yet-submitted arrival: the lookahead behind
+    /// the single pending `Submit` event.
     next_stream_job: Option<Job>,
-    /// Guards double-preparation and premature snapshot/resume now that an
-    /// empty job table after `prepare` is legal.
-    prepared: bool,
     /// Drop per-job completion records after folding them into `replay`
     /// (bounded-memory streaming replays).
     fold_completions: bool,
     /// Aggregate outcomes, folded as jobs settle (always maintained).
     replay: ReplayStats,
-    /// `submit_order[k]` = index into `jobs` of the k-th arrival.
-    submit_order: Vec<usize>,
     first_submit: SimTime,
-    request_count: usize,
+    /// Requests pulled from `source` so far.
+    pulled: usize,
+    /// The source's request count, when it knows it
+    /// ([`JobSource::total_hint`]).
+    request_total: Option<usize>,
     /// Nodes permanently held by the experiment's noise job: the audit's
     /// node-conservation bound must not count them as leaked.
     reserved_nodes: usize,
-    breaker: BreakerState,
-    /// Consecutive predictor model errors (resets on any success).
-    breaker_failures: u32,
     /// The online predictor service, when enabled via
     /// [`SchedulerEngine::with_online_predictor`]. When present, predictor
     /// consultations route through it instead of `predictor`.
     service: Option<PredictorService>,
     max_queue_len: usize,
-    pending_submits: usize,
     /// Whether `queue` may be out of R1 order (`schedule_pass` re-sorts
     /// only when this is set).
     queue_dirty: bool,
@@ -725,21 +664,16 @@ impl SchedulerEngine {
             rng_run: streams.counted_stream("sched/run"),
             rng_pred: streams.counted_stream("sched/predict"),
             master_seed: seed,
-            jobs: Vec::new(),
             source: None,
             next_stream_job: None,
-            prepared: false,
             fold_completions: false,
             replay: ReplayStats::default(),
-            submit_order: Vec::new(),
             first_submit: SimTime::ZERO,
-            request_count: 0,
+            pulled: 0,
+            request_total: None,
             reserved_nodes: 0,
-            breaker: BreakerState::Closed,
-            breaker_failures: 0,
             service: None,
             max_queue_len: 0,
-            pending_submits: 0,
             queue_dirty: false,
             next_gen: 0,
             log: Vec::new(),
@@ -824,69 +758,30 @@ impl SchedulerEngine {
         self.finalize()
     }
 
-    /// Builds the job set and seeds the event heap. Must be called exactly
-    /// once before [`step`](Self::step) — or before
-    /// [`resume`](Self::resume), which needs the identical `requests` to
-    /// reconstruct the jobs a snapshot references by id.
-    ///
-    /// An empty request set prepares trivially (the run completes with no
-    /// outcomes); a request larger than the schedulable pool is *not* an
-    /// error here — it is rejected at its submission instant, with a
-    /// [`ObsEvent::JobRejected`] record and the `sched.jobs_rejected`
-    /// counter, so both this path and the streaming one account for it
-    /// identically.
+    /// Seeds the run with `requests`: exactly
+    /// [`prepare_streaming`](Self::prepare_streaming) over a
+    /// [`SliceSource`], which submits them in `(submit_at, slice position)`
+    /// order.
     pub fn prepare(&mut self, requests: &[JobRequest]) {
-        assert!(!self.prepared, "prepare called twice");
-        self.prepared = true;
-        self.jobs = requests
-            .iter()
-            .map(|r| {
-                Job::from_request_with(
-                    r,
-                    self.config.est_factor,
-                    self.config.estimates,
-                    self.config.skip_threshold,
-                )
-            })
-            .collect();
-        self.request_count = requests.len();
-        self.first_submit = self
-            .jobs
-            .iter()
-            .map(|j| j.submit_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-
-        // Submissions are chained: only the next arrival lives in the heap
-        // at any moment, keeping the heap O(live events) instead of
-        // O(total jobs). `submit_order[k]` is the request index of the k-th
-        // arrival (ties by request order, matching the old all-upfront
-        // scheduling, whose seq numbers followed request order).
-        let mut submit_order: Vec<usize> = (0..self.jobs.len()).collect();
-        submit_order.sort_by_key(|&i| (self.jobs[i].submit_at, i));
-        self.submit_order = submit_order;
-        if let Some(&first) = self.submit_order.first() {
-            self.events
-                .schedule(self.jobs[first].submit_at, Ev::Submit(0));
-        }
-        self.pending_submits = self.jobs.len();
-        self.seed_clock_events();
+        self.prepare_streaming(Box::new(SliceSource::new(requests)));
     }
 
-    /// Streaming counterpart of [`prepare`](Self::prepare): instead of a
-    /// materialized job table, the engine pulls one request at a time from
-    /// `source` as its chained `Submit` events fire, so memory is bounded
-    /// by *live* jobs. On the same request sequence the two paths deliver
-    /// the identical event sequence (same event seq numbers, same trace
-    /// bytes) — asserted by the `diff_seeding` difftest.
+    /// Seeds the run from `source`. Must be called exactly once before
+    /// [`step`](Self::step), or before [`resume`](Self::resume), which
+    /// pulls the same requests again to rebuild the jobs a snapshot
+    /// references by id. The engine pulls one request at a time as its
+    /// chained `Submit` events fire, so memory is bounded by *live* jobs.
     ///
-    /// Snapshot/resume is unavailable in this mode: a stream position
-    /// cannot be re-seeded from a snapshot.
+    /// An empty source prepares trivially (the run completes with no
+    /// outcomes); a request larger than the schedulable pool is *not* an
+    /// error here: it is rejected at its submission instant, with a
+    /// [`ObsEvent::JobRejected`] record and the `sched.jobs_rejected`
+    /// counter.
     pub fn prepare_streaming(&mut self, source: Box<dyn JobSource>) {
-        assert!(!self.prepared, "prepare called twice");
-        self.prepared = true;
+        assert!(self.source.is_none(), "prepare called twice");
+        self.request_total = source.total_hint().map(|n| n as usize);
         self.source = Some(source);
-        self.pull_next_arrival(0);
+        self.pull_next_arrival();
         self.first_submit = self
             .next_stream_job
             .as_ref()
@@ -907,7 +802,8 @@ impl SchedulerEngine {
     /// Discards per-job completion records as they fold into the aggregate
     /// [`ReplayStats`], bounding memory on million-job replays. The
     /// result's `completed`/`failed` vectors come back empty; snapshotting
-    /// is unavailable in this mode.
+    /// is unavailable in this mode, because a snapshot restores the
+    /// completion list.
     pub fn with_completion_folding(mut self) -> Self {
         self.fold_completions = true;
         self
@@ -969,8 +865,8 @@ impl SchedulerEngine {
         self.pool.capacity()
     }
 
-    /// Schedules the clock-driven events both preparation modes share: the
-    /// first tick and the reproducible fault timeline (a pure function of
+    /// Schedules the clock-driven events: the first tick and the
+    /// reproducible fault timeline (a pure function of
     /// (fault config, node count), so a faulty run stays a deterministic
     /// function of its seeds).
     fn seed_clock_events(&mut self) {
@@ -982,15 +878,15 @@ impl SchedulerEngine {
         }
     }
 
-    /// Streaming mode: pulls the next request, builds its job, and chains
-    /// its `Submit(k)` event. The event time is clamped to the clock so a
-    /// source that violates its ordering contract degrades to immediate
-    /// submission instead of corrupting event monotonicity.
-    fn pull_next_arrival(&mut self, k: usize) {
+    /// Pulls the next request, builds its job, and chains its `Submit(k)`
+    /// event (`k` = the arrival's pull index). The event time is clamped to
+    /// the clock so a source that violates its ordering contract degrades
+    /// to immediate submission instead of corrupting event monotonicity.
+    fn pull_next_arrival(&mut self) {
         let req = match self
             .source
             .as_mut()
-            .expect("pull_next_arrival outside streaming mode")
+            .expect("pull_next_arrival before prepare")
             .next_request()
         {
             Some(req) => req,
@@ -999,17 +895,22 @@ impl SchedulerEngine {
                 return;
             }
         };
-        let job = Job::from_request_with(
-            &req,
+        let job = self.job_of_request(&req);
+        self.events.schedule(
+            job.submit_at.max(self.events.now()),
+            Ev::Submit(self.pulled),
+        );
+        self.pulled += 1;
+        self.next_stream_job = Some(job);
+    }
+
+    fn job_of_request(&self, req: &JobRequest) -> Job {
+        Job::from_request_with(
+            req,
             self.config.est_factor,
             self.config.estimates,
             self.config.skip_threshold,
-        );
-        self.request_count += 1;
-        self.pending_submits += 1;
-        self.events
-            .schedule(job.submit_at.max(self.events.now()), Ev::Submit(k));
-        self.next_stream_job = Some(job);
+        )
     }
 
     /// Delivers the next event. Returns its firing time, or `None` when the
@@ -1019,34 +920,20 @@ impl SchedulerEngine {
         let _tick_scope = obs_profile::scope(ProfileScope::EngineTick);
         let now = entry.time;
         match entry.event {
-            Ev::Submit(k) => {
-                // Chain the next arrival before anything else so the
-                // heap never runs dry while submissions remain. Streaming
-                // pulls one request; materialized reads the job table —
-                // either way exactly one event is scheduled here, keeping
-                // event seq numbers identical across the two paths.
-                let job = if self.source.is_some() {
-                    let job = self
-                        .next_stream_job
-                        .take()
-                        .expect("streaming submit without a pulled job");
-                    self.pull_next_arrival(k + 1);
-                    job
-                } else {
-                    if let Some(&next) = self.submit_order.get(k + 1) {
-                        self.events
-                            .schedule(self.jobs[next].submit_at, Ev::Submit(k + 1));
-                    }
-                    self.jobs[self.submit_order[k]].clone()
-                };
+            Ev::Submit(_) => {
+                // Chain the next arrival before anything else so the heap
+                // never runs dry while submissions remain.
+                let job = self
+                    .next_stream_job
+                    .take()
+                    .expect("submit without a pulled job");
+                self.pull_next_arrival();
                 self.advance_world(now);
-                self.pending_submits -= 1;
                 let capacity = self.pool.capacity() as u32;
                 if job.nodes_requested > capacity {
                     // Can never fit: reject at the submission instant —
-                    // counted, traced, and conserved, in both preparation
-                    // modes — instead of wedging the queue head forever
-                    // (or panicking at prepare, as this engine once did).
+                    // counted, traced, and conserved — instead of wedging
+                    // the queue head forever.
                     self.replay.rejected += 1;
                     self.registry.inc(self.counters.jobs_rejected);
                     self.emit(
@@ -1091,8 +978,9 @@ impl SchedulerEngine {
                 // running job even if nothing starts or finishes.
                 self.speeds_dirty = true;
                 self.schedule_pass(now);
-                let work_remains =
-                    !self.queue.is_empty() || !self.running.is_empty() || self.pending_submits > 0;
+                let work_remains = !self.queue.is_empty()
+                    || !self.running.is_empty()
+                    || self.next_stream_job.is_some();
                 if work_remains {
                     self.events.schedule(now + self.config.tick, Ev::Tick);
                 }
@@ -1147,11 +1035,15 @@ impl SchedulerEngine {
         self.events.is_empty()
     }
 
-    /// `(jobs settled, jobs seen)` — a cheap progress indicator for
-    /// checkpointing and replay drivers. In streaming mode the second
-    /// component grows as requests are pulled.
+    /// `(jobs settled, jobs in the run)` — a cheap progress indicator for
+    /// checkpointing and replay drivers. The second component is the
+    /// source's [`total_hint`](JobSource::total_hint), or the requests
+    /// pulled so far when the source gives none.
     pub fn progress(&self) -> (usize, usize) {
-        (self.replay.settled() as usize, self.request_count)
+        (
+            self.replay.settled() as usize,
+            self.request_total.unwrap_or(self.pulled),
+        )
     }
 
     /// Collects the run's outcome. Call only after [`step`](Self::step)
@@ -1167,7 +1059,7 @@ impl SchedulerEngine {
         );
         assert_eq!(
             self.replay.settled() as usize,
-            self.request_count,
+            self.pulled,
             "every submitted job must end completed, failed, or rejected"
         );
         let last_end = if self.replay.completed == 0 {
@@ -1765,21 +1657,6 @@ impl SchedulerEngine {
         if skips >= job.skip_threshold {
             return StartConsult::BudgetExhausted;
         }
-        // Circuit breaker: while open, the model is not consulted at all
-        // (no predictor RNG draw, no model call) and the decision falls
-        // back exactly as a model error would. An expired deadline flips to
-        // half-open: this consultation proceeds as the probe.
-        if self.config.breaker.threshold > 0 {
-            match self.breaker {
-                BreakerState::Open(until) if now < until => {
-                    return StartConsult::Fallback(FallbackReason::ModelError);
-                }
-                BreakerState::Open(_) => {
-                    self.set_breaker(BreakerState::HalfOpen);
-                }
-                BreakerState::Closed | BreakerState::HalfOpen => {}
-            }
-        }
         let _scope = obs_profile::scope(ProfileScope::PredictorEval);
         let window_start = now.saturating_sub(self.config.predictor_window);
         let quality = window_quality(&self.store, nodes, window_start, now);
@@ -1787,8 +1664,6 @@ impl SchedulerEngine {
             self.config.min_telemetry_coverage,
             self.config.predictor_window,
         ) {
-            // A hollow telemetry window says nothing about the model's
-            // health, so it neither trips the breaker nor closes it.
             return StartConsult::Fallback(FallbackReason::TelemetryGap);
         }
         let outcome = {
@@ -1807,36 +1682,9 @@ impl SchedulerEngine {
             self.drain_service_events(now);
         }
         match outcome {
-            Ok(class) => {
-                if self.config.breaker.threshold > 0
-                    && (self.breaker != BreakerState::Closed || self.breaker_failures > 0)
-                {
-                    self.breaker_failures = 0;
-                    self.set_breaker(BreakerState::Closed);
-                }
-                StartConsult::Verdict(class)
-            }
-            Err(_) => {
-                if self.config.breaker.threshold > 0 {
-                    self.breaker_failures += 1;
-                    // A failed half-open probe re-opens immediately; a
-                    // closed breaker waits for the threshold.
-                    if self.breaker == BreakerState::HalfOpen
-                        || self.breaker_failures >= self.config.breaker.threshold
-                    {
-                        self.set_breaker(BreakerState::Open(now + self.config.breaker.cooldown));
-                    }
-                }
-                StartConsult::Fallback(FallbackReason::ModelError)
-            }
+            Ok(class) => StartConsult::Verdict(class),
+            Err(_) => StartConsult::Fallback(FallbackReason::ModelError),
         }
-    }
-
-    /// Transitions the breaker and mirrors it onto its gauge.
-    fn set_breaker(&mut self, state: BreakerState) {
-        self.breaker = state;
-        self.registry
-            .set_gauge(self.counters.breaker_state, state.gauge_value());
     }
 
     /// Surfaces the service's accumulated transitions as counters and
@@ -2027,7 +1875,8 @@ impl SchedulerEngine {
 
     /// Configuration fingerprint embedded in snapshots. Covers everything
     /// that shapes the deterministic trajectory: the scheduler config, the
-    /// machine topology, the schedulable pool size and the job count.
+    /// machine topology, the schedulable pool size and the source's request
+    /// count (when it knows it).
     ///
     /// The R1/R2 policy specs are normalized out: they are *dynamic* state
     /// (an environment may retarget them mid-run via
@@ -2040,26 +1889,23 @@ impl SchedulerEngine {
         config.r1 = PolicySpec::default();
         config.r2 = PolicySpec::default();
         snapshot::fingerprint_str(&format!(
-            "{:?}|{:?}|{}|{}",
+            "{:?}|{:?}|{}|{:?}",
             config,
             self.machine.tree().config(),
             self.pool.capacity(),
-            self.request_count
+            self.request_total
         ))
     }
 
     /// Captures the complete dynamic state as a versioned, CRC-protected
     /// snapshot. The engine must be [`prepare`](Self::prepare)d; jobs are
-    /// referenced by id (they are a pure function of the requests), RNG
-    /// streams by their draw counts (they are a pure function of the master
-    /// seed), so a resumed engine replays the remaining trajectory
-    /// byte-identically to an uninterrupted one.
+    /// referenced by id and the stream position by the number of arrivals
+    /// pulled (jobs are a pure function of the requests), RNG streams by
+    /// their draw counts (they are a pure function of the master seed), so
+    /// a resumed engine replays the remaining trajectory byte-identically
+    /// to an uninterrupted one.
     pub fn snapshot(&self) -> Vec<u8> {
-        assert!(self.prepared, "snapshot before prepare");
-        assert!(
-            self.source.is_none(),
-            "snapshot of a streaming run is unsupported: a stream position cannot be re-seeded"
-        );
+        assert!(self.source.is_some(), "snapshot before prepare");
         assert!(
             !self.fold_completions,
             "snapshot with completion folding would lose per-job records"
@@ -2176,12 +2022,6 @@ impl SchedulerEngine {
             .with("peak_heap", Val::U64(stats.peak_heap as u64))
             .with("compactions", Val::U64(stats.compactions));
 
-        let breaker = match self.breaker {
-            BreakerState::Closed => Val::List(vec![Val::U64(0), Val::U64(0)]),
-            BreakerState::Open(until) => Val::List(vec![Val::U64(1), t(until)]),
-            BreakerState::HalfOpen => Val::List(vec![Val::U64(2), Val::U64(0)]),
-        };
-
         let mut body = Val::map()
             .with(
                 "queue",
@@ -2197,11 +2037,9 @@ impl SchedulerEngine {
             .with("rng_place", Val::U64(self.rng_place.draws()))
             .with("rng_run", Val::U64(self.rng_run.draws()))
             .with("rng_pred", Val::U64(self.rng_pred.draws()))
-            .with("breaker", breaker)
-            .with("breaker_failures", Val::U64(self.breaker_failures as u64))
             .with("max_queue_len", Val::U64(self.max_queue_len as u64))
             .with("rejected", Val::U64(self.replay.rejected))
-            .with("pending_submits", Val::U64(self.pending_submits as u64))
+            .with("pulled", Val::U64(self.pulled as u64))
             .with("queue_dirty", Val::U64(u64::from(self.queue_dirty)))
             .with(
                 "policy",
@@ -2226,38 +2064,83 @@ impl SchedulerEngine {
         )
     }
 
-    /// Restores the engine to a snapshotted state. [`prepare`](Self::prepare)
-    /// must have run first with the *identical* requests — the snapshot
-    /// references jobs by id and validates the configuration fingerprint;
-    /// a mismatched seed, config, topology or job count is rejected with
-    /// [`SnapshotError::ConfigMismatch`]. On any error the engine is left
-    /// untouched (parse first, commit last).
+    /// Restores the engine to a snapshotted state. The engine must be
+    /// freshly prepared over the *same* requests: resume pulls the
+    /// snapshot's arrivals from that source again to rebuild the jobs it
+    /// references by id. A mismatched seed, config, topology or request
+    /// count, or a source that ends before the snapshot's arrival count,
+    /// is rejected with [`SnapshotError::ConfigMismatch`]; a snapshot that
+    /// names a job the source did not yield, with
+    /// [`SnapshotError::Schema`]. On any error the engine is left
+    /// untouched: parse first, commit last, and requests pulled for the
+    /// lookup go back in front of the source.
     pub fn resume(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         assert!(
-            self.prepared,
+            self.source.is_some(),
             "resume before prepare: call prepare(requests) first"
         );
-        assert!(
-            self.source.is_none(),
-            "resume into a streaming engine is unsupported"
+        assert_eq!(
+            self.events.stats().delivered,
+            0,
+            "resume into an engine that has already stepped"
         );
         let env = snapshot::decode(bytes)?;
         if env.master_seed != self.master_seed || env.fingerprint != self.fingerprint() {
             return Err(SnapshotError::ConfigMismatch);
         }
-        let b = &env.body;
+        let pulled = env.body.u("pulled")? as usize;
+        if pulled < self.pulled {
+            return Err(SnapshotError::ConfigMismatch);
+        }
+        // The prepared engine holds the first arrival as its lookahead;
+        // pull the rest of the snapshot's arrivals after it.
+        let mut jobs: Vec<Job> = self.next_stream_job.iter().cloned().collect();
+        let mut taken = Vec::new();
+        while self.pulled + taken.len() < pulled {
+            let source = self.source.as_mut().expect("checked above");
+            let Some(req) = source.next_request() else {
+                self.unpull(taken);
+                return Err(SnapshotError::ConfigMismatch);
+            };
+            jobs.push(self.job_of_request(&req));
+            taken.push(req);
+        }
         let now = SimTime::from_micros(env.sim_clock_us);
+        let restored = self.restore(&env.body, now, &jobs, pulled);
+        if restored.is_err() {
+            self.unpull(taken);
+        }
+        restored
+    }
 
-        let by_id: HashMap<JobId, usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.id, i))
-            .collect();
+    /// Puts `taken` back in front of the source, so a failed resume leaves
+    /// the stream where `prepare` left it.
+    fn unpull(&mut self, taken: Vec<JobRequest>) {
+        if taken.is_empty() {
+            return;
+        }
+        let mut rest = self.source.take().expect("prepared");
+        self.source = Some(Box::new(IterSource::new(
+            taken
+                .into_iter()
+                .chain(std::iter::from_fn(move || rest.next_request())),
+        )));
+    }
+
+    /// Restores the body `b` of a snapshot taken at `now` after `pulled`
+    /// arrivals, whose jobs are `jobs` in arrival order.
+    fn restore(
+        &mut self,
+        b: &Val,
+        now: SimTime,
+        jobs: &[Job],
+        pulled: usize,
+    ) -> Result<(), SnapshotError> {
+        let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
         let job_of = |id: u64| -> Result<Job, SnapshotError> {
             by_id
                 .get(&JobId(id))
-                .map(|&i| self.jobs[i].clone())
+                .map(|&j| j.clone())
                 .ok_or_else(|| SnapshotError::Schema(format!("unknown job id {id}")))
         };
         let nodes_of = |v: &Val| -> Result<Vec<NodeId>, SnapshotError> {
@@ -2383,6 +2266,20 @@ impl SchedulerEngine {
             .iter()
             .map(|d| d.as_u64())
             .collect::<Result<_, _>>()?;
+        // A pending `Submit` is the last pulled arrival's; it becomes the
+        // lookahead again.
+        let next_stream_job = match entries.iter().find_map(|e| match e.event {
+            Ev::Submit(k) => Some(k),
+            _ => None,
+        }) {
+            None => None,
+            Some(k) if k + 1 == pulled => jobs.last().cloned(),
+            Some(k) => {
+                return Err(SnapshotError::Schema(format!(
+                    "pending submit {k} after {pulled} arrivals"
+                )));
+            }
+        };
         let events = EventQueue::restore(
             entries,
             dead,
@@ -2393,16 +2290,6 @@ impl SchedulerEngine {
             ev.u("peak_heap")? as usize,
             ev.u("compactions")?,
         );
-
-        let bl = b.l("breaker")?;
-        let breaker = match (item(bl, 0)?.as_u64()?, item(bl, 1)?.as_u64()?) {
-            (0, _) => BreakerState::Closed,
-            (1, until) => BreakerState::Open(SimTime::from_micros(until)),
-            (2, _) => BreakerState::HalfOpen,
-            (other, _) => {
-                return Err(SnapshotError::Schema(format!("bad breaker state {other}")));
-            }
-        };
 
         // The R1/R2 policy is dynamic state (see `fingerprint`): decode
         // the snapshot's specs — an unknown tag is a typed schema error,
@@ -2482,10 +2369,9 @@ impl SchedulerEngine {
         self.failed = failed;
         self.replay = replay;
         self.events = events;
-        self.breaker = breaker;
-        self.breaker_failures = b.u("breaker_failures")? as u32;
         self.max_queue_len = b.u("max_queue_len")? as usize;
-        self.pending_submits = b.u("pending_submits")? as usize;
+        self.next_stream_job = next_stream_job;
+        self.pulled = pulled;
         self.queue_dirty = b.u("queue_dirty")? != 0;
         self.config.r1 = r1;
         self.config.r2 = r2;
@@ -2500,11 +2386,6 @@ impl SchedulerEngine {
     // ------------------------------------------------------------------
     // Invariant auditing
     // ------------------------------------------------------------------
-
-    /// Current circuit-breaker state (for tests and reports).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker
-    }
 
     /// Runs the full invariant catalog now, applying the configured
     /// [`AuditPolicy`] to anything found. Called automatically after every
@@ -2617,21 +2498,20 @@ impl SchedulerEngine {
                 ));
             }
         }
-        if self.request_count > 0 {
-            // Holds in both preparation modes: streaming counts requests as
-            // they are pulled, and a pulled request is always the pending
-            // lookahead, queued, running, or settled.
-            let total = self.pending_submits
+        if self.pulled > 0 {
+            // A pulled request is always the pending lookahead, queued,
+            // running, or settled.
+            let total = usize::from(self.next_stream_job.is_some())
                 + self.queue.len()
                 + self.running.len()
                 + self.replay.settled() as usize;
-            if total != self.request_count {
+            if total != self.pulled {
                 out.push(Violation::new(
                     Invariant::JobConservation,
                     total as u64,
                     format!(
                         "{total} jobs across all states != {} submitted",
-                        self.request_count
+                        self.pulled
                     ),
                 ));
             }
@@ -3183,30 +3063,6 @@ mod tests {
         assert!(result.completed.is_empty() && result.failed.is_empty());
         assert_eq!(result.replay.settled(), 0);
         assert_eq!(result.makespan(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn streaming_run_matches_materialized() {
-        let reqs = requests(8, 4);
-        let mut mat = engine(Box::new(NeverVaries));
-        let ra = mat.run(&reqs);
-        let mut stream = engine(Box::new(NeverVaries));
-        let rb = stream.run_streaming(Box::new(crate::source::SliceSource::new(&reqs)));
-        assert_eq!(
-            ra.events, rb.events,
-            "streaming and materialized seeding must deliver identical event logs"
-        );
-        let key = |r: &ScheduleResult| {
-            let mut k: Vec<_> = r
-                .completed
-                .iter()
-                .map(|c| (c.job.id, c.start_at, c.end_at))
-                .collect();
-            k.sort();
-            k
-        };
-        assert_eq!(key(&ra), key(&rb));
-        assert_eq!(ra.replay, rb.replay);
     }
 
     #[test]
@@ -4027,6 +3883,78 @@ mod tests {
         fresh().resume(&bytes).expect("pristine snapshot restores");
     }
 
+    /// Resume pulls the snapshot's arrivals from the source the engine was
+    /// prepared with. A request list of another length, a job id the
+    /// snapshot does not know, or a hint-less stream that ends before the
+    /// snapshot's arrival count is a typed error, and the engine still runs
+    /// its own requests as if resume had never been called.
+    #[test]
+    fn resume_rejects_other_requests_and_leaves_the_engine_untouched() {
+        fn slice(reqs: &[JobRequest]) -> Box<dyn JobSource> {
+            Box::new(SliceSource::new(reqs))
+        }
+        fn unhinted(reqs: &[JobRequest]) -> Box<dyn JobSource> {
+            let owned: Vec<JobRequest> = reqs.to_vec();
+            Box::new(IterSource::new(owned.into_iter()))
+        }
+        fn prepared(source: Box<dyn JobSource>) -> SchedulerEngine {
+            let mut eng = engine(Box::new(NeverVaries));
+            eng.prepare_streaming(source);
+            eng
+        }
+        fn stepped_to(mut eng: SchedulerEngine, until: SimTime) -> SchedulerEngine {
+            while eng.now() < until && eng.step().is_some() {}
+            eng
+        }
+        // One arrival a minute; the cut at 150 s has pulled four, the
+        // fourth still pending.
+        let reqs: Vec<JobRequest> = (0..8)
+            .map(|i| request(i, AppId::Amg, 4, i * 60_000_000))
+            .collect();
+        let cut = SimTime::from_secs(150);
+        let sliced = stepped_to(prepared(slice(&reqs)), cut).snapshot();
+        let body = snapshot::decode(&sliced).unwrap().body;
+        assert_eq!(body.u("pulled").unwrap(), 4);
+        let streamed = stepped_to(prepared(unhinted(&reqs)), cut).snapshot();
+
+        let shorter = reqs[..7].to_vec();
+        let mut longer = reqs.clone();
+        longer.push(request(8, AppId::Amg, 4, 480_000_000));
+        // The second arrival runs at the cut; resume pulls it itself.
+        let mut renamed = reqs.clone();
+        renamed[1].id = 99;
+        let early_end = reqs[..3].to_vec();
+
+        type Source = fn(&[JobRequest]) -> Box<dyn JobSource>;
+        let cases: [(&str, &[u8], Vec<JobRequest>, Source); 4] = [
+            ("one shorter", &sliced, shorter, slice),
+            ("one longer", &sliced, longer, slice),
+            ("changed id", &sliced, renamed, slice),
+            ("stream ends early", &streamed, early_end, unhinted),
+        ];
+        for (label, bytes, reqs, source) in cases {
+            let mut eng = prepared(source(&reqs));
+            let err = eng.resume(bytes).expect_err(label);
+            match label {
+                "changed id" => assert!(
+                    matches!(&err, SnapshotError::Schema(m) if m.contains("unknown job id 1")),
+                    "{label}: {err:?}"
+                ),
+                _ => assert!(
+                    matches!(err, SnapshotError::ConfigMismatch),
+                    "{label}: {err:?}"
+                ),
+            }
+            while eng.step().is_some() {}
+            let untouched = stepped_to(prepared(source(&reqs)), SimTime::MAX).finalize();
+            assert_eq!(
+                run_fingerprint(&eng.finalize()),
+                run_fingerprint(&untouched),
+                "{label}: a failed resume must leave the engine as prepared"
+            );
+        }
+    }
+
     /// A store body recorded on another machine (seed or node count)
     /// would synthesize another machine's counters: resume refuses it.
     #[test]
@@ -4250,185 +4178,6 @@ mod tests {
         eng.skip_table.insert(JobId(0), u32::MAX);
         let now = eng.now();
         eng.audit_now(now);
-    }
-
-    // ----- predictor circuit breaker ------------------------------------
-
-    #[test]
-    fn breaker_opens_after_consecutive_predictor_failures() {
-        let machine = Machine::new(MachineConfig::tiny(7));
-        let config = SchedulerConfig {
-            breaker: BreakerConfig {
-                threshold: 2,
-                cooldown: SimDuration::from_hours(5),
-            },
-            ..SchedulerConfig::default()
-        };
-        let mut eng =
-            SchedulerEngine::new(machine, config, Box::new(crate::predictor::AlwaysFails), 42);
-        let result = eng.run(&requests(6, 4));
-        assert_eq!(result.completed.len(), 6, "breaker must not lose jobs");
-        assert!(result.fallback_decisions >= 6, "every start falls back");
-        assert!(matches!(eng.breaker_state(), BreakerState::Open(_)));
-        assert_eq!(
-            result
-                .metrics
-                .gauge_by_name("sched.predictor_breaker_state"),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn breaker_recovers_through_half_open_probe() {
-        struct FailsThenCalm {
-            failures_left: u32,
-        }
-        impl VariabilityPredictor for FailsThenCalm {
-            fn predict(
-                &mut self,
-                _j: &Job,
-                _n: &[NodeId],
-                _c: &mut PredictorCtx<'_>,
-            ) -> Result<VariabilityClass, crate::predictor::PredictError> {
-                if self.failures_left > 0 {
-                    self.failures_left -= 1;
-                    Err(crate::predictor::PredictError::ModelFailure("flaky".into()))
-                } else {
-                    Ok(VariabilityClass::NoVariation)
-                }
-            }
-            fn name(&self) -> &str {
-                "fails-then-calm"
-            }
-        }
-        let machine = Machine::new(MachineConfig::tiny(7));
-        let config = SchedulerConfig {
-            breaker: BreakerConfig {
-                threshold: 2,
-                cooldown: SimDuration::from_secs(30),
-            },
-            ..SchedulerConfig::default()
-        };
-        let mut eng = SchedulerEngine::new(
-            machine,
-            config,
-            Box::new(FailsThenCalm { failures_left: 2 }),
-            42,
-        );
-        // 4-node jobs on 16 nodes: the first wave of starts trips the
-        // breaker; the second wave (one app runtime later, past the 30 s
-        // cooldown) probes half-open and closes it again.
-        let result = eng.run(&requests(8, 4));
-        assert_eq!(result.completed.len(), 8);
-        assert!(
-            matches!(eng.breaker_state(), BreakerState::Closed),
-            "probe success must close the breaker: {:?}",
-            eng.breaker_state()
-        );
-        assert_eq!(
-            result
-                .metrics
-                .gauge_by_name("sched.predictor_breaker_state"),
-            Some(0.0)
-        );
-        assert!(result.fallback_decisions >= 2, "open window falls back");
-        assert!(
-            result
-                .completed
-                .iter()
-                .any(|c| c.launch_prediction.is_some()),
-            "post-recovery starts consult the predictor again"
-        );
-    }
-
-    #[test]
-    fn telemetry_gap_does_not_trip_the_breaker() {
-        // Same near-permanent blackout as `blackout_degrades_rush_to_plain_easy`:
-        // every decision is a TelemetryGap fallback, which must count
-        // against neither the failure streak nor the breaker state.
-        let machine = Machine::new(MachineConfig::tiny(7));
-        let config = SchedulerConfig {
-            breaker: BreakerConfig {
-                threshold: 1,
-                cooldown: SimDuration::from_secs(30),
-            },
-            faults: FaultConfig {
-                seed: 3,
-                horizon: SimDuration::from_hours(2),
-                blackout_mtbf: Some(SimDuration::from_mins(1)),
-                blackout_duration: SimDuration::from_hours(2),
-                ..FaultConfig::default()
-            },
-            ..SchedulerConfig::default()
-        };
-        let mut eng = SchedulerEngine::new(machine, config, Box::new(NeverVaries), 42);
-        let reqs: Vec<JobRequest> = (0..4)
-            .map(|i| JobRequest {
-                id: i,
-                app: AppId::Amg,
-                nodes: 4,
-                submit_at: SimTime::from_mins(20) + SimDuration::from_secs(i),
-                scaling: ScalingMode::Reference,
-                user_est_secs: None,
-            })
-            .collect();
-        let result = eng.run(&reqs);
-        assert!(result.fallback_decisions >= 4);
-        assert!(
-            matches!(eng.breaker_state(), BreakerState::Closed),
-            "telemetry gaps are not model failures"
-        );
-    }
-
-    /// Regression (robustness satellite): the breaker's state is part of
-    /// the snapshot, so a resume while it is Open must come back Open with
-    /// the same deadline — not silently reset to Closed, which would let a
-    /// resumed run hammer a failing model mid-cooldown and diverge from
-    /// the uninterrupted timeline.
-    #[test]
-    fn breaker_open_state_survives_snapshot_resume() {
-        let config = SchedulerConfig {
-            breaker: BreakerConfig {
-                threshold: 2,
-                cooldown: SimDuration::from_hours(5),
-            },
-            ..SchedulerConfig::default()
-        };
-        let reqs = requests(6, 4);
-        let mut eng = SchedulerEngine::new(
-            Machine::new(MachineConfig::tiny(7)),
-            config,
-            Box::new(crate::predictor::AlwaysFails),
-            42,
-        );
-        eng.prepare(&reqs);
-        while !matches!(eng.breaker_state(), BreakerState::Open(_)) && eng.step().is_some() {}
-        let open = eng.breaker_state();
-        assert!(
-            matches!(open, BreakerState::Open(_)),
-            "fixture must trip the breaker mid-run"
-        );
-        assert!(!eng.is_done(), "the snapshot must land mid-run");
-        let bytes = eng.snapshot();
-        drop(eng);
-
-        let mut fresh = SchedulerEngine::new(
-            Machine::new(MachineConfig::tiny(7)),
-            config,
-            Box::new(crate::predictor::AlwaysFails),
-            42,
-        );
-        fresh.prepare(&reqs);
-        fresh.resume(&bytes).expect("snapshot must restore");
-        assert_eq!(
-            fresh.breaker_state(),
-            open,
-            "resume while Open must not reset the breaker"
-        );
-        // The resumed run still completes, with the open window falling back.
-        while fresh.step().is_some() {}
-        let result = fresh.finalize();
-        assert_eq!(result.completed.len(), 6);
     }
 
     // ----- online predictor service -------------------------------------

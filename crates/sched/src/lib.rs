@@ -39,11 +39,9 @@
 //!   quantities of Figs. 5–11).
 //! * [`trace`] — queue/busy series, the event-log codec, and a text Gantt
 //!   renderer.
-//! * [`shard`] — pod-sharded campaign execution: full-machine runs split
-//!   into independent per-pod engines, serial or one-thread-per-shard.
-//! * [`source`] — streaming job sources: the engine can pull arrivals one
-//!   at a time (with an out-of-order tolerance window) instead of holding
-//!   the whole trace in memory.
+//! * [`source`] — job sources: every run pulls its arrivals one at a time
+//!   from one (an in-memory slice, an iterator, or an out-of-order
+//!   tolerance window over a trace) instead of holding a job table.
 //! * [`difftest`] — the differential equivalence harness: runs one
 //!   scenario through two engine configurations and reports the first
 //!   diverging log record.
@@ -64,16 +62,13 @@ pub mod predictor;
 pub mod profile;
 pub mod retry;
 pub mod service;
-pub mod shard;
 pub mod source;
 pub mod trace;
 
 pub use audit::{AuditConfig, AuditPolicy, Invariant, Violation};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, ChaosScenario, Scheme};
 pub use difftest::{diff_results, DiffOutcome, DiffScenario, Divergence};
-pub use engine::{
-    BreakerConfig, BreakerState, ReplayStats, ScheduleResult, SchedulerConfig, SchedulerEngine,
-};
+pub use engine::{ReplayStats, ScheduleResult, SchedulerConfig, SchedulerEngine};
 pub use env::{
     head_to_head, train_policy, Action, EvalScheme, Observation, PolicyEvalReport, SchedEnv,
     SchedEnvConfig, TrainConfig,
@@ -86,9 +81,6 @@ pub use retry::RetryPolicy;
 pub use service::{
     DriftDetector, LabeledSample, LoadedModel, OnlineModelHost, PredictorService, ServiceConfig,
     ServiceEvent, ServicePhase,
-};
-pub use shard::{
-    shard_seed, CampaignResult, CampaignSummary, ShardExecution, ShardSpec, ShardedCampaign,
 };
 pub use source::{IterSource, JobSource, ReorderWindow, SliceSource};
 pub use trace::ScheduleTrace;

@@ -104,8 +104,8 @@ pub struct PredictorCtx<'a> {
 
 /// A variability oracle consulted in `Start()`.
 ///
-/// `Send` so whole engines can move to worker threads (the pod-sharded
-/// campaigns run one shard per thread).
+/// `Send` so an engine, which owns its predictor, can move to another
+/// thread.
 pub trait VariabilityPredictor: Send {
     /// Predicts the variability class of launching `job` on `nodes` now.
     ///

@@ -1,15 +1,17 @@
-//! Streaming job sources.
+//! Job sources: the engine's one arrival path.
 //!
 //! A [`JobSource`] hands the engine one arrival-ordered [`JobRequest`] at a
 //! time. The engine keeps a single-request lookahead (mirroring its chained
-//! `Submit(k)` events), so the event heap and job table stay bounded by
-//! *live* jobs — a million-job archive trace replays in the memory footprint
-//! of its busiest instant, not its length.
+//! `Submit(k)` events), so the event heap and the live jobs stay bounded by
+//! the busiest instant — a million-job archive trace replays in the memory
+//! footprint of that instant, not of its length.
 //!
 //! The contract: requests come back in nondecreasing `submit_at` order with
-//! unique ids. [`SliceSource`] adapts an in-memory slice (sorting exactly
-//! the way `SchedulerEngine::prepare` sorts, so the two paths see identical
-//! arrival order); [`IterSource`] lifts any already-ordered iterator;
+//! unique ids, and a source built from the same inputs yields the same
+//! sequence again (resume re-pulls a snapshot's arrivals).
+//! [`SliceSource`] adapts an in-memory slice and is what
+//! `SchedulerEngine::prepare` runs on; [`IterSource`] lifts any
+//! already-ordered iterator;
 //! [`ReorderWindow`] repairs mild disorder — real traces are numbered by
 //! *completion* records, so submissions drift a little — by buffering a
 //! bounded time window and clamping stragglers that fall outside it.
@@ -22,25 +24,24 @@ use std::collections::BinaryHeap;
 
 /// A stream of arrival-ordered job requests.
 ///
-/// `Send` so sharded campaigns can move engines (and their sources) across
-/// worker threads.
+/// `Send` so an engine, which owns its source, can move to another thread.
 pub trait JobSource: Send {
     /// The next request in nondecreasing `submit_at` order, or `None` when
     /// the stream is exhausted.
     fn next_request(&mut self) -> Option<JobRequest>;
 
-    /// Total requests this source will yield, when cheaply knowable.
-    /// Progress reporting only — never load-bearing.
+    /// Total requests this source will yield, when cheaply knowable. The
+    /// engine reports it as progress and puts it in its snapshot
+    /// fingerprint, so a resume over a request list of another length is
+    /// rejected.
     fn total_hint(&self) -> Option<u64> {
         None
     }
 }
 
-/// A [`JobSource`] over a materialized request slice. Requests are cloned
-/// once and stable-sorted by submission time — the identical
-/// `(submit_at, slice position)` arrival order `SchedulerEngine::prepare`
-/// derives, which is what makes streaming-vs-materialized byte equality
-/// testable.
+/// A [`JobSource`] over a request slice. Requests are cloned once and
+/// stable-sorted by submission time, so arrivals come in
+/// `(submit_at, slice position)` order.
 pub struct SliceSource {
     requests: std::vec::IntoIter<JobRequest>,
     total: u64,
@@ -208,9 +209,7 @@ where
     }
 }
 
-/// Collects a source into a materialized request vector — the bridge from
-/// any streaming source back to `SchedulerEngine::prepare` (used by the
-/// prefix-equality verification in replay smoke tests).
+/// Collects up to `limit` requests of a source into a vector.
 pub fn collect_source(mut source: impl JobSource, limit: usize) -> Vec<JobRequest> {
     let mut out = Vec::new();
     while out.len() < limit {

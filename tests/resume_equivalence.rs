@@ -27,9 +27,9 @@ use rush_repro::core::checkpoint::CheckpointManager;
 use rush_repro::obs::records_to_jsonl;
 use rush_repro::sched::difftest::diff_results;
 use rush_repro::sched::engine::{SchedulerConfig, SchedulerEngine};
-use rush_repro::sched::predictor::{CongestionOracle, VariabilityPredictor};
-use rush_repro::sched::shard::{shard_seed, ShardExecution, ShardSpec, ShardedCampaign};
+use rush_repro::sched::predictor::CongestionOracle;
 use rush_repro::simkit::fault::FaultConfig;
+use rush_repro::simkit::rng::RngStreams;
 use rush_repro::simkit::snapshot::SnapshotError;
 use rush_repro::simkit::time::{SimDuration, SimTime};
 use rush_repro::workloads::apps::AppId;
@@ -177,21 +177,38 @@ fn resumed_process_trace_is_byte_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ----- sharded full-Quartz scale ----------------------------------------
+// ----- full-Quartz scale -------------------------------------------------
 
-fn oracle() -> Box<dyn VariabilityPredictor> {
-    Box::new(CongestionOracle::default())
+/// One 498-node pod of the full-Quartz machine: its engine and job stream.
+struct Pod {
+    name: String,
+    seed: u64,
+    machine: MachineConfig,
+    sched: SchedulerConfig,
+    requests: Vec<JobRequest>,
 }
 
-/// The full-Quartz campaign as six pod shards of 498 nodes (6 × 498 =
-/// 2988, the machine's compute partition), each with its own seeded fault
-/// timeline and job stream. Sampling is pinned coarse, as in
-/// [`build_engine`], so the trace comparison dominates the runtime instead
-/// of counter synthesis.
-fn quartz_shards() -> Vec<ShardSpec> {
+impl Pod {
+    fn build_engine(&self) -> SchedulerEngine {
+        SchedulerEngine::new(
+            Machine::new(self.machine.clone()),
+            self.sched,
+            Box::new(CongestionOracle::default()),
+            self.seed,
+        )
+    }
+}
+
+/// The full-Quartz campaign as six pods of 498 nodes (6 × 498 = 2988, the
+/// machine's compute partition), each with its own seeded fault timeline
+/// and job stream. With core-only background congestion and every job
+/// inside one pod, the pods never interact, so each runs as its own
+/// engine. Sampling is pinned coarse, as in [`build_engine`], so the trace
+/// comparison dominates the runtime instead of counter synthesis.
+fn quartz_pods() -> Vec<Pod> {
     (0..6)
         .map(|i| {
-            let seed = shard_seed(0x2988, i);
+            let seed = RngStreams::new(0x2988).stream_seed(&format!("shard/{i}"));
             let spec = WorkloadSpec {
                 node_counts: vec![8, 16, 32],
                 submit_window: SimDuration::from_mins(10),
@@ -201,7 +218,7 @@ fn quartz_shards() -> Vec<ShardSpec> {
                 &spec,
                 &mut rand::rngs::SmallRng::seed_from_u64(seed ^ 0x10B5),
             );
-            ShardSpec {
+            Pod {
                 name: format!("pod{i}"),
                 seed,
                 machine: MachineConfig {
@@ -225,56 +242,50 @@ fn quartz_shards() -> Vec<ShardSpec> {
                     ..SchedulerConfig::default()
                 },
                 requests,
-                predictor: oracle,
             }
         })
         .collect()
 }
 
-/// Checkpoint/resume at full-Quartz scale: every shard of the 2988-node
+/// Checkpoint/resume at full-Quartz scale: every pod of the 2988-node
 /// campaign, snapshotted at its own midpoint and resumed into a fresh
 /// engine, must produce a result byte-identical (encoded trace, outcome
-/// key, scalars) to its uninterrupted baseline from the parallel campaign
-/// run.
+/// key, scalars) to its uninterrupted baseline.
 #[test]
 fn sharded_full_quartz_checkpoint_resumes_byte_identical() {
-    let campaign = ShardedCampaign::new(quartz_shards());
-    let baseline = campaign.run(ShardExecution::Parallel);
-    assert_eq!(
-        baseline.summary.completed + baseline.summary.failed,
-        6 * 24,
-        "every shard's jobs must be accounted for"
-    );
-
-    for (spec, base) in campaign.specs().iter().zip(&baseline.shards) {
+    let mut settled = 0;
+    for pod in quartz_pods() {
+        let base = pod.build_engine().run(&pod.requests);
+        settled += base.completed.len() + base.failed.len();
         let cut =
             SimTime::from_micros((base.first_submit.as_micros() + base.last_end.as_micros()) / 2);
 
-        let mut eng = spec.build_engine();
-        eng.prepare(&spec.requests);
+        let mut eng = pod.build_engine();
+        eng.prepare(&pod.requests);
         while eng.now() < cut && eng.step().is_some() {}
         assert!(
             !eng.is_done(),
             "{}: the midpoint must land mid-run",
-            spec.name
+            pod.name
         );
         let snapshot = eng.snapshot();
         drop(eng);
 
-        let mut resumed = spec.build_engine();
-        resumed.prepare(&spec.requests);
+        let mut resumed = pod.build_engine();
+        resumed.prepare(&pod.requests);
         resumed.resume(&snapshot).expect("snapshot must restore");
         while resumed.step().is_some() {}
         let result = resumed.finalize();
 
-        let diff = diff_results(base, &result);
+        let diff = diff_results(&base, &result);
         assert!(
             diff.is_identical(),
             "{}: resumed run diverged from baseline: {:?}",
-            spec.name,
+            pod.name,
             diff
         );
     }
+    assert_eq!(settled, 6 * 24, "every pod's jobs must be accounted for");
 }
 
 /// A bit-flipped newest checkpoint is detected (CRC) and recovery falls

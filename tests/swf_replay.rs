@@ -1,15 +1,17 @@
 //! End-to-end replay of the committed PWA-style excerpt: dirty-trace
 //! ingest → request conversion → reorder window → streaming engine, with
 //! the oversized job rejected at submit time instead of panicking the
-//! seed, and the streaming trajectory byte-identical to a materialized
-//! run over the same requests.
+//! seed, the trajectory independent of the source type, and a streamed run
+//! resuming from its snapshots.
 
 use rush_repro::cluster::machine::{Machine, MachineConfig};
+use rush_repro::sched::difftest::outcome_digest;
 use rush_repro::sched::engine::{ScheduleResult, SchedulerConfig, SchedulerEngine};
 use rush_repro::sched::job::EstimateSource;
 use rush_repro::sched::predictor::NeverVaries;
 use rush_repro::sched::source::{IterSource, JobSource, ReorderWindow};
-use rush_repro::simkit::time::SimDuration;
+use rush_repro::simkit::snapshot;
+use rush_repro::simkit::time::{SimDuration, SimTime};
 use rush_repro::workloads::jobgen::JobRequest;
 use rush_repro::workloads::swf;
 
@@ -86,6 +88,48 @@ fn streaming_replay_matches_materialized_on_the_excerpt() {
     let streamed = engine(EstimateSource::Factor)
         .run_streaming(Box::new(IterSource::new(requests.into_iter())));
     assert_same_outcome(&materialized, &streamed);
+}
+
+/// The excerpt as `rush replay` streams it: through the reorder window,
+/// never materialized.
+fn excerpt_source() -> Box<dyn JobSource> {
+    let (jobs, _) = swf::parse_lenient(EXCERPT);
+    Box::new(ReorderWindow::new(
+        swf::request_stream(jobs.into_iter(), 36, 4096),
+        SimDuration::from_secs(120),
+    ))
+}
+
+/// A streamed run snapshotted while arrivals are still pending, and again
+/// after the stream is spent, resumes from either snapshot into a fresh
+/// engine over a fresh source to the uninterrupted run's outcome.
+#[test]
+fn streamed_excerpt_resumes_to_the_uninterrupted_outcome() {
+    let expected = outcome_digest(&engine(EstimateSource::Factor).run_streaming(excerpt_source()));
+    let last_submit = excerpt_requests().last().unwrap().submit_at;
+    for (cut, pending) in [
+        (SimTime::from_secs(500), true),
+        (last_submit + SimDuration::from_secs(1), false),
+    ] {
+        let mut victim = engine(EstimateSource::Factor);
+        victim.prepare_streaming(excerpt_source());
+        while victim.now() < cut && victim.step().is_some() {}
+        assert!(!victim.is_done(), "the cut at {cut} must land mid-run");
+        let bytes = victim.snapshot();
+        drop(victim);
+        let pulled = snapshot::decode(&bytes).unwrap().body.u("pulled").unwrap();
+        assert_eq!(pulled < 8, pending, "arrivals pulled by {cut}: {pulled}");
+
+        let mut resumed = engine(EstimateSource::Factor);
+        resumed.prepare_streaming(excerpt_source());
+        resumed.resume(&bytes).expect("snapshot must restore");
+        while resumed.step().is_some() {}
+        assert_eq!(
+            outcome_digest(&resumed.finalize()),
+            expected,
+            "cut at {cut}"
+        );
+    }
 }
 
 #[test]
