@@ -39,6 +39,7 @@ use rush_core::config::CampaignConfig;
 use rush_core::persist::{decode_campaign, encode_campaign};
 use rush_simkit::snapshot::fnv1a;
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -62,7 +63,7 @@ pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
 /// Identity of the running build: FNV-1a over the bytes of the running
 /// executable, computed once. `None` when the executable cannot be read;
 /// such a build neither trusts nor writes cache files.
-fn build_id() -> Option<u64> {
+pub(crate) fn build_id() -> Option<u64> {
     static ID: OnceLock<Option<u64>> = OnceLock::new();
     *ID.get_or_init(|| {
         let exe = std::env::current_exe().ok()?;
@@ -71,8 +72,20 @@ fn build_id() -> Option<u64> {
 }
 
 /// The first line of a cache file: the build that wrote it.
-fn build_line(build: u64) -> String {
+pub(crate) fn build_line(build: u64) -> String {
     format!("build {build:016x}")
+}
+
+/// Whether `path` is a cache file this build would load: its first line
+/// is this build's stamp. A missing file, or one another build wrote, is
+/// recollected on the next request, so it must not let `run_all` skip the
+/// campaign.
+pub fn written_by_this_build(path: &Path) -> bool {
+    let (Some(build), Ok(file)) = (build_id(), fs::File::open(path)) else {
+        return false;
+    };
+    let mut stamp = String::new();
+    BufReader::new(file).read_line(&mut stamp).is_ok() && stamp.trim_end() == build_line(build)
 }
 
 /// The cache file path for `config` under `dir`.
@@ -207,6 +220,21 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(&build_line(build_id().unwrap())));
         assert_eq!(try_load(&path, &config), Some(fresh));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_this_builds_stamp_counts_as_written_by_this_build() {
+        let dir = std::env::temp_dir().join(format!("rush-cache-stamp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.txt");
+        assert!(!written_by_this_build(&path), "missing file");
+        let build = build_id().unwrap();
+        fs::write(&path, format!("{}\n{{}}", build_line(build ^ 1))).unwrap();
+        assert!(!written_by_this_build(&path), "another build's stamp");
+        fs::write(&path, format!("{}\n{{}}", build_line(build))).unwrap();
+        assert!(written_by_this_build(&path));
         fs::remove_dir_all(&dir).ok();
     }
 

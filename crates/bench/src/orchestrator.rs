@@ -66,8 +66,10 @@ pub fn build_dag(ctx: &Arc<ArtifactCtx>) -> Dag {
                 Ok(())
             })
             // Skipping is only sound while the disk cache the dependents
-            // will lazily load from still exists.
-            .with_check(move || cache_file.exists()),
+            // will lazily load from exists and this build would load it: a
+            // file another build wrote is recollected, so the campaign and
+            // everything downstream of it must run again.
+            .with_check(move || cache::written_by_this_build(&cache_file)),
         );
     }
     let defaults = ExperimentSettings::default();
@@ -129,6 +131,37 @@ mod tests {
         for def in artifacts::ALL {
             assert!(dag.index_of(def.name).is_some(), "missing {}", def.name);
         }
+    }
+
+    /// Regression: after a rebuild, `run_all` without `--force` skipped
+    /// the campaign (and everything downstream) because a cache file
+    /// existed, though this build would not load it.
+    #[test]
+    fn campaign_cached_by_another_build_is_not_skippable() {
+        let dir = std::env::temp_dir().join(format!("rush-orch-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = Arc::new(ArtifactCtx::with_cache_dir(
+            HarnessArgs::default(),
+            dir.clone(),
+        ));
+        let dag = build_dag(&ctx);
+        let node = &dag.nodes()[dag.index_of(artifacts::CAMPAIGN_NODE).unwrap()];
+        let check = node
+            .check
+            .as_ref()
+            .expect("the campaign node checks its cache");
+        assert!(!check(), "no cache file yet");
+        let path = cache::cache_path(&dir, &ctx.args().campaign_config());
+        std::fs::create_dir_all(&dir).unwrap();
+        let build = cache::build_id().unwrap();
+        std::fs::write(&path, format!("{}\n", cache::build_line(build ^ 1))).unwrap();
+        assert!(
+            !check(),
+            "a file from another build must not be skipped over"
+        );
+        std::fs::write(&path, format!("{}\n", cache::build_line(build))).unwrap();
+        assert!(check(), "this build's file lets the node skip");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! state jobs experience: network congestion over a node set, filesystem
 //! saturation, OS-noise draws, and what each node can observe
 //! ([`NodeObservation`], the input to counter synthesis in
-//! [`crate::counters`]).
+//! [`crate::counters`]). Congestion and observations are reads of the
+//! network's dense link table ([`crate::network`]); each registered load
+//! keeps the indices of the links its allocation traverses.
 //! Schedulers and workload models register the load of running jobs as
 //! sources; the experiment noise job and the background regime process are
 //! managed internally.
@@ -16,7 +18,7 @@ use crate::network::{
     traversed_links, BackgroundScope, NetworkState, TrafficPattern, TrafficSource,
 };
 use crate::noise::{NoiseWalk, OsNoise, RegimeOverride, RegimeProcess};
-use crate::topology::{FatTree, FatTreeConfig, LinkId, NodeId};
+use crate::topology::{FatTree, FatTreeConfig, NodeId};
 use rush_obs::MetricsRegistry;
 use rush_simkit::rng::{CountedRng, RngStreams};
 use rush_simkit::snapshot::{SnapshotError, Val};
@@ -207,6 +209,8 @@ pub struct HealthStats {
 struct RegisteredLoad {
     nodes: Vec<NodeId>,
     intensity: WorkloadIntensity,
+    /// [`traversed_links`] of `nodes`, derived once at registration.
+    links: Vec<u32>,
 }
 
 /// Configuration of the experiment noise job.
@@ -215,34 +219,6 @@ struct NoiseJob {
     nodes: Vec<NodeId>,
     max_gbps: f64,
     walk: NoiseWalk,
-}
-
-/// Cached congestion for one traffic source's fixed allocation.
-///
-/// The link set a node allocation traverses depends only on the (static)
-/// topology, so it is computed once per allocation; the congestion *value*
-/// is revalidated against [`NetworkState::version`], making repeated
-/// queries between network changes O(1) instead of O(nodes).
-#[derive(Debug, Clone)]
-struct CongestionCacheEntry {
-    links: Vec<LinkId>,
-    valid_at: Option<u64>,
-    value: f64,
-}
-
-/// One full-machine observation sweep in SoA layout, revalidated against
-/// [`NetworkState::version`]: per-node access loads, per-edge-switch uplink
-/// utilizations, per-pod upper-fabric utilizations. Between network changes
-/// every [`Machine::observe_swept`] call is then three array reads instead
-/// of three link-map walks. That pays off for a sampling round that
-/// observes every node; a caller observing a few nodes while the network
-/// keeps changing should use [`Machine::observe`] instead.
-#[derive(Debug, Clone, Default)]
-struct ObsSweep {
-    valid_at: Option<u64>,
-    access: Vec<f64>,
-    edge: Vec<f64>,
-    pod: Vec<f64>,
 }
 
 /// The simulated machine.
@@ -275,9 +251,6 @@ pub struct Machine {
     /// O(loads) scan into an O(owners-of-node) lookup (the scheduler's node
     /// allocations are exclusive, so that is at most one).
     node_loads: Vec<Vec<SourceId>>,
-    congestion_cache: HashMap<SourceId, CongestionCacheEntry>,
-    /// Full-machine observation sweep behind [`Machine::observe_swept`].
-    obs_sweep: ObsSweep,
     health: Vec<NodeHealth>,
     health_stats: HealthStats,
     /// Per-node straggler speed factor in milli-units (1000 = nominal).
@@ -313,8 +286,6 @@ impl Machine {
             noise_job: None,
             loads: HashMap::new(),
             node_loads: vec![Vec::new(); tree_nodes as usize],
-            congestion_cache: HashMap::new(),
-            obs_sweep: ObsSweep::default(),
             health: vec![NodeHealth::Up; tree_nodes as usize],
             health_stats: HealthStats::default(),
             node_speed_milli: vec![1000; tree_nodes as usize],
@@ -443,10 +414,15 @@ impl Machine {
                 metadata_kops: intensity.io * s.meta_kops * n,
             },
         );
-        self.loads.insert(id, RegisteredLoad { nodes, intensity });
-        // The allocation behind `id` may have changed; its link set must be
-        // re-derived on the next cached query.
-        self.congestion_cache.remove(&id);
+        let links = traversed_links(&self.tree, &nodes);
+        self.loads.insert(
+            id,
+            RegisteredLoad {
+                nodes,
+                intensity,
+                links,
+            },
+        );
     }
 
     /// Removes a finished job's load; unknown ids are ignored.
@@ -455,7 +431,6 @@ impl Machine {
         self.net.remove_source(id.0);
         self.fs.remove_demand(id.0);
         self.loads.remove(&id);
-        self.congestion_cache.remove(&id);
     }
 
     /// Number of registered job loads (noise job excluded).
@@ -469,37 +444,18 @@ impl Machine {
         self.net.congestion(&self.tree, nodes)
     }
 
-    /// Congestion for source `id`'s fixed allocation `nodes`, memoized.
+    /// Congestion for registered load `id`: what [`Machine::congestion`]
+    /// returns for its allocation, read through the link list derived when
+    /// the load was registered.
     ///
-    /// Returns exactly what [`Machine::congestion`] would (both maximize
-    /// utilization over the same [`traversed_links`] set), but the link set
-    /// is derived once per allocation and the value is reused while the
-    /// network is unchanged ([`NetworkState::version`]). The entry is
-    /// invalidated when `id`'s own load is (re)registered or removed; other
-    /// sources' changes are caught by the version check. Callers must pass
-    /// the same `nodes` for a given `id` for as long as the load is
-    /// registered.
-    pub fn congestion_cached(&mut self, id: SourceId, nodes: &[NodeId]) -> f64 {
-        let version = self.net.version();
-        let tree = &self.tree;
-        let net = &mut self.net;
-        let entry = self
-            .congestion_cache
-            .entry(id)
-            .or_insert_with(|| CongestionCacheEntry {
-                links: traversed_links(tree, nodes),
-                valid_at: None,
-                value: 0.0,
-            });
-        if entry.valid_at != Some(version) {
-            let mut worst: f64 = 0.0;
-            for &link in &entry.links {
-                worst = worst.max(net.utilization(tree, link));
-            }
-            entry.value = worst;
-            entry.valid_at = Some(version);
-        }
-        entry.value
+    /// # Panics
+    /// Panics if no load is registered under `id`.
+    pub fn congestion_cached(&mut self, id: SourceId) -> f64 {
+        let load = self
+            .loads
+            .get(&id)
+            .expect("congestion of an unregistered load");
+        self.net.congestion_over(&self.tree, &load.links)
     }
 
     /// Filesystem saturation (demand / capacity).
@@ -513,34 +469,11 @@ impl Machine {
     }
 
     /// Assembles what `node` can observe right now; input to counter
-    /// synthesis. Walks the node's links directly, which suits callers that
-    /// observe a few nodes at a time.
+    /// synthesis. The network view is three reads of the link table.
     pub fn observe(&mut self, node: NodeId) -> NodeObservation {
-        let network = (
-            self.net.node_access_load(&self.tree, node),
-            self.net.edge_uplink_util(&self.tree, node),
-            self.net.upper_fabric_util(&self.tree, node),
-        );
-        self.observation(node, network)
-    }
-
-    /// Bit-identical to [`Machine::observe`], but reads the network view
-    /// from one full-machine sweep (every node's access load, every edge
-    /// switch's and pod's utilization), rebuilt whenever
-    /// [`NetworkState::version`] moved. Meant for sampling rounds over
-    /// every node, where one sweep serves the whole round.
-    pub fn observe_swept(&mut self, node: NodeId) -> NodeObservation {
-        let network = self.swept_network_view(node);
-        self.observation(node, network)
-    }
-
-    /// Completes an observation from its `(access load, edge uplink util,
-    /// upper fabric util)` network view.
-    fn observation(
-        &self,
-        node: NodeId,
-        (xmit, edge_util, pod_util): (f64, f64, f64),
-    ) -> NodeObservation {
+        let xmit = self.net.node_access_load(&self.tree, node);
+        let edge_util = self.net.edge_uplink_util(&self.tree, node);
+        let pod_util = self.net.upper_fabric_util(&self.tree, node);
         // Attribute I/O demand to the node through whichever job runs on
         // it. Allocations are exclusive, so the owner map holds at most one
         // load per node and the sum has at most one term.
@@ -563,52 +496,6 @@ impl Machine {
             meta_kops: meta * delivered,
             fs_saturation: self.fs.saturation(),
         }
-    }
-
-    /// `(access load, edge uplink util, upper fabric util)` for `node` from
-    /// the [`ObsSweep`], refreshing the sweep if the network changed since
-    /// it was built. The sweep evaluates the same three queries
-    /// [`Machine::observe`] does — once per (version, node/switch/pod)
-    /// instead of per observation — so the returned values are
-    /// bit-identical.
-    fn swept_network_view(&mut self, node: NodeId) -> (f64, f64, f64) {
-        let version = self.net.version();
-        if self.obs_sweep.valid_at != Some(version) {
-            let node_count = self.tree.node_count();
-            let nodes_per_edge = self.tree.config().nodes_per_edge;
-            let edges = self.tree.edge_switch_count();
-            let pods = self.tree.config().pods;
-            self.obs_sweep.access.clear();
-            self.obs_sweep.edge.clear();
-            self.obs_sweep.pod.clear();
-            for n in 0..node_count {
-                let v = self.net.node_access_load(&self.tree, NodeId(n));
-                self.obs_sweep.access.push(v);
-            }
-            // All nodes under one edge switch (one pod) share the switch
-            // (fabric) utilization, so one representative node per switch
-            // (pod) covers them all.
-            for sw in 0..edges {
-                let first = NodeId(sw * nodes_per_edge);
-                let v = self.net.edge_uplink_util(&self.tree, first);
-                self.obs_sweep.edge.push(v);
-            }
-            for pod in 0..pods {
-                let first = self
-                    .tree
-                    .nodes_of_pod(pod)
-                    .next()
-                    .expect("pods are non-empty");
-                let v = self.net.upper_fabric_util(&self.tree, first);
-                self.obs_sweep.pod.push(v);
-            }
-            self.obs_sweep.valid_at = Some(version);
-        }
-        (
-            self.obs_sweep.access[node.0 as usize],
-            self.obs_sweep.edge[self.tree.edge_of(node).0 as usize],
-            self.obs_sweep.pod[self.tree.pod_of(node) as usize],
-        )
     }
 
     /// Current noise-job injection level in GB/s per node (0 when disabled).
@@ -724,9 +611,9 @@ impl Machine {
     /// Captures all dynamic machine state as a snapshot value.
     ///
     /// The network and filesystem rebuild their link/OST loads from the
-    /// current source set on every change, so only the *registered* loads
-    /// are captured; link-load maps and the congestion cache are derived
-    /// state and are reconstructed on restore.
+    /// current source set, so only the *registered* loads are captured; the
+    /// link table and each load's link list are derived state and are
+    /// reconstructed on restore.
     pub fn snapshot_state(&self) -> Val {
         let rng_val = |r: &CountedRng| {
             Val::map()
@@ -929,10 +816,6 @@ impl Machine {
         self.fs.set_background_gbps(
             self.regime.fs_fraction(self.now) * self.fs.config().aggregate_gbps,
         );
-        self.congestion_cache.clear();
-        // Derived caches must not survive a restore: the rebuilt network's
-        // version counter restarts, so a stale sweep could alias it.
-        self.obs_sweep.valid_at = None;
         Ok(())
     }
 
@@ -1092,14 +975,14 @@ mod tests {
                 }
                 _ => {}
             }
-            assert_eq!(m.congestion_cached(SourceId(1), &a), m.congestion(&a));
-            assert_eq!(m.congestion_cached(SourceId(2), &b), m.congestion(&b));
+            assert_eq!(m.congestion_cached(SourceId(1)), m.congestion(&a));
+            assert_eq!(m.congestion_cached(SourceId(2)), m.congestion(&b));
             // Repeated query between changes returns the same value.
-            assert_eq!(m.congestion_cached(SourceId(1), &a), m.congestion(&a));
+            assert_eq!(m.congestion_cached(SourceId(1)), m.congestion(&a));
         }
         // Removing one load invalidates the other's value via the version.
         m.remove_load(SourceId(2));
-        assert_eq!(m.congestion_cached(SourceId(1), &a), m.congestion(&a));
+        assert_eq!(m.congestion_cached(SourceId(1)), m.congestion(&a));
     }
 
     #[test]
@@ -1112,7 +995,7 @@ mod tests {
             a.clone(),
             WorkloadIntensity::new(0.1, 0.9, 0.1),
         );
-        assert_eq!(m.congestion_cached(SourceId(1), &a), m.congestion(&a));
+        assert_eq!(m.congestion_cached(SourceId(1)), m.congestion(&a));
         // Same id, new allocation (e.g. a retried job): the stale link set
         // must not survive.
         m.remove_load(SourceId(1));
@@ -1121,7 +1004,7 @@ mod tests {
             b.clone(),
             WorkloadIntensity::new(0.1, 0.9, 0.1),
         );
-        assert_eq!(m.congestion_cached(SourceId(1), &b), m.congestion(&b));
+        assert_eq!(m.congestion_cached(SourceId(1)), m.congestion(&b));
     }
 
     /// Regression: a node fault kills its jobs, and each kill's
@@ -1156,8 +1039,8 @@ mod tests {
             WorkloadIntensity::new(0.1, 1.0, 0.2),
         );
         m.advance_to(SimTime::from_mins(1));
-        let warm_a = m.congestion_cached(SourceId(1), &a);
-        let warm_b = m.congestion_cached(SourceId(2), &b);
+        let warm_a = m.congestion_cached(SourceId(1));
+        let warm_b = m.congestion_cached(SourceId(2));
         assert_eq!(warm_a, m.congestion(&a));
         assert_eq!(warm_b, m.congestion(&b));
 
@@ -1171,8 +1054,8 @@ mod tests {
             "removing the victim's traffic must bump the network version"
         );
 
-        let after_a = m.congestion_cached(SourceId(1), &a);
-        let after_b = m.congestion_cached(SourceId(2), &b);
+        let after_a = m.congestion_cached(SourceId(1));
+        let after_b = m.congestion_cached(SourceId(2));
         assert_eq!(
             after_a,
             m.congestion(&a),

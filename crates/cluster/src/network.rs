@@ -11,10 +11,18 @@
 //! Congestion for a node set is then the worst utilization among the links
 //! that set's traffic traverses, which is what determines slowdown in
 //! bandwidth-bound collectives.
+//!
+//! Loads and utilizations live in one dense table indexed by
+//! [`FatTree::link_index`] (access links, then edge uplinks, pod fabrics and
+//! pod uplinks). The table is rebuilt lazily, when a reader finds it older
+//! than the source set or the [`NetworkState::version`], so every congestion
+//! and observation read is a handful of array reads.
 
 use crate::topology::{FatTree, LinkId, NodeId, SwitchId};
+use rush_obs::profile as obs_profile;
+use rush_obs::ProfileScope;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Which links the regime-driven background utilization applies to.
 ///
@@ -56,16 +64,25 @@ pub struct TrafficSource {
 }
 
 /// Mutable network state: the set of active sources and the lazily rebuilt
-/// per-link load map.
+/// dense link table.
 ///
 /// Sources are kept in id order and each source's switches and pods are
 /// visited in index order, so every link load is summed in one fixed order:
 /// two states holding the same sources agree bit for bit, however their
-/// maps grew.
+/// source sets grew.
 #[derive(Debug, Clone)]
 pub struct NetworkState {
     sources: BTreeMap<u64, TrafficSource>,
-    loads: HashMap<LinkId, f64>,
+    /// Per-link load in GB/s, indexed by [`FatTree::link_index`]; sized to
+    /// the tree on the first read.
+    loads: Vec<f64>,
+    /// Per-link utilization, same indexing, valid while `utils_at` equals
+    /// `version`.
+    utils: Vec<f64>,
+    utils_at: Option<u64>,
+    /// Scratch: the edge switch of each node of the source being added,
+    /// reused across sources and rebuilds.
+    switches: Vec<u32>,
     /// Background utilization added to uplinks per the scope (regime-driven
     /// traffic from the rest of the machine; see [`crate::noise`]).
     background_util: f64,
@@ -75,9 +92,10 @@ pub struct NetworkState {
     /// Intensities are integer milli-units so start/end pairs cancel exactly
     /// and snapshots round-trip byte-identically.
     storms: Vec<(u32, u32)>,
+    /// Set when the source set changed since `loads` was built.
     dirty: bool,
     /// Bumped on every observable change (source set, background level or
-    /// scope). Consumers cache derived quantities keyed by this counter.
+    /// scope, storms); the utilization table is keyed by it.
     version: u64,
 }
 
@@ -86,7 +104,10 @@ impl NetworkState {
     pub fn new() -> Self {
         NetworkState {
             sources: BTreeMap::new(),
-            loads: HashMap::new(),
+            loads: Vec::new(),
+            utils: Vec::new(),
+            utils_at: None,
+            switches: Vec::new(),
             background_util: 0.0,
             background_scope: BackgroundScope::AllLinks,
             storms: Vec::new(),
@@ -145,7 +166,7 @@ impl NetworkState {
 
     /// Sets the injected storm contention on `pod`'s fabric links;
     /// `intensity_milli == 0` clears it. Bumps the version only on an
-    /// observable change so congestion caches stay valid across no-ops.
+    /// observable change so the utilization table stays valid across no-ops.
     pub fn set_storm(&mut self, pod: u32, intensity_milli: u32) {
         match self.storms.binary_search_by_key(&pod, |&(p, _)| p) {
             Ok(i) => {
@@ -168,10 +189,7 @@ impl NetworkState {
 
     /// Storm intensity currently injected on `pod`, in milli-units.
     pub fn storm_milli(&self, pod: u32) -> u32 {
-        self.storms
-            .binary_search_by_key(&pod, |&(p, _)| p)
-            .map(|i| self.storms[i].1)
-            .unwrap_or(0)
+        storm_of(&self.storms, pod)
     }
 
     /// Active storms as `(pod, intensity_milli)`, sorted by pod.
@@ -179,45 +197,75 @@ impl NetworkState {
         &self.storms
     }
 
-    /// Rebuilds the per-link load map if any source changed.
+    /// Brings the link table up to date: rebuilds the loads if the source
+    /// set changed and the utilizations if the version moved since they
+    /// were filled. Every reader calls this first, so nothing is rebuilt
+    /// until something reads it.
     fn refresh(&mut self, tree: &FatTree) {
-        if !self.dirty {
+        if self.loads.len() != tree.link_count() {
+            self.loads = vec![0.0; tree.link_count()];
+            self.utils = vec![0.0; tree.link_count()];
+            self.dirty = true;
+            self.utils_at = None;
+        }
+        if self.utils_at == Some(self.version) {
             return;
         }
-        self.loads.clear();
-        for source in self.sources.values() {
-            accumulate_source(tree, source, &mut self.loads);
+        let _scope = obs_profile::scope(ProfileScope::NetworkRefresh);
+        let loads_changed = self.dirty;
+        if self.dirty {
+            self.loads.fill(0.0);
+            for source in self.sources.values() {
+                accumulate_source(tree, source, &mut self.loads, &mut self.switches);
+            }
+            self.dirty = false;
         }
-        self.dirty = false;
+        self.fill_utils(tree, loads_changed);
+        self.utils_at = Some(self.version);
     }
 
-    /// Utilization (load / capacity, plus background on uplinks) of `link`.
+    /// Utilization of every link: load / capacity, plus background on the
+    /// uplinks the scope covers, plus the pod's storm on every link above
+    /// the access layer. Access links carry neither, so their utilizations
+    /// are refilled only when the loads changed.
+    fn fill_utils(&mut self, tree: &FatTree, loads_changed: bool) {
+        let cfg = *tree.config();
+        let background = self.background_util;
+        let fabric_background = self.background_scope == BackgroundScope::AllLinks;
+        let with_background = |base: f64, applies: bool| {
+            if applies {
+                base + background
+            } else {
+                base
+            }
+        };
+        let (loads, utils, storms) = (&self.loads, &mut self.utils, &self.storms);
+        if loads_changed {
+            let nodes = tree.node_count() as usize;
+            for (u, &load) in utils[..nodes].iter_mut().zip(&loads[..nodes]) {
+                *u = load / cfg.access_gbps;
+            }
+        }
+        for pod in 0..cfg.pods {
+            let storm = f64::from(storm_of(storms, pod)) / 1000.0;
+            for sw in pod * cfg.edge_per_pod..(pod + 1) * cfg.edge_per_pod {
+                let i = tree.link_index(LinkId::EdgeUplink(SwitchId(sw)));
+                let base = loads[i] / cfg.edge_uplink_gbps;
+                utils[i] = with_background(base, fabric_background) + storm;
+            }
+            let i = tree.link_index(LinkId::PodFabric(pod));
+            let base = loads[i] / cfg.pod_fabric_gbps;
+            utils[i] = with_background(base, fabric_background) + storm;
+            let i = tree.link_index(LinkId::PodUplink(pod));
+            utils[i] = loads[i] / cfg.pod_uplink_gbps + background + storm;
+        }
+    }
+
+    /// Utilization (load / capacity, plus background on uplinks and storms
+    /// on fabric links) of `link`.
     pub fn utilization(&mut self, tree: &FatTree, link: LinkId) -> f64 {
         self.refresh(tree);
-        let load = self.loads.get(&link).copied().unwrap_or(0.0);
-        let base = load / tree.capacity(link);
-        let with_background = match (self.background_scope, link) {
-            (_, LinkId::NodeAccess(_)) => false,
-            (BackgroundScope::AllLinks, _) => true,
-            (BackgroundScope::CoreOnly, LinkId::PodUplink(_)) => true,
-            (BackgroundScope::CoreOnly, _) => false,
-        };
-        let base = if with_background {
-            base + self.background_util
-        } else {
-            base
-        };
-        // Storm contention hits every fabric link of the afflicted pod
-        // (edge uplinks included) but never the node access links.
-        let storm_pod = match link {
-            LinkId::NodeAccess(_) => None,
-            LinkId::EdgeUplink(sw) => Some(tree.pod_of_switch(sw)),
-            LinkId::PodFabric(p) | LinkId::PodUplink(p) => Some(p),
-        };
-        match storm_pod {
-            Some(pod) => base + f64::from(self.storm_milli(pod)) / 1000.0,
-            None => base,
-        }
+        self.utils[tree.link_index(link)]
     }
 
     /// Congestion index for a node set: the maximum utilization over the
@@ -226,29 +274,30 @@ impl NetworkState {
     /// `1.0` means some traversed link is exactly at capacity; values above
     /// one mean flows through it are throttled proportionally.
     pub fn congestion(&mut self, tree: &FatTree, nodes: &[NodeId]) -> f64 {
+        self.congestion_over(tree, &traversed_links(tree, nodes))
+    }
+
+    /// The maximum utilization over `links` (indices from
+    /// [`traversed_links`]): [`congestion`](Self::congestion) for a caller
+    /// that keeps a fixed allocation's link list.
+    pub fn congestion_over(&mut self, tree: &FatTree, links: &[u32]) -> f64 {
         self.refresh(tree);
-        let mut worst: f64 = 0.0;
-        for link in traversed_links(tree, nodes) {
-            worst = worst.max(self.utilization(tree, link));
-        }
-        worst
+        links
+            .iter()
+            .fold(0.0, |worst: f64, &l| worst.max(self.utils[l as usize]))
     }
 
     /// Total load on a node's access link (GB/s), before normalization —
     /// used by counter synthesis for per-node xmit/recv rates.
     pub fn node_access_load(&mut self, tree: &FatTree, node: NodeId) -> f64 {
         self.refresh(tree);
-        self.loads
-            .get(&LinkId::NodeAccess(node))
-            .copied()
-            .unwrap_or(0.0)
+        self.loads[tree.link_index(LinkId::NodeAccess(node))]
     }
 
     /// Utilization of the edge uplink above `node` — the key congestion
     /// signal the switch counters (`opa_info`) expose.
     pub fn edge_uplink_util(&mut self, tree: &FatTree, node: NodeId) -> f64 {
-        let sw = tree.edge_of(node);
-        self.utilization(tree, LinkId::EdgeUplink(sw))
+        self.utilization(tree, LinkId::EdgeUplink(tree.edge_of(node)))
     }
 
     /// Utilization of the upper fabric above `node`'s pod: the worse of the
@@ -266,16 +315,26 @@ impl Default for NetworkState {
     }
 }
 
-/// The links an all-to-all exchange among `nodes` traverses — the set
-/// [`NetworkState::congestion`] maximizes over. The set depends only on the
-/// (static) tree and the node set, so callers holding a fixed allocation can
-/// compute it once and revalidate only the utilization values.
-pub fn traversed_links(tree: &FatTree, nodes: &[NodeId]) -> Vec<LinkId> {
-    let mut links: Vec<LinkId> = Vec::with_capacity(nodes.len() + 4);
+/// The storm intensity `storms` (sorted by pod) holds for `pod`, 0 if none.
+fn storm_of(storms: &[(u32, u32)], pod: u32) -> u32 {
+    storms
+        .binary_search_by_key(&pod, |&(p, _)| p)
+        .map(|i| storms[i].1)
+        .unwrap_or(0)
+}
+
+/// Indices ([`FatTree::link_index`]) of the links an all-to-all exchange
+/// among `nodes` traverses — the set [`NetworkState::congestion`] maximizes
+/// over. The set depends only on the (static) tree and the node set, so
+/// callers holding a fixed allocation can compute it once and read it
+/// through [`NetworkState::congestion_over`].
+pub fn traversed_links(tree: &FatTree, nodes: &[NodeId]) -> Vec<u32> {
+    let index = |link| tree.link_index(link) as u32;
+    let mut links: Vec<u32> = Vec::with_capacity(nodes.len() + 4);
     let mut seen_switches: Vec<SwitchId> = Vec::new();
     let mut seen_pods: Vec<u32> = Vec::new();
     for &n in nodes {
-        links.push(LinkId::NodeAccess(n));
+        links.push(index(LinkId::NodeAccess(n)));
         let e = tree.edge_of(n);
         if !seen_switches.contains(&e) {
             seen_switches.push(e);
@@ -288,23 +347,30 @@ pub fn traversed_links(tree: &FatTree, nodes: &[NodeId]) -> Vec<LinkId> {
     // Uplinks only matter when the allocation spans them.
     if seen_switches.len() > 1 {
         for &sw in &seen_switches {
-            links.push(LinkId::EdgeUplink(sw));
+            links.push(index(LinkId::EdgeUplink(sw)));
         }
         // Cross-edge traffic transits the shared pod fabric.
         for &p in &seen_pods {
-            links.push(LinkId::PodFabric(p));
+            links.push(index(LinkId::PodFabric(p)));
         }
     }
     if seen_pods.len() > 1 {
         for &p in &seen_pods {
-            links.push(LinkId::PodUplink(p));
+            links.push(index(LinkId::PodUplink(p)));
         }
     }
     links
 }
 
-/// Adds one source's traffic to the link-load map.
-fn accumulate_source(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap<LinkId, f64>) {
+/// Adds one source's traffic to the dense link loads. Each link receives
+/// this source's contributions in node order (access links) or ascending
+/// switch order (pod fabrics); the caller visits sources in id order.
+fn accumulate_source(
+    tree: &FatTree,
+    source: &TrafficSource,
+    loads: &mut [f64],
+    switches: &mut Vec<u32>,
+) {
     let n = source.nodes.len();
     if n == 0 || source.per_node_gbps <= 0.0 {
         return;
@@ -313,56 +379,61 @@ fn accumulate_source(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap
 
     // Access links: every node both injects and receives ~rate.
     for &node in &source.nodes {
-        *loads.entry(LinkId::NodeAccess(node)).or_insert(0.0) += rate;
+        loads[tree.link_index(LinkId::NodeAccess(node))] += rate;
     }
     if n == 1 {
         return; // no peers, nothing crosses the fabric
     }
 
-    // Count source nodes per edge switch and per pod.
-    let mut per_edge: BTreeMap<SwitchId, usize> = BTreeMap::new();
-    let mut per_pod: BTreeMap<u32, usize> = BTreeMap::new();
-    for &node in &source.nodes {
-        *per_edge.entry(tree.edge_of(node)).or_insert(0) += 1;
-        *per_pod.entry(tree.pod_of(node)).or_insert(0) += 1;
-    }
-
+    // The source's switches, sorted: each run of one switch is its node
+    // count, each run of one pod its pod's, both in ascending order.
+    switches.clear();
+    switches.extend(source.nodes.iter().map(|&node| tree.edge_of(node).0));
+    switches.sort_unstable();
+    let pod_of = |sw: u32| tree.pod_of_switch(SwitchId(sw));
+    let per_edge = switches
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()));
+    let per_pod = switches
+        .chunk_by(|&a, &b| pod_of(a) == pod_of(b))
+        .map(|run| (pod_of(run[0]), run.len()));
+    let edge_link = |sw: u32| tree.link_index(LinkId::EdgeUplink(SwitchId(sw)));
+    let fabric_link = |sw: u32| tree.link_index(LinkId::PodFabric(pod_of(sw)));
+    let uplink = |pod: u32| tree.link_index(LinkId::PodUplink(pod));
     let total = n as f64;
     match source.pattern {
         TrafficPattern::AllToAll => {
             // A node in an edge switch with k source-peers sends the
             // fraction (n - k) / (n - 1) of its traffic out of the switch.
             // That same traffic transits the pod's shared fabric.
-            for (&sw, &k) in &per_edge {
+            for (sw, k) in per_edge {
                 let outside = (total - k as f64) / (total - 1.0);
                 let crossing = k as f64 * rate * outside;
                 if crossing > 0.0 {
-                    *loads.entry(LinkId::EdgeUplink(sw)).or_insert(0.0) += crossing;
-                    let pod = tree.pod_of_switch(sw);
-                    *loads.entry(LinkId::PodFabric(pod)).or_insert(0.0) += crossing;
+                    loads[edge_link(sw)] += crossing;
+                    loads[fabric_link(sw)] += crossing;
                 }
             }
-            for (&pod, &k) in &per_pod {
+            for (pod, k) in per_pod {
                 let outside = (total - k as f64) / (total - 1.0);
                 let crossing = k as f64 * rate * outside;
                 if crossing > 0.0 {
-                    *loads.entry(LinkId::PodUplink(pod)).or_insert(0.0) += crossing;
+                    loads[uplink(pod)] += crossing;
                 }
             }
         }
         TrafficPattern::Neighbor => {
             // Ring traffic: only the boundary nodes of each edge-switch
             // group send across the uplink (2 boundary flows per group).
-            for (&sw, &k) in &per_edge {
+            for (sw, k) in per_edge {
                 if (k as f64) < total {
-                    *loads.entry(LinkId::EdgeUplink(sw)).or_insert(0.0) += 2.0 * rate;
-                    let pod = tree.pod_of_switch(sw);
-                    *loads.entry(LinkId::PodFabric(pod)).or_insert(0.0) += 2.0 * rate;
+                    loads[edge_link(sw)] += 2.0 * rate;
+                    loads[fabric_link(sw)] += 2.0 * rate;
                 }
             }
-            for (&pod, &k) in &per_pod {
+            for (pod, k) in per_pod {
                 if (k as f64) < total {
-                    *loads.entry(LinkId::PodUplink(pod)).or_insert(0.0) += 2.0 * rate;
+                    loads[uplink(pod)] += 2.0 * rate;
                 }
             }
         }
@@ -373,6 +444,8 @@ fn accumulate_source(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap
 mod tests {
     use super::*;
     use crate::topology::FatTreeConfig;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn tiny() -> FatTree {
         FatTree::new(FatTreeConfig::tiny())
@@ -615,19 +688,21 @@ mod tests {
     #[test]
     fn traversed_links_matches_congestion_levels() {
         let tree = tiny();
+        let index = |link| tree.link_index(link) as u32;
+        let access_links = tree.node_count();
         // Single switch: access links only.
         let links = traversed_links(&tree, &ids(0..4));
         assert_eq!(links.len(), 4);
-        assert!(links.iter().all(|l| matches!(l, LinkId::NodeAccess(_))));
+        assert!(links.iter().all(|&l| l < access_links));
         // Cross-switch, single pod: adds edge uplinks + pod fabric.
         let links = traversed_links(&tree, &ids(0..8));
-        assert!(links.contains(&LinkId::EdgeUplink(SwitchId(0))));
-        assert!(links.contains(&LinkId::PodFabric(0)));
-        assert!(!links.iter().any(|l| matches!(l, LinkId::PodUplink(_))));
+        assert!(links.contains(&index(LinkId::EdgeUplink(SwitchId(0)))));
+        assert!(links.contains(&index(LinkId::PodFabric(0))));
+        assert!(!links.contains(&index(LinkId::PodUplink(0))));
         // Cross-pod: adds pod uplinks.
         let links = traversed_links(&tree, &ids(0..16));
-        assert!(links.contains(&LinkId::PodUplink(0)));
-        assert!(links.contains(&LinkId::PodUplink(1)));
+        assert!(links.contains(&index(LinkId::PodUplink(0))));
+        assert!(links.contains(&index(LinkId::PodUplink(1))));
     }
 
     #[test]
@@ -661,5 +736,278 @@ mod tests {
         );
         assert_eq!(net.congestion(&tree, &ids(0..8)), 0.0);
         assert_eq!(net.utilization(&tree, LinkId::EdgeUplink(SwitchId(2))), 0.0);
+    }
+
+    /// The hashed link-load map the dense table replaced, kept as the
+    /// reference: loads summed into a `HashMap<LinkId, f64>` source by
+    /// source in id order, per-source switch and pod counts in `BTreeMap`s,
+    /// and each utilization computed on demand.
+    #[derive(Default)]
+    struct MapOracle {
+        sources: BTreeMap<u64, TrafficSource>,
+        background_util: f64,
+        background_scope: BackgroundScope,
+        storms: BTreeMap<u32, u32>,
+    }
+
+    impl MapOracle {
+        fn loads(&self, tree: &FatTree) -> HashMap<LinkId, f64> {
+            let mut loads = HashMap::new();
+            for source in self.sources.values() {
+                map_accumulate(tree, source, &mut loads);
+            }
+            loads
+        }
+
+        fn utilization(&self, tree: &FatTree, loads: &HashMap<LinkId, f64>, link: LinkId) -> f64 {
+            let load = loads.get(&link).copied().unwrap_or(0.0);
+            let base = load / tree.capacity(link);
+            let with_background = match (self.background_scope, link) {
+                (_, LinkId::NodeAccess(_)) => false,
+                (BackgroundScope::AllLinks, _) => true,
+                (BackgroundScope::CoreOnly, LinkId::PodUplink(_)) => true,
+                (BackgroundScope::CoreOnly, _) => false,
+            };
+            let base = if with_background {
+                base + self.background_util
+            } else {
+                base
+            };
+            let storm_pod = match link {
+                LinkId::NodeAccess(_) => None,
+                LinkId::EdgeUplink(sw) => Some(tree.pod_of_switch(sw)),
+                LinkId::PodFabric(p) | LinkId::PodUplink(p) => Some(p),
+            };
+            match storm_pod {
+                Some(pod) => {
+                    let milli = self.storms.get(&pod).copied().unwrap_or(0);
+                    base + f64::from(milli) / 1000.0
+                }
+                None => base,
+            }
+        }
+
+        fn congestion(
+            &self,
+            tree: &FatTree,
+            loads: &HashMap<LinkId, f64>,
+            nodes: &[NodeId],
+        ) -> f64 {
+            let edges: BTreeMap<SwitchId, ()> =
+                nodes.iter().map(|&n| (tree.edge_of(n), ())).collect();
+            let pods: BTreeMap<u32, ()> = nodes.iter().map(|&n| (tree.pod_of(n), ())).collect();
+            let mut links: Vec<LinkId> = nodes.iter().map(|&n| LinkId::NodeAccess(n)).collect();
+            if edges.len() > 1 {
+                links.extend(edges.keys().map(|&sw| LinkId::EdgeUplink(sw)));
+                links.extend(pods.keys().map(|&p| LinkId::PodFabric(p)));
+            }
+            if pods.len() > 1 {
+                links.extend(pods.keys().map(|&p| LinkId::PodUplink(p)));
+            }
+            links.into_iter().fold(0.0, |worst: f64, l| {
+                worst.max(self.utilization(tree, loads, l))
+            })
+        }
+    }
+
+    fn map_accumulate(tree: &FatTree, source: &TrafficSource, loads: &mut HashMap<LinkId, f64>) {
+        let n = source.nodes.len();
+        if n == 0 || source.per_node_gbps <= 0.0 {
+            return;
+        }
+        let rate = source.per_node_gbps;
+        for &node in &source.nodes {
+            *loads.entry(LinkId::NodeAccess(node)).or_insert(0.0) += rate;
+        }
+        if n == 1 {
+            return;
+        }
+        let mut per_edge: BTreeMap<SwitchId, usize> = BTreeMap::new();
+        let mut per_pod: BTreeMap<u32, usize> = BTreeMap::new();
+        for &node in &source.nodes {
+            *per_edge.entry(tree.edge_of(node)).or_insert(0) += 1;
+            *per_pod.entry(tree.pod_of(node)).or_insert(0) += 1;
+        }
+        let total = n as f64;
+        let mut add = |link, v| *loads.entry(link).or_insert(0.0) += v;
+        match source.pattern {
+            TrafficPattern::AllToAll => {
+                for (&sw, &k) in &per_edge {
+                    let outside = (total - k as f64) / (total - 1.0);
+                    let crossing = k as f64 * rate * outside;
+                    if crossing > 0.0 {
+                        add(LinkId::EdgeUplink(sw), crossing);
+                        add(LinkId::PodFabric(tree.pod_of_switch(sw)), crossing);
+                    }
+                }
+                for (&pod, &k) in &per_pod {
+                    let outside = (total - k as f64) / (total - 1.0);
+                    let crossing = k as f64 * rate * outside;
+                    if crossing > 0.0 {
+                        add(LinkId::PodUplink(pod), crossing);
+                    }
+                }
+            }
+            TrafficPattern::Neighbor => {
+                for (&sw, &k) in &per_edge {
+                    if (k as f64) < total {
+                        add(LinkId::EdgeUplink(sw), 2.0 * rate);
+                        add(LinkId::PodFabric(tree.pod_of_switch(sw)), 2.0 * rate);
+                    }
+                }
+                for (&pod, &k) in &per_pod {
+                    if (k as f64) < total {
+                        add(LinkId::PodUplink(pod), 2.0 * rate);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Three pods of four switches of four nodes, with Quartz-like
+    /// capacities, so sources span switches and pods.
+    fn three_pods() -> FatTree {
+        FatTree::new(FatTreeConfig {
+            pods: 3,
+            edge_per_pod: 4,
+            nodes_per_edge: 4,
+            cores_per_node: 4,
+            access_gbps: 12.5,
+            edge_uplink_gbps: 50.0,
+            pod_fabric_gbps: 600.0,
+            pod_uplink_gbps: 4800.0,
+        })
+    }
+
+    fn all_links(tree: &FatTree) -> Vec<LinkId> {
+        let mut links: Vec<LinkId> = tree.nodes().map(LinkId::NodeAccess).collect();
+        links.extend((0..tree.edge_switch_count()).map(|sw| LinkId::EdgeUplink(SwitchId(sw))));
+        links.extend((0..tree.config().pods).map(LinkId::PodFabric));
+        links.extend((0..tree.config().pods).map(LinkId::PodUplink));
+        links
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Source(u64, TrafficSource),
+        Remove(u64),
+        Background(f64),
+        Scope(BackgroundScope),
+        Storm(u32, u32),
+    }
+
+    fn source_op() -> impl Strategy<Value = Op> {
+        let nodes = prop_oneof![
+            // Anywhere, duplicates allowed.
+            proptest::collection::vec(0u32..48, 1..20),
+            // A contiguous block, as placement hands out.
+            (0u32..48, 1u32..24).prop_map(|(lo, len)| (lo..(lo + len).min(48)).collect()),
+        ];
+        // Rates over four decades, so a sum's rounding depends on its
+        // order; one in ten is zero, which is inert.
+        let rate =
+            (0u32..10, -3.0f64..1.0).prop_map(|(z, e)| if z == 0 { 0.0 } else { 10f64.powf(e) });
+        let pattern = prop_oneof![
+            Just(TrafficPattern::AllToAll),
+            Just(TrafficPattern::Neighbor)
+        ];
+        (0u64..6, nodes, rate, pattern).prop_map(|(id, nodes, rate, pattern)| {
+            Op::Source(
+                id,
+                TrafficSource {
+                    nodes: nodes.into_iter().map(NodeId).collect(),
+                    per_node_gbps: rate,
+                    pattern,
+                },
+            )
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            source_op(),
+            source_op(),
+            source_op(),
+            (0u64..6).prop_map(Op::Remove),
+            (0.0f64..0.8).prop_map(Op::Background),
+            prop_oneof![
+                Just(Op::Scope(BackgroundScope::AllLinks)),
+                Just(Op::Scope(BackgroundScope::CoreOnly))
+            ],
+            // Intensity 0 ends a storm; repeated pods retune one.
+            (0u32..3, 0u32..4, 1u32..1000)
+                .prop_map(|(pod, end, milli)| Op::Storm(pod, if end == 0 { 0 } else { milli })),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The dense table is the map it replaced, to the bit: after every
+        /// source add/replace/remove, background and scope change and
+        /// storm start/retune/end, every link's load and utilization,
+        /// congestion over random node sets and congestion over each
+        /// source's link list kept since it was added equal the oracle's.
+        #[test]
+        fn dense_table_matches_the_map_oracle_bit_for_bit(
+            ops in proptest::collection::vec(op(), 1..40),
+            probes in proptest::collection::vec(proptest::collection::vec(0u32..48, 1..12), 3),
+        ) {
+            let tree = three_pods();
+            let probes: Vec<Vec<NodeId>> = probes
+                .into_iter()
+                .map(|p| p.into_iter().map(NodeId).collect())
+                .collect();
+            let mut net = NetworkState::new();
+            let mut oracle = MapOracle::default();
+            let mut link_lists: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    Op::Source(id, source) => {
+                        link_lists.insert(id, traversed_links(&tree, &source.nodes));
+                        oracle.sources.insert(id, source.clone());
+                        net.add_source(id, source);
+                    }
+                    Op::Remove(id) => {
+                        link_lists.remove(&id);
+                        oracle.sources.remove(&id);
+                        net.remove_source(id);
+                    }
+                    Op::Background(util) => {
+                        oracle.background_util = util;
+                        net.set_background_util(util);
+                    }
+                    Op::Scope(scope) => {
+                        oracle.background_scope = scope;
+                        net.set_background_scope(scope);
+                    }
+                    Op::Storm(pod, milli) => {
+                        if milli == 0 {
+                            oracle.storms.remove(&pod);
+                        } else {
+                            oracle.storms.insert(pod, milli);
+                        }
+                        net.set_storm(pod, milli);
+                    }
+                }
+                let loads = oracle.loads(&tree);
+                for link in all_links(&tree) {
+                    let util = net.utilization(&tree, link);
+                    let load = net.loads[tree.link_index(link)];
+                    let want = loads.get(&link).copied().unwrap_or(0.0);
+                    prop_assert_eq!(load.to_bits(), want.to_bits(), "load of {:?}", link);
+                    let want = oracle.utilization(&tree, &loads, link);
+                    prop_assert_eq!(util.to_bits(), want.to_bits(), "utilization of {:?}", link);
+                }
+                for nodes in &probes {
+                    let want = oracle.congestion(&tree, &loads, nodes);
+                    prop_assert_eq!(net.congestion(&tree, nodes).to_bits(), want.to_bits());
+                }
+                for (id, links) in &link_lists {
+                    let want = oracle.congestion(&tree, &loads, &oracle.sources[id].nodes);
+                    prop_assert_eq!(net.congestion_over(&tree, links).to_bits(), want.to_bits(), "source {}", id);
+                }
+            }
+        }
     }
 }

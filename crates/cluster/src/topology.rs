@@ -195,6 +195,28 @@ impl FatTree {
         }
     }
 
+    /// Number of links in the dense link index space (see
+    /// [`FatTree::link_index`]).
+    pub fn link_count(&self) -> usize {
+        (self.node_count() + self.edge_switch_count() + 2 * self.config.pods) as usize
+    }
+
+    /// Dense index of `link`: access links first (by node), then edge
+    /// uplinks (by switch), pod fabrics and pod uplinks (by pod). Per-link
+    /// tables are flat vectors of [`FatTree::link_count`] entries in this
+    /// order.
+    pub fn link_index(&self, link: LinkId) -> usize {
+        let nodes = self.node_count();
+        let edges = self.edge_switch_count();
+        let pods = self.config.pods;
+        (match link {
+            LinkId::NodeAccess(n) => n.0,
+            LinkId::EdgeUplink(sw) => nodes + sw.0,
+            LinkId::PodFabric(p) => nodes + edges + p,
+            LinkId::PodUplink(p) => nodes + edges + pods + p,
+        }) as usize
+    }
+
     /// True if two nodes share an edge switch (their traffic never leaves
     /// the switch).
     pub fn same_edge(&self, a: NodeId, b: NodeId) -> bool {
@@ -271,6 +293,19 @@ mod tests {
         assert_eq!(t.capacity(LinkId::EdgeUplink(SwitchId(0))), 20.0);
         assert_eq!(t.capacity(LinkId::PodFabric(0)), 30.0);
         assert_eq!(t.capacity(LinkId::PodUplink(0)), 40.0);
+    }
+
+    #[test]
+    fn link_indices_are_dense_and_grouped_by_class() {
+        let t = FatTree::new(FatTreeConfig::tiny());
+        let mut links: Vec<LinkId> = t.nodes().map(LinkId::NodeAccess).collect();
+        links.extend((0..t.edge_switch_count()).map(|sw| LinkId::EdgeUplink(SwitchId(sw))));
+        links.extend((0..t.config().pods).map(LinkId::PodFabric));
+        links.extend((0..t.config().pods).map(LinkId::PodUplink));
+        assert_eq!(t.link_count(), links.len());
+        for (i, &link) in links.iter().enumerate() {
+            assert_eq!(t.link_index(link), i, "{link:?}");
+        }
     }
 
     #[test]

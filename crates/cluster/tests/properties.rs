@@ -127,8 +127,8 @@ proptest! {
     }
 }
 
-/// One step of machine churn for the swept-observation property: `kind`
-/// picks the operation, the other fields parameterize it.
+/// One step of machine churn for the observation property: `kind` picks
+/// the operation, the other fields parameterize it.
 type Churn = (u8, u32, u32, u32, u64);
 
 fn churn() -> impl Strategy<Value = Churn> {
@@ -167,28 +167,37 @@ fn bits(o: &NodeObservation) -> [u64; 8] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The full-machine sweep is a cache, not a model: under random loads,
-    /// node failures and degradations, storms, the noise job and moving
-    /// background utilization, every swept observation equals the direct
-    /// per-node one bit for bit. Both are read from one machine.
+    /// The link table is a cache, not a model: under random loads, node
+    /// failures and degradations, storms, the noise job and moving
+    /// background utilization, every observation read from a machine whose
+    /// table was rebuilt after each step equals, bit for bit, the one read
+    /// from a fresh machine that replays the same steps and builds its
+    /// table once.
     #[test]
-    fn swept_observation_matches_direct(
+    fn warm_observation_matches_cold_rebuild(
         seed in 0u64..1_000_000,
         noise_job in any::<bool>(),
         steps in proptest::collection::vec(churn(), 1..24),
     ) {
-        let mut m = Machine::new(MachineConfig::tiny(seed));
-        if noise_job {
-            m.enable_noise_job((12..16).map(NodeId).collect(), 8.0);
-        }
-        for step in steps {
-            apply(&mut m, step);
-            for n in 0..m.tree().node_count() {
+        let fresh = || {
+            let mut m = Machine::new(MachineConfig::tiny(seed));
+            if noise_job {
+                m.enable_noise_job((12..16).map(NodeId).collect(), 8.0);
+            }
+            m
+        };
+        let mut warm = fresh();
+        for (i, &step) in steps.iter().enumerate() {
+            apply(&mut warm, step);
+            let mut cold = fresh();
+            for &earlier in &steps[..=i] {
+                apply(&mut cold, earlier);
+            }
+            for n in 0..warm.tree().node_count() {
                 let node = NodeId(n);
-                let direct = bits(&m.observe(node));
-                prop_assert_eq!(bits(&m.observe_swept(node)), direct);
+                prop_assert_eq!(bits(&warm.observe(node)), bits(&cold.observe(node)));
             }
         }
-        prop_assert!(m.now() > SimTime::ZERO);
+        prop_assert!(warm.now() > SimTime::ZERO);
     }
 }

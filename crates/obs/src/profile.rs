@@ -1,8 +1,9 @@
 //! Lightweight scoped profiling.
 //!
 //! A fixed set of [`ProfileScope`]s covers the hot paths (engine ticks,
-//! the scheduling pass, the running-speed refresh, predictor evaluation,
-//! featurization, forest training, telemetry sampling). The profiler is
+//! the scheduling pass, the running-speed refresh, the network's link-table
+//! rebuild, predictor evaluation, featurization, forest training, telemetry
+//! sampling). The profiler is
 //! process-global and disabled by default: entering a scope costs one
 //! relaxed atomic load. When enabled (`--profile` on the CLI), each scope
 //! accumulates call count and total wall nanoseconds into atomics,
@@ -32,9 +33,11 @@ pub enum ProfileScope {
     TelemetrySample,
     /// The engine's once-per-step refresh of running jobs' speeds.
     SpeedRefresh,
+    /// Rebuild of the network's per-link load and utilization table.
+    NetworkRefresh,
 }
 
-const SCOPE_COUNT: usize = 7;
+const SCOPE_COUNT: usize = 8;
 
 const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::EngineTick,
@@ -44,6 +47,7 @@ const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::Train,
     ProfileScope::TelemetrySample,
     ProfileScope::SpeedRefresh,
+    ProfileScope::NetworkRefresh,
 ];
 
 impl ProfileScope {
@@ -56,6 +60,7 @@ impl ProfileScope {
             ProfileScope::Train => 4,
             ProfileScope::TelemetrySample => 5,
             ProfileScope::SpeedRefresh => 6,
+            ProfileScope::NetworkRefresh => 7,
         }
     }
 
@@ -69,6 +74,7 @@ impl ProfileScope {
             ProfileScope::Train => "train",
             ProfileScope::TelemetrySample => "telemetry_sample",
             ProfileScope::SpeedRefresh => "speed_refresh",
+            ProfileScope::NetworkRefresh => "network_refresh",
         }
     }
 }
@@ -343,5 +349,6 @@ mod tests {
         assert_eq!(ProfileScope::PredictorEval.label(), "predictor_eval");
         assert_eq!(ProfileScope::TelemetrySample.label(), "telemetry_sample");
         assert_eq!(ProfileScope::SpeedRefresh.label(), "speed_refresh");
+        assert_eq!(ProfileScope::NetworkRefresh.label(), "network_refresh");
     }
 }

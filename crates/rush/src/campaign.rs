@@ -512,7 +512,8 @@ enum Slot {
     /// In the ready queue or running on a worker.
     Active,
     /// Resolved; `unchanged` = safe for dependents to skip over (skipped,
-    /// or fresh with a content hash equal to the previous run's).
+    /// or a fresh artifact whose content hash equals the previous run's; a
+    /// fresh resource node has no output to compare, so it never is).
     Done { status: NodeStatus, unchanged: bool },
 }
 
@@ -638,7 +639,7 @@ fn worker_loop(
         let mut st = state.lock().unwrap();
         let unchanged = match resolution.0.status {
             NodeStatus::Skipped => true,
-            NodeStatus::Fresh => {
+            NodeStatus::Fresh if node.output.is_some() => {
                 let prev_hash = previous
                     .and_then(|m| m.entry(&node.name))
                     .map(|e| e.content_hash);
@@ -1443,6 +1444,31 @@ mod tests {
         // check() fails (e.g. cache file deleted): re-run.
         execute(&make(false, runs.clone()), &opts(&dir)).unwrap();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A resource node that re-runs (say, its campaign cache came from
+    /// another build) may have produced different state, and has no output
+    /// hash to prove otherwise: its dependents re-run too.
+    #[test]
+    fn rerun_resource_node_invalidates_dependents() {
+        let dir = tmp_dir("resource-rerun");
+        let make = |ok: bool| {
+            Dag::new(vec![
+                ArtifactNode::resource("res", &[], || Ok(())).with_check(move || ok),
+                const_node("down", &["res"], "same\n"),
+            ])
+            .unwrap()
+        };
+        execute(&make(true), &opts(&dir)).unwrap();
+        let report = execute(&make(true), &opts(&dir)).unwrap();
+        assert_eq!(report.count(NodeStatus::Skipped), 2);
+        let report = execute(&make(false), &opts(&dir)).unwrap();
+        assert_eq!(
+            report.manifest.entry("down").unwrap().status,
+            NodeStatus::Fresh,
+            "the resource re-ran, so its dependent must too"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

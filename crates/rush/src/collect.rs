@@ -227,13 +227,9 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignData {
     let mut completed: Vec<ControlRun> = Vec::new();
     let tick = SimDuration::from_secs(60);
     let probe_config = ProbeConfig::default();
-    // One counter buffer for every sample of the campaign. Samples go
-    // through `Machine::observe`, not the full-machine sweep: a round reads
-    // a few dozen nodes of a full system, and background utilization
-    // changes the network on almost every advance, so a sweep would be
-    // rebuilt for nearly every round. Every sample is read, so all its
-    // counters are synthesized as they are observed, keyed like the
-    // telemetry store's.
+    // One counter buffer for every sample of the campaign. Every sample is
+    // read, so all its counters are synthesized as they are observed, keyed
+    // like the telemetry store's.
     let mut counters: Vec<f64> = Vec::with_capacity(COUNTER_COUNT);
     let noise = noise_seed(machine.config().seed);
 
@@ -364,15 +360,13 @@ fn refresh_speeds(
     now: SimTime,
 ) {
     for &i in active {
-        let (nodes, app) = match runs[i].as_ref() {
-            Some(r) => (r.nodes.clone(), r.app),
-            None => continue,
+        let Some(run) = runs[i].as_mut() else {
+            continue;
         };
-        let congestion = machine.congestion(&nodes);
+        let congestion = machine.congestion_cached(SourceId(i as u64));
         let fs = machine.fs_saturation();
-        let run = runs[i].as_mut().expect("active run exists");
         let progress = 1.0 - run.remaining_work / run.total_work.max(1e-9);
-        let slowdown = app.descriptor().slowdown_at(progress, congestion, fs);
+        let slowdown = run.app.descriptor().slowdown_at(progress, congestion, fs);
         run.speed = 1.0 / slowdown;
         run.generation += 1;
         let finish_in = SimDuration::from_secs_f64(run.remaining_work / run.speed);

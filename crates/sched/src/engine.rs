@@ -1381,7 +1381,7 @@ impl SchedulerEngine {
             r.last_update = now;
             // Recompute speed under current contention, at the job's
             // current phase. Straggler nodes gate the whole allocation.
-            let congestion = self.machine.congestion_cached(SourceId(id.0), &r.nodes);
+            let congestion = self.machine.congestion_cached(SourceId(id.0));
             let node_factor = self.machine.allocation_speed_factor(&r.nodes);
             let progress = 1.0 - r.remaining_work / r.total_work.max(1e-9);
             let slowdown = r.job.app.descriptor().slowdown_at(progress, congestion, fs);

@@ -16,7 +16,6 @@
 //! *completion* records, so submissions drift a little — by buffering a
 //! bounded time window and clamping stragglers that fall outside it.
 
-use crate::job::JobId;
 use rush_simkit::time::{SimDuration, SimTime};
 use rush_workloads::jobgen::JobRequest;
 use std::cmp::Reverse;
@@ -209,18 +208,6 @@ where
     }
 }
 
-/// Collects up to `limit` requests of a source into a vector.
-pub fn collect_source(mut source: impl JobSource, limit: usize) -> Vec<JobRequest> {
-    let mut out = Vec::new();
-    while out.len() < limit {
-        match source.next_request() {
-            Some(req) => out.push(req),
-            None => break,
-        }
-    }
-    out
-}
-
 /// A source that re-ids requests densely in emission order. Useful after
 /// truncating or filtering a stream, where the engine still wants ids that
 /// double as dense table indices downstream.
@@ -247,11 +234,6 @@ impl<S: JobSource> JobSource for DenseIds<S> {
     fn total_hint(&self) -> Option<u64> {
         self.inner.total_hint()
     }
-}
-
-/// The ids a source will assign — handy for asserting uniqueness in tests.
-pub fn job_id(req: &JobRequest) -> JobId {
-    JobId(req.id)
 }
 
 #[cfg(test)]
@@ -332,17 +314,6 @@ mod tests {
         let first = src.next_request().unwrap();
         let second = src.next_request().unwrap();
         assert_eq!((first.id, second.id), (0, 1));
-        assert_eq!(job_id(&first), JobId(0));
         assert_eq!(src.total_hint(), Some(2));
-    }
-
-    #[test]
-    fn collect_source_truncates_at_limit() {
-        let requests: Vec<JobRequest> = (0..10).map(|i| req(i, i * 10)).collect();
-        let collected = collect_source(SliceSource::new(&requests), 4);
-        assert_eq!(collected.len(), 4);
-        assert_eq!(collected[3].id, 3);
-        let all = collect_source(SliceSource::new(&requests), usize::MAX);
-        assert_eq!(all.len(), 10);
     }
 }

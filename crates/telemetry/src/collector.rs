@@ -6,9 +6,10 @@
 //! covers it (see [`crate::store`]). Drivers call
 //! [`Sampler::advance_to`] whenever simulation time moves; the sampler
 //! catches up on every interval boundary it crossed, so sampling cadence is
-//! independent of the caller's event granularity. Rounds read the machine
-//! through [`Machine::observe_swept`], so one network sweep serves a whole
-//! round over every node.
+//! independent of the caller's event granularity. Each observation reads
+//! the network's dense link table ([`Machine::observe`]), which is rebuilt
+//! at most once per network change, so a round over every node costs one
+//! rebuild and three array reads a node.
 
 use crate::store::{GapReason, MetricStore};
 use rand::Rng;
@@ -237,7 +238,7 @@ impl Sampler {
                     store.record_gap(node, at, GapReason::Corrupt);
                     continue;
                 }
-                store.record(node, at, machine.observe_swept(node));
+                store.record(node, at, machine.observe(node));
             }
             self.samples_taken += 1;
             self.next_due = at + self.interval;

@@ -81,13 +81,16 @@ fn excerpt_replays_end_to_end_with_oversized_rejection() {
     assert_eq!(done, vec![0, 1, 2, 3, 4, 6, 7]); // dense id 5 was rejected
 }
 
+/// `run` over the request slice (a `SliceSource`) and `run_streaming` over
+/// an iterator of the same requests (an `IterSource`) schedule the excerpt
+/// identically.
 #[test]
-fn streaming_replay_matches_materialized_on_the_excerpt() {
+fn slice_source_run_matches_iter_source_run_on_the_excerpt() {
     let requests = excerpt_requests();
-    let materialized = engine(EstimateSource::Factor).run(&requests);
-    let streamed = engine(EstimateSource::Factor)
+    let sliced = engine(EstimateSource::Factor).run(&requests);
+    let iterated = engine(EstimateSource::Factor)
         .run_streaming(Box::new(IterSource::new(requests.into_iter())));
-    assert_same_outcome(&materialized, &streamed);
+    assert_same_outcome(&sliced, &iterated);
 }
 
 /// The excerpt as `rush replay` streams it: through the reorder window,
