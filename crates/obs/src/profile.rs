@@ -1,9 +1,9 @@
 //! Lightweight scoped profiling.
 //!
 //! A fixed set of [`ProfileScope`]s covers the hot paths (engine ticks,
-//! the scheduling pass, the running-speed refresh, the network's link-table
-//! rebuild, predictor evaluation, featurization, forest training, telemetry
-//! sampling). The profiler is
+//! the scheduling pass and its EASY backfill, the running-speed refresh,
+//! the network's link-table rebuild, predictor evaluation, featurization,
+//! forest training, telemetry sampling). The profiler is
 //! process-global and disabled by default: entering a scope costs one
 //! relaxed atomic load. When enabled (`--profile` on the CLI), each scope
 //! accumulates call count and total wall nanoseconds into atomics,
@@ -35,9 +35,11 @@ pub enum ProfileScope {
     SpeedRefresh,
     /// Rebuild of the network's per-link load and utilization table.
     NetworkRefresh,
+    /// EASY backfill around a blocked queue head (inside `SchedulePass`).
+    Backfill,
 }
 
-const SCOPE_COUNT: usize = 8;
+const SCOPE_COUNT: usize = 9;
 
 const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::EngineTick,
@@ -48,6 +50,7 @@ const ALL_SCOPES: [ProfileScope; SCOPE_COUNT] = [
     ProfileScope::TelemetrySample,
     ProfileScope::SpeedRefresh,
     ProfileScope::NetworkRefresh,
+    ProfileScope::Backfill,
 ];
 
 impl ProfileScope {
@@ -61,6 +64,7 @@ impl ProfileScope {
             ProfileScope::TelemetrySample => 5,
             ProfileScope::SpeedRefresh => 6,
             ProfileScope::NetworkRefresh => 7,
+            ProfileScope::Backfill => 8,
         }
     }
 
@@ -75,6 +79,7 @@ impl ProfileScope {
             ProfileScope::TelemetrySample => "telemetry_sample",
             ProfileScope::SpeedRefresh => "speed_refresh",
             ProfileScope::NetworkRefresh => "network_refresh",
+            ProfileScope::Backfill => "backfill",
         }
     }
 }
@@ -350,5 +355,6 @@ mod tests {
         assert_eq!(ProfileScope::TelemetrySample.label(), "telemetry_sample");
         assert_eq!(ProfileScope::SpeedRefresh.label(), "speed_refresh");
         assert_eq!(ProfileScope::NetworkRefresh.label(), "network_refresh");
+        assert_eq!(ProfileScope::Backfill.label(), "backfill");
     }
 }

@@ -60,8 +60,8 @@ fn seeds() -> &'static [String] {
     })
 }
 
-/// A four-node store body: two sampling rounds of a loaded machine and a
-/// gap.
+/// A four-node store body: two sampling rounds of a loaded machine and
+/// two gaps on node 2.
 fn store_body() -> Val {
     let mut machine = Machine::new(MachineConfig::tiny(3));
     machine.enable_noise_job((0..4).map(NodeId).collect(), 8.0);
@@ -69,6 +69,7 @@ fn store_body() -> Val {
     let mut sampler = Sampler::new((0..4).map(NodeId).collect(), SimDuration::from_secs(30));
     sampler.advance_to(SimTime::from_secs(30), &mut machine, &mut store);
     store.record_gap(NodeId(2), SimTime::from_secs(60), GapReason::Dropout);
+    store.record_gap(NodeId(2), SimTime::from_secs(90), GapReason::Corrupt);
     store.to_val()
 }
 
@@ -289,6 +290,28 @@ fn every_integer_of_small_documents_at_u64_max_never_panics() {
             decode_all(&mutant.render(), n);
         }
     }
+}
+
+/// A node's gaps are time-ordered (coverage counts them by binary
+/// search), so a store body with two of them swapped is a schema error.
+#[test]
+fn out_of_order_gap_times_are_errors() {
+    let mut body = store_body();
+    let Val::Map(entries) = &mut body else {
+        panic!("store body is a map");
+    };
+    let (_, Val::List(per_node)) = entries.iter_mut().find(|(k, _)| k == "gaps").unwrap() else {
+        panic!("gaps are a list");
+    };
+    let Val::List(node_gaps) = &mut per_node[2] else {
+        panic!("node 2's gaps are a list");
+    };
+    node_gaps.swap(0, 1);
+    assert!(matches!(
+        MetricStore::from_val(&body),
+        Err(SnapshotError::Schema(_))
+    ));
+    assert!(MetricStore::from_val(&store_body()).is_ok());
 }
 
 /// A one-tree, one-feature AdaBoost document whose tree has `nodes`.

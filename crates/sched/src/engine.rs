@@ -43,7 +43,7 @@ use rush_telemetry::aggregate::window_quality;
 use rush_telemetry::collector::Sampler;
 use rush_telemetry::store::MetricStore;
 use rush_workloads::jobgen::JobRequest;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Which backfilling discipline fills holes around blocked jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -564,7 +564,9 @@ pub struct SchedulerEngine {
     sampler: Sampler,
     config: SchedulerConfig,
     predictor: Box<dyn VariabilityPredictor>,
-    queue: Vec<Job>,
+    /// The wait queue. A deque, so a RUSH delay near the front
+    /// ([`try_start`](Self::try_start)) shifts only the jobs ahead of it.
+    queue: VecDeque<Job>,
     /// Running jobs in id order, the order the speed refresh visits them.
     running: BTreeMap<JobId, RunningJob>,
     /// Set by whatever changes running jobs' speeds within a step; the step
@@ -651,7 +653,7 @@ impl SchedulerEngine {
             machine,
             config,
             predictor,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             running: BTreeMap::new(),
             speeds_dirty: false,
             skip_table: HashMap::new(),
@@ -836,8 +838,8 @@ impl SchedulerEngine {
     pub fn promote_job(&mut self, id: JobId) -> bool {
         match self.queue.iter().position(|j| j.id == id) {
             Some(pos) => {
-                let job = self.queue.remove(pos);
-                self.queue.insert(0, job);
+                let job = self.queue.remove(pos).expect("position is in range");
+                self.queue.push_front(job);
                 true
             }
             None => false,
@@ -846,7 +848,7 @@ impl SchedulerEngine {
 
     /// The jobs currently waiting, in queue order (environment
     /// observations).
-    pub fn queued_jobs(&self) -> &[Job] {
+    pub fn queued_jobs(&self) -> &VecDeque<Job> {
         &self.queue
     }
 
@@ -1349,11 +1351,13 @@ impl SchedulerEngine {
     /// appended instead and the next `schedule_pass` re-sorts.
     fn enqueue_job(&mut self, job: Job) {
         if !self.queue_dirty {
-            let at = self.config.r1.insertion_point(&self.queue, &job);
+            let at = self
+                .config
+                .r1
+                .insertion_point(self.queue.make_contiguous(), &job);
             self.queue.insert(at, job);
         } else {
-            self.queue.push(job);
-            self.queue_dirty = true;
+            self.queue.push_back(job);
         }
         self.max_queue_len = self.max_queue_len.max(self.queue.len());
     }
@@ -1461,7 +1465,7 @@ impl SchedulerEngine {
         // every sorted insert agrees with.
         if self.queue_dirty {
             let r1 = self.config.r1;
-            r1.sort(&mut self.queue);
+            r1.sort(self.queue.make_contiguous());
             self.queue_dirty = false;
         }
         if self.config.backfill == BackfillPolicy::Conservative {
@@ -1484,11 +1488,16 @@ impl SchedulerEngine {
             }
             let needed = job.nodes_requested as usize;
             if self.pool.can_allocate(needed) {
-                let job = self.queue.remove(i);
-                if !self.try_start(job, now, &mut delayed_this_pass) {
-                    // Delayed: restart the scan; the delayed set prevents
-                    // re-evaluating it within this pass.
-                    i = 0;
+                let job = self.queue.remove(i).expect("scan index is in range");
+                if !self.try_start(job, now, &mut delayed_this_pass) && i > 0 {
+                    // Delayed from `i >= 1` and put back at 1: positions
+                    // `0..=i` now hold it and the jobs the scan skipped
+                    // before it, each delayed this pass or cooling down
+                    // until the pass ends, so the scan resumes past them.
+                    // Delayed from the front, it sits behind a job the
+                    // scan has not seen, and a start leaves `i` on the job
+                    // that moved into its place: both rescan `i`.
+                    i += 1;
                 }
             } else {
                 // Head-of-line blocking: reserve and backfill (lines 7–15).
@@ -1554,13 +1563,14 @@ impl SchedulerEngine {
                 .iter()
                 .position(|j| j.id == id)
                 .expect("snapshot job still queued");
-            let job = self.queue.remove(pos);
+            let job = self.queue.remove(pos).expect("position is in range");
             self.try_start(job, now, &mut delayed_this_pass);
         }
     }
 
     /// EASY backfill around the blocked job at queue position `blocked_idx`.
     fn backfill(&mut self, blocked_idx: usize, now: SimTime, delayed: &mut HashSet<JobId>) {
+        let _scope = obs_profile::scope(ProfileScope::Backfill);
         let blocked = &self.queue[blocked_idx];
         let snapshots: Vec<RunningSnapshot> = self
             .running
@@ -1629,7 +1639,7 @@ impl SchedulerEngine {
                 .iter()
                 .position(|j| j.id == cand.id)
                 .expect("candidate still queued");
-            let job = self.queue.remove(pos);
+            let job = self.queue.remove(pos).expect("position is in range");
             if self.try_start(job, now, delayed) && est_end > reservation.shadow_start {
                 // The admitted job outlives the shadow window, so it holds
                 // its nodes out of the blocked job's launch headroom: spend
@@ -1752,7 +1762,7 @@ impl SchedulerEngine {
             Some(nodes) => nodes,
             None => {
                 debug_assert!(false, "caller checked availability");
-                self.queue.insert(0, job);
+                self.queue.push_front(job);
                 self.queue_dirty = true;
                 return false;
             }
@@ -1809,6 +1819,7 @@ impl SchedulerEngine {
             self.delayed_until
                 .insert(job.id, now + self.config.skip_cooldown);
             delayed.insert(job.id);
+            // O(1): the deque shifts the one job ahead of `pos`.
             let pos = 1.min(self.queue.len());
             self.queue.insert(pos, job);
             // Deliberately out of R1 order ("push after the front"): the
@@ -2165,9 +2176,9 @@ impl SchedulerEngine {
 
         // Parse everything into locals first so a malformed body can never
         // leave the engine half-restored.
-        let mut queue = Vec::new();
+        let mut queue = VecDeque::new();
         for id in b.l("queue")? {
-            queue.push(job_of(id.as_u64()?)?);
+            queue.push_back(job_of(id.as_u64()?)?);
         }
 
         let mut running = BTreeMap::new();
@@ -2684,6 +2695,49 @@ mod tests {
             .find(|c| c.skips > 0)
             .expect("some job was delayed");
         assert!(delayed.wait() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn load_series_under_delays_is_pinned() {
+        // 12 four-node jobs a second apart on the 16-node machine, the
+        // first 9 consults delayed. At 0–8 s each job's arrival is followed
+        // by its delay, whose sample counts the queue without it.
+        let mut eng = engine(Box::new(Scripted::new(vec![
+            VariabilityClass::Variation;
+            9
+        ])));
+        let result = eng.run(&requests(12, 4));
+        assert_eq!(result.total_skips, 9);
+        let (queue, busy) = (
+            result.trace.queue_len_series(),
+            result.trace.busy_nodes_series(),
+        );
+        let secs: Vec<u64> = queue
+            .iter()
+            .map(|(at, _)| at.as_micros() / 1_000_000)
+            .collect();
+        let values = |series: &rush_simkit::series::TimeSeries| -> Vec<u32> {
+            series.iter().map(|(_, v)| v as u32).collect()
+        };
+        #[rustfmt::skip]
+        let want_secs = [
+            0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11,
+            60, 187, 187, 192, 192, 192, 192, 235, 235, 369, 369, 371, 371, 376, 376, 418, 418,
+            543, 548, 550, 602,
+        ];
+        #[rustfmt::skip]
+        let want_queue = [
+            0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 9, 9, 9, 9,
+            8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0, 0, 0, 0,
+        ];
+        #[rustfmt::skip]
+        let want_busy = [
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 8, 8, 12,
+            16, 12, 16, 12, 16, 12, 16, 12, 16, 12, 16, 12, 16, 12, 16, 12, 16, 12, 8, 4, 0,
+        ];
+        assert_eq!(secs, want_secs);
+        assert_eq!(values(queue), want_queue);
+        assert_eq!(values(busy), want_busy);
     }
 
     #[test]

@@ -704,7 +704,7 @@ mod tests {
         env.step(Action::PickJob(obs.queue.len() - 1));
         // The promoted job either started immediately or now heads the
         // queue; both prove the promotion landed.
-        let head = env.engine().queued_jobs().first().map(|j| j.id);
+        let head = env.engine().queued_jobs().front().map(|j| j.id);
         let still_queued = env.engine().queued_jobs().iter().any(|j| j.id == picked);
         assert!(!still_queued || head == Some(picked));
     }

@@ -6,7 +6,10 @@
 //! two (seed, nodes, jobs) points over 16/32/64-node machines. Each line
 //! holds one [`outcome_digest`]: the encoded schedule trace, the placement
 //! and timing of every job, and the outcome scalars — everything
-//! [`diff_results`](rush_sched::difftest::diff_results) compares.
+//! [`diff_results`](rush_sched::difftest::diff_results) compares. No grid
+//! scenario delays a job, so three RUSH runs under a predictor that delays
+//! most consults are pinned by digests in the test itself (edited by hand
+//! after an intentional change; `GOLDEN_BLESS` does not touch them).
 //!
 //! To regenerate the file after an *intentional* change of scheduling
 //! behaviour:
@@ -17,7 +20,13 @@
 //!
 //! and commit it together with the change that motivated it.
 
+use rand::Rng;
+use rush_cluster::machine::Machine;
+use rush_cluster::topology::NodeId;
 use rush_sched::difftest::{outcome_digest, DiffScenario};
+use rush_sched::engine::SchedulerEngine;
+use rush_sched::job::Job;
+use rush_sched::predictor::{PredictError, PredictorCtx, VariabilityClass, VariabilityPredictor};
 use std::path::PathBuf;
 
 /// The pinned grid, in file order.
@@ -85,6 +94,62 @@ fn diff_scenarios_match_committed_digests() {
             want, got,
             "outcome digest changed; if intentional, re-bless with:\n\
              GOLDEN_BLESS=1 cargo test -p rush-sched --test golden_digests"
+        );
+    }
+}
+
+/// Delays a seeded 60% of the consults it sees.
+struct CoinFlip;
+
+impl VariabilityPredictor for CoinFlip {
+    fn predict(
+        &mut self,
+        _job: &Job,
+        _nodes: &[NodeId],
+        ctx: &mut PredictorCtx<'_>,
+    ) -> Result<VariabilityClass, PredictError> {
+        Ok(if ctx.rng.gen_bool(0.6) {
+            VariabilityClass::Variation
+        } else {
+            VariabilityClass::NoVariation
+        })
+    }
+
+    fn name(&self) -> &str {
+        "coin-flip"
+    }
+}
+
+/// RUSH delays over a deep queue: the grid's scenarios have no delaying
+/// predictor, so these pin what they leave out, the delay path of the
+/// scheduling pass (consults at every queue position, pushes behind the
+/// front, cooldowns, skip budgets) and the load series it samples.
+#[test]
+fn rush_delay_scenarios_match_pinned_digests() {
+    // (seed, nodes, jobs, faults, digest)
+    let pinned: [(u64, u32, usize, bool, u64); 3] = [
+        (3000, 16, 60, false, 0x18b8_5a09_e8a9_41cb),
+        (3001, 32, 80, false, 0xda79_f69e_7e3e_1930),
+        (3002, 16, 60, true, 0xc917_73cf_3341_94c6),
+    ];
+    for (seed, nodes, jobs, faults, want) in pinned {
+        let s = DiffScenario {
+            seed,
+            nodes,
+            jobs,
+            faults,
+            perf_faults: faults,
+            online_predictor: false,
+            learned_policy: false,
+        };
+        let machine = Machine::new(s.machine_config());
+        let mut engine = SchedulerEngine::new(machine, s.sched_config(), Box::new(CoinFlip), seed);
+        let result = engine.run(&s.workload());
+        assert!(result.total_skips > 60, "seed {seed}: delays must dominate");
+        assert_eq!(
+            outcome_digest(&result),
+            want,
+            "seed {seed}: outcome digest changed under RUSH delays"
         );
     }
 }

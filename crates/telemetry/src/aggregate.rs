@@ -61,7 +61,8 @@ pub fn aggregate_counters(
 /// ascending within a node, whatever else is asked for, so a counter's
 /// aggregate is bit-equal in every subset that holds it. Only the
 /// requested (row, counter) pairs are synthesized
-/// ([`MetricStore::columns`]).
+/// ([`MetricStore::columns`]). The store remembers the result, so the
+/// same request with no store write in between is not pooled again.
 pub fn aggregate_counter_subset(
     store: &mut MetricStore,
     nodes: &[NodeId],
@@ -69,6 +70,9 @@ pub fn aggregate_counter_subset(
     to: SimTime,
     counters: &[usize],
 ) -> Vec<CounterAggregate> {
+    if let Some(aggs) = store.pooled(nodes, from, to, counters) {
+        return aggs.to_vec();
+    }
     let mut stats = vec![OnlineStats::new(); counters.len()];
     for &node in nodes {
         let columns: Vec<&[f64]> = store.columns(node, from, to, counters).collect();
@@ -80,7 +84,7 @@ pub fn aggregate_counter_subset(
             }
         }
     }
-    stats
+    let aggs: Vec<CounterAggregate> = stats
         .iter()
         .map(|st| {
             if st.count() == 0 {
@@ -94,7 +98,9 @@ pub fn aggregate_counter_subset(
                 }
             }
         })
-        .collect()
+        .collect();
+    store.remember_pooled(nodes, from, to, counters, &aggs);
+    aggs
 }
 
 /// How trustworthy an aggregation window is under telemetry faults.

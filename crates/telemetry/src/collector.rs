@@ -105,11 +105,6 @@ impl Sampler {
         self.corruption = active;
     }
 
-    /// Whether a blackout is currently active.
-    pub fn blackout_active(&self) -> bool {
-        self.blackout
-    }
-
     /// Per-node samples lost to dropout so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -384,7 +379,6 @@ mod tests {
         sampler.advance_to(SimTime::from_secs(30), &mut machine, &mut store);
         let before = store.row_count();
         sampler.set_blackout(true);
-        assert!(sampler.blackout_active());
         sampler.advance_to(SimTime::from_secs(90), &mut machine, &mut store);
         assert_eq!(store.row_count(), before, "no data during blackout");
         // Rounds at t=60 and t=90 missed for every node.

@@ -83,17 +83,6 @@ impl FeatureSchema {
         0..self.counter_feature_count
     }
 
-    /// Range of the MPI benchmark features (`270..279`).
-    pub fn bench_range(&self) -> std::ops::Range<usize> {
-        self.counter_feature_count..self.counter_feature_count + MPI_BENCH_NAMES.len() * 3
-    }
-
-    /// Range of the intensity one-hot features (`279..282`).
-    pub fn intensity_range(&self) -> std::ops::Range<usize> {
-        let start = self.counter_feature_count + MPI_BENCH_NAMES.len() * 3;
-        start..start + INTENSITY_NAMES.len()
-    }
-
     /// Assembles a full feature vector from its three parts.
     ///
     /// # Panics
@@ -138,8 +127,6 @@ mod tests {
         assert_eq!(s.len(), 282);
         assert!(!s.is_empty());
         assert_eq!(s.counter_range(), 0..270);
-        assert_eq!(s.bench_range(), 270..279);
-        assert_eq!(s.intensity_range(), 279..282);
     }
 
     #[test]

@@ -20,7 +20,16 @@
 //! The memo is a cache, never snapshotted: a restored store refills it on
 //! demand with bit-identical values, and retention prunes it along with
 //! the rows.
+//!
+//! The store also keeps the last pooled aggregate
+//! [`aggregate_counter_subset`](crate::aggregate::aggregate_counter_subset)
+//! computed, keyed by its node list, window and counter list. Every write
+//! ([`record`](MetricStore::record), [`record_gap`](MetricStore::record_gap),
+//! [`retain_from`](MetricStore::retain_from)) clears it, so a request
+//! repeated with no write in between returns the bits it returned before.
+//! Like the counter memo it is never snapshotted.
 
+use crate::aggregate::CounterAggregate;
 use rush_cluster::counters::{counter_value, noise_seed, row_key, NodeObservation, COUNTER_COUNT};
 use rush_cluster::topology::NodeId;
 use rush_simkit::snapshot::{Restorable, Snapshot, SnapshotError, Val};
@@ -116,6 +125,16 @@ impl NodeBlock {
     }
 }
 
+/// The last pooled aggregate and the request that produced it.
+#[derive(Debug, Clone)]
+struct PooledWindow {
+    nodes: Vec<NodeId>,
+    from: SimTime,
+    to: SimTime,
+    counters: Vec<usize>,
+    aggs: Vec<CounterAggregate>,
+}
+
 /// Per-node observation storage with counters synthesized and memoized on
 /// first read (see the module docs).
 #[derive(Debug, Clone)]
@@ -132,6 +151,8 @@ pub struct MetricStore {
     first_seq: u64,
     /// Missing-sample records per node, append-only in time order.
     gaps: Vec<Vec<Gap>>,
+    /// The last pooled aggregate; cleared by every write.
+    pooled: Option<PooledWindow>,
 }
 
 impl MetricStore {
@@ -146,6 +167,7 @@ impl MetricStore {
             obs: VecDeque::new(),
             first_seq: 0,
             gaps: vec![Vec::new(); node_count as usize],
+            pooled: None,
         }
     }
 
@@ -180,12 +202,25 @@ impl MetricStore {
         let seq = self.first_seq + self.obs.len() as u64;
         self.blocks[node.0 as usize].rows.push_back((at, seq));
         self.obs.push_back((at, obs));
+        self.pooled = None;
     }
 
-    /// Records that `node`'s sample due at `at` was lost, and why.
+    /// Records that `node`'s sample due at `at` was lost, and why. A
+    /// node's gaps must arrive in non-decreasing time order; an
+    /// out-of-order gap panics in debug builds and is clamped to the
+    /// node's latest gap time otherwise.
     pub fn record_gap(&mut self, node: NodeId, at: SimTime, reason: GapReason) {
         debug_assert!(node.0 < self.node_count, "node {node:?} out of range");
-        self.gaps[node.0 as usize].push(Gap { at, reason });
+        let gaps = &mut self.gaps[node.0 as usize];
+        let at = match gaps.last() {
+            Some(last) => {
+                debug_assert!(at >= last.at, "out-of-order gap at {at}, last {}", last.at);
+                at.max(last.at)
+            }
+            None => at,
+        };
+        gaps.push(Gap { at, reason });
+        self.pooled = None;
     }
 
     /// The missing-sample records for `node`, in time order.
@@ -216,10 +251,10 @@ impl MetricStore {
         let mut lost = 0usize;
         for &node in nodes {
             kept += self.rows_in(node, from, to);
-            lost += self.gaps[node.0 as usize]
-                .iter()
-                .filter(|g| g.at >= from && g.at < to)
-                .count();
+            let gaps = &self.gaps[node.0 as usize];
+            let lo = gaps.partition_point(|g| g.at < from);
+            let hi = gaps.partition_point(|g| g.at < to);
+            lost += hi.saturating_sub(lo);
         }
         if kept + lost == 0 {
             1.0
@@ -268,9 +303,44 @@ impl MetricStore {
         counters.iter().map(move |&c| &block.memo[c].values[lo..hi])
     }
 
+    /// The aggregate remembered for exactly this request, if no write came
+    /// after it ([`remember_pooled`](Self::remember_pooled)).
+    pub(crate) fn pooled(
+        &self,
+        nodes: &[NodeId],
+        from: SimTime,
+        to: SimTime,
+        counters: &[usize],
+    ) -> Option<&[CounterAggregate]> {
+        self.pooled
+            .as_ref()
+            .filter(|p| p.from == from && p.to == to && p.nodes == nodes && p.counters == counters)
+            .map(|p| p.aggs.as_slice())
+    }
+
+    /// Remembers `aggs` as the aggregate of this request, in place of the
+    /// one remembered before.
+    pub(crate) fn remember_pooled(
+        &mut self,
+        nodes: &[NodeId],
+        from: SimTime,
+        to: SimTime,
+        counters: &[usize],
+        aggs: &[CounterAggregate],
+    ) {
+        self.pooled = Some(PooledWindow {
+            nodes: nodes.to_vec(),
+            from,
+            to,
+            counters: counters.to_vec(),
+            aggs: aggs.to_vec(),
+        });
+    }
+
     /// Drops all samples and gap records before `cutoff` (memory bound for
     /// long campaigns), memoized values included.
     pub fn retain_from(&mut self, cutoff: SimTime) {
+        self.pooled = None;
         for b in &mut self.blocks {
             let lo = b.rows.partition_point(|&(t, _)| t < cutoff);
             if lo > 0 {
@@ -396,7 +466,7 @@ impl Restorable for MetricStore {
             return Err(schema("gap rows"));
         }
         for per_node in gap_vals {
-            let mut row = Vec::new();
+            let mut row: Vec<Gap> = Vec::new();
             for g in per_node.as_list()? {
                 let pair = g.as_list()?;
                 if pair.len() != 2 {
@@ -411,10 +481,11 @@ impl Restorable for MetricStore {
                         return Err(SnapshotError::Schema(format!("gap reason {other}")));
                     }
                 };
-                row.push(Gap {
-                    at: SimTime::from_micros(pair[0].as_u64()?),
-                    reason,
-                });
+                let at = SimTime::from_micros(pair[0].as_u64()?);
+                if row.last().is_some_and(|last| last.at > at) {
+                    return Err(schema("gap times out of order"));
+                }
+                row.push(Gap { at, reason });
             }
             store.gaps.push(row);
         }
@@ -450,6 +521,15 @@ impl MetricStore {
         column.expect("one column").to_vec()
     }
 
+    /// Forgets every memoized counter value and the pooled aggregate, as
+    /// a restored store would.
+    pub(crate) fn clear_memos(&mut self) {
+        for b in &mut self.blocks {
+            b.memo.clear();
+        }
+        self.pooled = None;
+    }
+
     /// Rows stored across all nodes.
     pub(crate) fn row_count(&self) -> usize {
         self.blocks.iter().map(|b| b.rows.len()).sum()
@@ -481,6 +561,7 @@ impl MetricStore {
 mod tests {
     use super::*;
     use rush_cluster::counters::synthesize_row_into;
+    use rush_simkit::time::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -846,6 +927,166 @@ mod tests {
                 entries[i].1 = Val::U64(count);
             });
             assert_schema_error(&body);
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_gap_times_out_of_order() {
+        // Node 1's gaps at 5 s and 15 s, swapped.
+        let body = body_with("gaps", |entries, i| {
+            let Val::List(node_gaps) = &mut list_at(entries, i)[1] else {
+                panic!("a node's gaps are a list");
+            };
+            node_gaps.swap(0, 1);
+        });
+        assert_schema_error(&body);
+    }
+
+    #[test]
+    fn coverage_counts_only_gaps_inside_the_window() {
+        let mut store = MetricStore::new(1, 0);
+        for s in [10, 20, 20, 30] {
+            store.record_gap(NodeId(0), t(s), GapReason::Dropout);
+        }
+        store.record(NodeId(0), t(25), obs(1));
+        let node = [NodeId(0)];
+        // [20, 30) holds both gaps at 20 and the row at 25.
+        assert!((store.coverage(&node, t(20), t(30)) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(store.coverage(&node, t(21), t(30)), 1.0);
+        assert_eq!(store.coverage(&node, t(0), t(10)), 1.0, "empty window");
+        assert_eq!(store.coverage(&node, t(0), t(11)), 0.0);
+    }
+
+    #[test]
+    fn a_repeated_request_reuses_the_pooled_aggregate_until_a_write() {
+        use crate::aggregate::aggregate_counter_subset;
+        let mut store = MetricStore::new(2, 9);
+        store.record(NodeId(0), t(0), obs(1));
+        store.record(NodeId(1), t(0), obs(2));
+        let nodes = [NodeId(1), NodeId(0)];
+        let first = aggregate_counter_subset(&mut store, &nodes, t(0), t(60), &[4, 2]);
+        assert_eq!(store.pooled(&nodes, t(0), t(60), &[4, 2]), Some(&first[..]));
+        // Any other node order, window or counter list misses.
+        assert!(store
+            .pooled(&[NodeId(0), NodeId(1)], t(0), t(60), &[4, 2])
+            .is_none());
+        assert!(store.pooled(&nodes, t(0), t(61), &[4, 2]).is_none());
+        assert!(store.pooled(&nodes, t(0), t(60), &[2, 4]).is_none());
+        // A row inside the window changes the answer.
+        store.record(NodeId(0), t(30), obs(3));
+        assert!(store.pooled(&nodes, t(0), t(60), &[4, 2]).is_none());
+        let second = aggregate_counter_subset(&mut store, &nodes, t(0), t(60), &[4, 2]);
+        assert_eq!(second[0].count, 3);
+        for write in [
+            |s: &mut MetricStore| s.record_gap(NodeId(1), t(40), GapReason::Dropout),
+            |s: &mut MetricStore| s.retain_from(t(1)),
+        ] {
+            aggregate_counter_subset(&mut store, &nodes, t(0), t(60), &[4, 2]);
+            write(&mut store);
+            assert!(store.pooled(&nodes, t(0), t(60), &[4, 2]).is_none());
+        }
+    }
+
+    /// One step of [`pooled_reads_equal_reads_without_memos`].
+    #[derive(Debug, Clone)]
+    enum MemoOp {
+        /// Advance the clock by this many seconds and record a row on
+        /// `node`.
+        Record(u32, u64),
+        /// Advance the clock and record a gap on `node`.
+        Gap(u32, u64),
+        /// Drop everything older than this many seconds before now.
+        Retain(u64),
+        /// Replace the store by its snapshot's decoding.
+        Snapshot,
+        /// Read `counters` pooled over `nodes` in `[now - back, now + ahead)`.
+        Read(Vec<u32>, u64, u64, Vec<usize>),
+        /// Repeat the last read's request, window included.
+        Repeat,
+    }
+
+    fn memo_op() -> impl proptest::strategy::Strategy<Value = MemoOp> {
+        use proptest::prelude::*;
+        let node = 0u32..4;
+        let counters = proptest::collection::vec(0usize..COUNTER_COUNT, 1..5);
+        prop_oneof![
+            (node.clone(), 0u64..20).prop_map(|(n, dt)| MemoOp::Record(n, dt)),
+            (node.clone(), 0u64..20).prop_map(|(n, dt)| MemoOp::Record(n, dt)),
+            (node.clone(), 0u64..20).prop_map(|(n, dt)| MemoOp::Gap(n, dt)),
+            (0u64..60).prop_map(MemoOp::Retain),
+            Just(MemoOp::Snapshot),
+            (
+                proptest::collection::vec(node, 0..4),
+                0u64..80,
+                0u64..40,
+                counters
+            )
+                .prop_map(|(nodes, back, ahead, counters)| MemoOp::Read(
+                    nodes, back, ahead, counters
+                )),
+            Just(MemoOp::Repeat),
+            Just(MemoOp::Repeat),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Under any interleaving of rows, gaps, prunes, snapshot round
+        /// trips and reads (repeated ones included), every pooled read
+        /// equals the same read on a clone with no memo, bit for bit.
+        #[test]
+        fn pooled_reads_equal_reads_without_memos(
+            seed in 0u64..1000,
+            ops in proptest::collection::vec(memo_op(), 1..60),
+        ) {
+            use crate::aggregate::{aggregate_counter_subset, CounterAggregate};
+            let bits = |aggs: &[CounterAggregate]| -> Vec<(usize, u64, u64, u64)> {
+                aggs.iter()
+                    .map(|a| (a.count, a.min.to_bits(), a.max.to_bits(), a.mean.to_bits()))
+                    .collect()
+            };
+            let mut store = MetricStore::new(4, seed);
+            let (mut now, mut k) = (t(0), 0);
+            let mut last: Option<(Vec<NodeId>, SimTime, SimTime, Vec<usize>)> = None;
+            for op in &ops {
+                let request = match op {
+                    MemoOp::Record(n, dt) => {
+                        now += SimDuration::from_secs(*dt);
+                        k += 1;
+                        store.record(NodeId(*n), now, obs(k));
+                        None
+                    }
+                    MemoOp::Gap(n, dt) => {
+                        now += SimDuration::from_secs(*dt);
+                        store.record_gap(NodeId(*n), now, GapReason::Corrupt);
+                        None
+                    }
+                    MemoOp::Retain(keep) => {
+                        store.retain_from(now.saturating_sub(SimDuration::from_secs(*keep)));
+                        None
+                    }
+                    MemoOp::Snapshot => {
+                        store = MetricStore::from_val(&store.to_val()).unwrap();
+                        None
+                    }
+                    MemoOp::Read(nodes, back, ahead, counters) => Some((
+                        nodes.iter().map(|&n| NodeId(n)).collect(),
+                        now.saturating_sub(SimDuration::from_secs(*back)),
+                        now + SimDuration::from_secs(*ahead),
+                        counters.clone(),
+                    )),
+                    MemoOp::Repeat => last.clone(),
+                };
+                if let Some((nodes, from, to, counters)) = request {
+                    let mut cold = store.clone();
+                    cold.clear_memos();
+                    let got = aggregate_counter_subset(&mut store, &nodes, from, to, &counters);
+                    let want = aggregate_counter_subset(&mut cold, &nodes, from, to, &counters);
+                    proptest::prop_assert_eq!(bits(&got), bits(&want));
+                    last = Some((nodes, from, to, counters));
+                }
+            }
         }
     }
 
